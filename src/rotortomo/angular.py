@@ -242,7 +242,6 @@ def eigenfunction_rows(j_max: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
     integral f_J f_J' dx = delta(J, J').
     """
     if k == 0:
-        j0 = abs(m)
         return _legendre_rows(j_max, m, x)
     j0 = max(abs(k), abs(m))
     rows = _wigner_rows(j_max, k, m, x)

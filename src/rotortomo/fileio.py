@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .angular import QuadratureGrid
-from .rotor import DensityBlock, MeasurementGrid, RotorKind, RotorSpec, rotor_kind
+from .rotor import DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
 
 
 class FileFormatError(ValueError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .angular import QuadratureGrid, coefficient_table, eigenfunction_rows, gauss_legendre_grid
+from .angular import QuadratureGrid, coefficient_table, eigenfunction_rows
 
 
 class RotorKind(enum.Enum):
@@ -206,9 +206,6 @@ class DensityBlock:
 
     def min_eigenvalue(self) -> float:
         return float(np.min(scipy.linalg.eigvalsh(self.elements)))
-
-    def is_positive_semidefinite(self, tol: float = 1e-10) -> bool:
-        return self.min_eigenvalue() >= -tol
 
     def embedded(self, j_max: int) -> "DensityBlock":
         """Copy of the block zero-padded up to a larger j_max."""

@@ -12,6 +12,10 @@ incommensurate with the sampling window, so that path solves one linear
 system whose matrix carries the exact finite-window Fourier kernel of every
 (probe, element) pair instead of assuming Kronecker deltas.
 
+Only :meth:`SamplingPlan.derive` enumerates chains.  Both solves read them
+from the plan and return values by level pair; :func:`reconstruct_block`
+assembles either into the Hermitian block, deep values and truncation flags.
+
 Throughout, pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha,
 beta) targets the element with S = alpha, DJ = beta, and only beta >= 0
 moments are ever evaluated (beta < 0 follows by conjugation of real data).
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .angular import assoc_legendre_norm, coefficient_table
+from .angular import J_CAP, assoc_legendre_norm, coefficient_table
 from .rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -33,8 +37,8 @@ from .rotor import (
     RotorSpec,
     bohr_frequency,
     check_distortion_range,
+    energy,
     monotone_j_limit,
-    reference_period,
     simulate_pr,
 )
 
@@ -155,14 +159,10 @@ def degeneracy_set_cd(
     """
     if beta == 0:
         raise ValueError("beta must be non-zero; the diagonal is handled separately")
-    if (alpha - beta) % 2:
-        raise ValueError(f"beta = {beta} must share the parity of alpha = {alpha}")
     if freq_tolerance < 0:
         raise ValueError(f"freq_tolerance must be non-negative, got {freq_tolerance}")
-    j1_t, j2_t = (alpha + beta) // 2, (alpha - beta) // 2
-    if j2_t < m_km:
-        raise ValueError(f"probe pair ({j1_t},{j2_t}) has no level below J = {m_km}")
-    omega0 = bohr_frequency(spec, j1_t, j2_t) if beta > 0 else bohr_frequency(spec, j2_t, j1_t)
+    # both signs of beta compare positive upper-minus-lower frequencies
+    omega0 = abs(probe_frequency(spec, alpha, beta))
     sign = 1 if beta > 0 else -1
     j1_cap = min(j_search_cap, monotone_j_limit(spec))
     found: list[ChainMember] = []
@@ -171,15 +171,11 @@ def degeneracy_set_cd(
             continue
         for j2 in range(m_km, (j_search_cap - dj) // 2 + 1):
             j1 = j2 + dj
-            if j1 > j1_cap or j1 + j2 < alpha:
+            if j1 > j1_cap or j1 + j2 < alpha or (j1 + j2 - alpha) % 2:
                 continue
-            if (j1 + j2 - alpha) % 2:
-                continue
-            omega = bohr_frequency(spec, j1, j2) if sign > 0 else bohr_frequency(spec, j2, j1)
-            if abs(omega - omega0) <= freq_tolerance:
+            if abs(bohr_frequency(spec, j1, j2) - omega0) <= freq_tolerance:
                 found.append(ChainMember(j_sum=j1 + j2, delta_j=sign * dj))
-    target = beta * (alpha + 1)
-    return DegeneracyChain(target=target, members=found, neglected=[])
+    return DegeneracyChain(target=beta * (alpha + 1), members=found, neglected=[])
 
 
 def probe_frequency(spec: RotorSpec, alpha: int, beta: int) -> float:
@@ -229,8 +225,7 @@ def moment_integral(grid: MeasurementGrid, alpha: int, beta: int, spec: RotorSpe
             f"n_t = {grid.n_t} undersamples the probe frequency {omega:.6g} "
             f"(alpha={alpha}, beta={beta}): need n_t >= {needed}"
         )
-    poly = assoc_legendre_norm(alpha, 0, grid.x_grid.nodes)
-    y = grid.values @ (grid.x_grid.weights * poly)
+    y = grid.x_integrals(assoc_legendre_norm(alpha, 0, grid.x_grid.nodes))
     phases = np.exp(1j * omega * grid.times)
     value = complex(phases @ y) / grid.n_t
     return MomentValue(alpha=alpha, beta=beta, omega=omega, value=value)
@@ -261,9 +256,7 @@ class PatternFunction:
         return out
 
     def apply(self, grid: MeasurementGrid) -> float:
-        f = self.evaluate(grid.x_grid.nodes)
-        per_time = grid.values @ (grid.x_grid.weights * f)
-        return float(np.mean(per_time))
+        return float(np.mean(grid.x_integrals(self.evaluate(grid.x_grid.nodes))))
 
 
 def _diag_system(k: int, m: int, j_cap: int) -> np.ndarray:
@@ -316,92 +309,37 @@ def reconstruct_diag(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> np.n
     return diag
 
 
-@dataclass
-class OffdiagResult:
-    """Upper-triangle values plus, for each element, its chain and truncation marks."""
-
-    values: dict[tuple[int, int], complex]
-    chains: dict[tuple[int, int], list[tuple[int, int]]]
-    flags: dict[tuple[int, int], list[tuple[int, int]]]
-    deep_values: dict[tuple[int, int], complex]
-
-
 def reconstruct_offdiag(
-    grid: MeasurementGrid,
-    spec: RotorSpec,
-    j_max: int,
-    j_search_cap: int | None = None,
-) -> OffdiagResult:
+    grid: MeasurementGrid, spec: RotorSpec, plan: SamplingPlan
+) -> dict[tuple[int, int], complex]:
     """Off-diagonal elements by chain back substitution (rigid / symmetric top).
 
-    Every pair appearing in any chain of a block element -- including pairs
-    beyond the block -- is probed at its own stretched moment and solved in
-    order of increasing |DJ|, so each probe's deeper partners are already
-    known when it is divided by its stretched coefficient.  Elements whose
-    chains reach past the search cap are flagged with the neglected pairs,
-    whose (unsubtracted) contribution is whatever the data actually holds
-    there.
+    Every member of the plan's chains -- including pairs beyond the block --
+    is probed at its own stretched moment and solved in order of increasing
+    |DJ|.  A member's own chain is the tail of any chain holding it (same
+    target, smaller |DJ|), so its deeper partners are already known when it
+    is divided by its stretched coefficient.  Returns every solved pair as
+    (J1, J2) -> value with J1 > J2.
     """
     if spec.kind is RotorKind.CENTRIFUGAL and spec.d_cd != 0.0:
         raise ValueError("chain back substitution assumes a rigid spectrum; "
                          "use reconstruct_block for centrifugal data")
-    m_min = spec.m_min
-    cap = default_search_cap(j_max) if j_search_cap is None else j_search_cap
     table = spec.coefficient_table()
-
-    block_pairs = [
-        (j1 + j2, j1 - j2)
-        for j2 in range(m_min, j_max + 1)
-        for j1 in range(j2 + 1, j_max + 1)
-    ]
-    parity = spec.k == 0
-    chains: dict[tuple[int, int], DegeneracyChain] = {}
-    todo = list(block_pairs)
-    while todo:
-        pair = todo.pop()
-        if pair in chains:
-            continue
-        chain = degeneracy_set(pair[0], pair[1], m_min, cap, parity=parity)
-        chains[pair] = chain
-        for mem in chain.members:
-            if mem.pair != pair and mem.pair not in chains:
-                todo.append(mem.pair)
+    tails: dict[tuple[int, int], list[ChainMember]] = {}
+    for chain in plan.chains.values():
+        for i, mem in enumerate(chain.members):
+            tails.setdefault(mem.pair, chain.members[i + 1:])
 
     solved: dict[tuple[int, int], complex] = {}
-    neglect: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for pair in sorted(chains, key=lambda p: (p[1], p[0])):
-        chain = chains[pair]
-        s, dj = pair
-        moment = moment_integral(grid, s, dj, spec)
-        acc = moment.value
-        marks = [mem.pair for mem in chain.neglected]
-        for mem in chain.members:
-            if mem.pair == pair:
-                continue
+    for s, dj in sorted(tails, key=lambda p: (p[1], p[0])):
+        acc = moment_integral(grid, s, dj, spec).value
+        for mem in tails[(s, dj)]:
             acc -= table.coefficient(mem.j_sum, mem.delta_j, s) * solved[mem.pair]
-            marks.extend(neglect[mem.pair])
-        stretched = table.coefficient(s, dj, s)
-        solved[pair] = acc / stretched
-        # dedupe while keeping deterministic order
-        neglect[pair] = sorted(set(marks), key=lambda p: (-p[1], p[0]))
-
-    values: dict[tuple[int, int], complex] = {}
-    out_chains: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    flags: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    deep: dict[tuple[int, int], complex] = {}
-    for (s, dj), val in solved.items():
-        j1, j2 = (s + dj) // 2, (s - dj) // 2
-        if j1 <= j_max:
-            values[(j1, j2)] = val
-            out_chains[(j1, j2)] = chains[(s, dj)].pairs()
-            if neglect[(s, dj)]:
-                flags[(j1, j2)] = neglect[(s, dj)]
-        else:
-            deep[(j1, j2)] = val
-    return OffdiagResult(values=values, chains=out_chains, flags=flags, deep_values=deep)
+        solved[(s, dj)] = acc / table.coefficient(s, dj, s)
+    return {((s + dj) // 2, (s - dj) // 2): val for (s, dj), val in solved.items()}
 
 
-def _window_kernel(delta_omega: float, dt: float, n_t: int) -> complex:
+def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
     """(1/N_t) sum_n exp(i * delta_omega * n * dt), the finite-window Fourier kernel.
 
     Frequencies that land on an exact sampling bin (the rigid case) are
@@ -409,92 +347,50 @@ def _window_kernel(delta_omega: float, dt: float, n_t: int) -> complex:
     deltas to machine precision rather than through a 0/0 sine ratio.
     """
     s = delta_omega * dt * n_t / (2.0 * np.pi)
-    r = round(s)
-    if abs(s - r) < 1e-8:
-        return complex(1.0 if r % n_t == 0 else 0.0)
-    phi = delta_omega * dt
-    return complex(
+    r = np.round(s)
+    on_bin = np.abs(s - r) < 1e-8
+    kernel = np.where(on_bin & (r % n_t == 0), 1.0, 0.0).astype(complex)
+    phi = delta_omega[~on_bin] * dt
+    kernel[~on_bin] = (
         np.exp(1j * phi * (n_t - 1) / 2.0) * np.sin(n_t * phi / 2.0) / (n_t * np.sin(phi / 2.0))
     )
+    return kernel
 
 
 def _reconstruct_windowed(
-    grid: MeasurementGrid,
-    spec: RotorSpec,
-    j_max: int,
-    cap: int,
-    freq_tolerance: float,
-) -> tuple[DensityBlock, dict]:
+    grid: MeasurementGrid, spec: RotorSpec, plan: SamplingPlan
+) -> dict[tuple[int, int], complex]:
     """Joint linear solve for the centrifugal path.
 
     Unknowns are every ordered pair of the block plus any near-degenerate
-    partners found outside it; each unknown owns one probe at its exact
-    frequency.  The system matrix carries the window kernel of every
-    (probe, unknown) frequency offset, so finite-window leakage between
-    lines is modeled instead of ignored.  Only beta >= 0 moments are
-    evaluated; conjugate rows reuse them.
+    partners of the plan's chains outside it; each unknown owns one probe
+    at its exact frequency.  The system matrix carries the window kernel of
+    every (probe, unknown) frequency offset, so finite-window leakage
+    between lines is modeled instead of ignored.  Only beta >= 0 moments
+    are evaluated; conjugate rows reuse them.  Returns (J1, J2) -> value
+    for every unknown.
     """
-    m_min = spec.m_min
+    m_min, j_max = plan.m_min, plan.j_max
     pairs: list[tuple[int, int]] = [(j, j) for j in range(m_min, j_max + 1)]
-    for j2 in range(m_min, j_max + 1):
-        for j1 in range(j2 + 1, j_max + 1):
-            pairs.append((j1, j2))
-            pairs.append((j2, j1))
-    chain_info: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j2 in range(m_min, j_max + 1):
-        for j1 in range(j2 + 1, j_max + 1):
-            chain = degeneracy_set_cd(j1 + j2, j1 - j2, m_min, cap, spec, freq_tolerance)
-            chain_info[(j1, j2)] = chain.pairs()
-            for mem in chain.members:
-                for extra in ((mem.j1, mem.j2), (mem.j2, mem.j1)):
-                    if extra[0] > j_max or extra[1] > j_max:
-                        if extra not in pairs:
-                            pairs.append(extra)
+    for (j1, j2), chain in plan.chains.items():
+        for hi, lo in [(j1, j2)] + [(mem.j1, mem.j2) for mem in chain.members]:
+            pairs += [pair for pair in ((hi, lo), (lo, hi)) if pair not in pairs]
 
-    n = len(pairs)
-    freqs = np.array([bohr_frequency(spec, a, b) for a, b in pairs])
+    levels = np.array(pairs)
+    energies = np.array([energy(spec, J) for J in range(m_min, int(levels.max()) + 1)])
+    freqs = energies[levels[:, 0] - m_min] - energies[levels[:, 1] - m_min]
     table = spec.coefficient_table()
     moments: dict[tuple[int, int], complex] = {}
-    b = np.empty(n, dtype=complex)
+    b = np.empty(len(pairs), dtype=complex)
+    coeffs = np.empty((len(pairs), len(pairs)))
     for p, (a1, a2) in enumerate(pairs):
-        alpha, beta = a1 + a2, a1 - a2
-        if beta >= 0:
-            key = (alpha, beta)
-            if key not in moments:
-                moments[key] = moment_integral(grid, alpha, beta, spec).value
-            b[p] = moments[key]
-        else:
-            key = (alpha, -beta)
-            if key not in moments:
-                moments[key] = moment_integral(grid, alpha, -beta, spec).value
-            b[p] = np.conj(moments[key])
-
-    A = np.zeros((n, n), dtype=complex)
-    for p, (a1, a2) in enumerate(pairs):
-        alpha = a1 + a2
-        for l, (b1, b2) in enumerate(pairs):
-            coeff = table.coefficient(b1 + b2, b1 - b2, alpha)
-            if coeff != 0.0:
-                A[p, l] = coeff * _window_kernel(freqs[p] - freqs[l], grid.dt, grid.n_t)
-    x = np.linalg.solve(A, b)
-
-    block = DensityBlock.zeros(spec.k, spec.m, j_max)
-    deep: dict[tuple[int, int], complex] = {}
-    for l, (j1, j2) in enumerate(pairs):
-        if j1 <= j_max and j2 <= j_max:
-            block.elements[j1 - block.j_min, j2 - block.j_min] = x[l]
-        else:
-            deep[(j1, j2)] = complex(x[l])
-    block.elements = (block.elements + block.elements.conj().T) / 2.0
-    diagnostics = {
-        "method": "windowed-least-squares",
-        "n_unknowns": n,
-        "freq_tolerance": freq_tolerance,
-        "chains": chain_info,
-        "flags": {},
-        "deep_values": deep,
-    }
-    return block, diagnostics
+        key = (a1 + a2, abs(a1 - a2))
+        if key not in moments:
+            moments[key] = moment_integral(grid, *key, spec).value
+        b[p] = moments[key] if a1 >= a2 else np.conj(moments[key])
+        coeffs[p] = [table.coefficient(b1 + b2, b1 - b2, a1 + a2) for b1, b2 in pairs]
+    A = coeffs * _window_kernel(freqs[:, None] - freqs[None, :], grid.dt, grid.n_t)
+    return dict(zip(pairs, np.linalg.solve(A, b)))
 
 
 @dataclass(frozen=True)
@@ -505,7 +401,10 @@ class SamplingPlan:
     sampling tau_max + 1 times per period puts every line on its own exact
     Fourier bin.  alpha_max is the deepest Legendre order any chain probe
     uses; the x grid must integrate that order against the block's own
-    degree-2*j_max content exactly.
+    degree-2*j_max content exactly.  ``chains`` maps each off-diagonal
+    block pair (J1, J2), J1 > J2, to its degeneracy chain: exact for rigid
+    and symmetric-top spectra, within ``freq_tolerance`` = 2 omega /
+    n_periods of the probe frequency for centrifugal ones.
     """
 
     j_max: int
@@ -516,6 +415,8 @@ class SamplingPlan:
     alpha_max: int
     n_t: int
     n_x: int
+    freq_tolerance: float
+    chains: dict[tuple[int, int], DegeneracyChain] = field(compare=False, repr=False)
 
     @classmethod
     def derive(
@@ -526,9 +427,8 @@ class SamplingPlan:
         n_t: int = 0,
         n_x: int = 0,
         search_cap: int | None = None,
-        freq_tolerance: float | None = None,
     ) -> "SamplingPlan":
-        """Fill n_t / n_x (0 = auto) and validate explicit values.
+        """Enumerate the chains, fill n_t / n_x (0 = auto) and validate explicit values.
 
         Raises :class:`SamplingError` naming the violated requirement.
         """
@@ -540,22 +440,24 @@ class SamplingPlan:
         check_distortion_range(spec, j_max)
         cap = default_search_cap(j_max) if search_cap is None else search_cap
         tau_max = (j_max - m_min) * (j_max + m_min + 1)
+        freq_tolerance = 2.0 * spec.omega / n_periods
 
-        alpha_max = 2 * j_max
-        if freq_tolerance is None:
-            freq_tolerance = 2.0 * spec.omega / n_periods
-        for j2 in range(m_min, j_max + 1):
-            for j1 in range(j2 + 1, j_max + 1):
-                if spec.kind is RotorKind.CENTRIFUGAL:
-                    chain = degeneracy_set_cd(
-                        j1 + j2, j1 - j2, m_min, cap, spec, freq_tolerance
-                    )
-                else:
-                    chain = degeneracy_set(
-                        j1 + j2, j1 - j2, m_min, cap, parity=spec.k == 0
-                    )
-                for mem in chain.members:
-                    alpha_max = max(alpha_max, mem.j_sum)
+        chains = {
+            (j1, j2): degeneracy_set_cd(j1 + j2, j1 - j2, m_min, cap, spec, freq_tolerance)
+            if spec.kind is RotorKind.CENTRIFUGAL
+            else degeneracy_set(j1 + j2, j1 - j2, m_min, cap, parity=spec.k == 0)
+            for j2 in range(m_min, j_max + 1)
+            for j1 in range(j2 + 1, j_max + 1)
+        }
+        alpha_max = max(
+            [2 * j_max] + [mem.j_sum for chain in chains.values() for mem in chain.members]
+        )
+        if alpha_max > J_CAP:
+            raise SamplingError(
+                f"chain probes of a j_max = {j_max} block reach Legendre order "
+                f"{alpha_max} with search cap {cap}, beyond the supported order "
+                f"{J_CAP}: need search_cap <= {J_CAP}"
+            )
 
         n_t_min = n_periods * tau_max + 1
         if n_t == 0:
@@ -582,6 +484,8 @@ class SamplingPlan:
             alpha_max=alpha_max,
             n_t=n_t,
             n_x=n_x,
+            freq_tolerance=freq_tolerance,
+            chains=chains,
         )
 
 
@@ -600,57 +504,53 @@ def reconstruct_block(
     spec: RotorSpec,
     j_max: int,
     j_search_cap: int | None = None,
-    freq_tolerance: float | None = None,
     psd_project: bool = False,
 ) -> ReconstructionResult:
     """Full Hermitian block from one measurement grid, with diagnostics.
 
     Routes by rotor kind: rigid and symmetric-top data go through exact
     chain back substitution; centrifugal data through the windowed joint
-    solve.  The residual reported is the sup-norm mismatch between the data
-    and a resimulation from the reconstructed block on the same grid.
+    solve.  Either returns values by level pair; pairs beyond j_max are
+    reported as ``diagnostics["deep_values"]``, and an element whose chain
+    reaches past the search cap is flagged with the neglected pairs.  The
+    residual reported is the sup-norm mismatch between the data and a
+    resimulation from the reconstructed block on the same grid.
     """
     if (grid.k, grid.m) != (spec.k, spec.m):
         raise ValueError(
             f"grid channel (k={grid.k}, m={grid.m}) does not match "
             f"spec channel (k={spec.k}, m={spec.m})"
         )
-    plan = SamplingPlan.derive(
-        spec,
-        j_max,
-        n_periods=grid.n_periods,
-        n_t=grid.n_t,
-        n_x=grid.n_x,
-        search_cap=j_search_cap,
-        freq_tolerance=freq_tolerance,
-    )
+    plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x, j_search_cap)
 
     if spec.kind is RotorKind.CENTRIFUGAL:
-        tol = 2.0 * spec.omega / grid.n_periods if freq_tolerance is None else freq_tolerance
-        block, diag_info = _reconstruct_windowed(grid, spec, j_max, plan.search_cap, tol)
-        chains = diag_info.pop("chains")
-        flags = diag_info.pop("flags")
-        method = diag_info.pop("method")
-        diagnostics = diag_info
+        method = "windowed-least-squares"
+        values = _reconstruct_windowed(grid, spec, plan)
+        diagnostics = {"n_unknowns": len(values), "freq_tolerance": plan.freq_tolerance}
     else:
         method = "chain-back-substitution"
+        values = reconstruct_offdiag(grid, spec, plan)
         diag = reconstruct_diag(grid, spec, j_max)
-        off = reconstruct_offdiag(grid, spec, j_max, j_search_cap=plan.search_cap)
-        block = DensityBlock.zeros(spec.k, spec.m, j_max)
-        for i, val in enumerate(diag):
-            block.elements[i, i] = val
-        for (j1, j2), val in off.values.items():
-            block.elements[j1 - block.j_min, j2 - block.j_min] = val
+        values.update(((plan.m_min + i, plan.m_min + i), val) for i, val in enumerate(diag))
+        diagnostics = {}
+
+    block = DensityBlock.zeros(spec.k, spec.m, j_max)
+    deep: dict[tuple[int, int], complex] = {}
+    for (j1, j2), val in values.items():
+        if max(j1, j2) > j_max:
+            deep[(j1, j2)] = complex(val)
+            continue
+        block.elements[j1 - block.j_min, j2 - block.j_min] = val
+        if (j2, j1) not in values:  # one triangle solved: the other is its mirror
             block.elements[j2 - block.j_min, j1 - block.j_min] = np.conj(val)
-        chains = off.chains
-        flags = off.flags
-        diagnostics = {"deep_values": off.deep_values}
+    block.elements = (block.elements + block.elements.conj().T) / 2.0
 
     resim = simulate_pr(block, spec, grid.x_grid, grid.n_t, grid.n_periods)
     residual = float(np.max(np.abs(resim.values - grid.values)))
     if psd_project:
         block = block.project_psd()
     diagnostics.update(
+        deep_values=deep,
         trace=block.trace(),
         min_eigenvalue=block.min_eigenvalue(),
         plan=plan,
@@ -659,7 +559,11 @@ def reconstruct_block(
         block=block,
         method=method,
         residual_inf=residual,
-        chains=chains,
-        flags=flags,
+        chains={pair: chain.pairs() for pair, chain in plan.chains.items()},
+        flags={
+            pair: [mem.pair for mem in chain.neglected]
+            for pair, chain in plan.chains.items()
+            if chain.neglected
+        },
         diagnostics=diagnostics,
     )

@@ -365,3 +365,13 @@ def test_cli_validation_failures_exit_two(workdir, capsys):
     )
     assert main(["simulate", "--config", big]) == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_cli_roundtrip_names_the_sampling_limit(workdir, capsys):
+    cfg = _write_config(
+        workdir / "run.yaml",
+        "spec: {kind: rigid-linear, omega: 1.0, m: 0}\nj_max: 15\n",
+    )
+    assert main(["roundtrip", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sampling error:") and "search_cap" in err

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from rotortomo.angular import gauss_legendre_grid
+from rotortomo import tomography
+from rotortomo.angular import J_CAP, gauss_legendre_grid
 from rotortomo.rotor import (
     DensityBlock,
     RotorKind,
@@ -121,6 +122,13 @@ def test_cd_chains_with_zero_distortion_match_rigid():
     for alpha, beta in [(5, 5), (3, 3), (4, 2), (7, 1)]:
         got = degeneracy_set_cd(alpha, beta, 0, 40, spec, 1e-9).pairs()
         assert got == degeneracy_set(alpha, beta, 0, 40).pairs()
+
+
+def test_cd_chain_negative_beta_mirrors_positive():
+    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=0.0)
+    chain = degeneracy_set_cd(5, -5, 0, 40, spec, 1e-9)
+    assert chain.pairs() == [(5, -5), (9, -3), (29, -1)]
+    assert chain.target == -30
 
 
 def test_cd_scan_respects_monotone_limit():
@@ -239,10 +247,13 @@ def test_pattern_function_range_check():
 def test_offdiag_round_trip_rigid():
     blk = make_test_state("random-mixed", 0, 0, 5, seed=4)
     grid = _simulate(blk, RIGID)
-    off = reconstruct_offdiag(grid, RIGID, 5)
-    for (j1, j2), val in off.values.items():
-        assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
-    assert off.flags == {}
+    plan = SamplingPlan.derive(RIGID, 5)
+    off = reconstruct_offdiag(grid, RIGID, plan)
+    assert set(plan.chains) <= set(off)
+    for (j1, j2), val in off.items():
+        if j1 <= 5:
+            assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
+    assert not any(chain.neglected for chain in plan.chains.values())
 
 
 def test_offdiag_reports_deep_members_beyond_block():
@@ -250,27 +261,54 @@ def test_offdiag_reports_deep_members_beyond_block():
     # a j_max = 5 block but inside the search cap, so it is solved and reported
     blk = make_test_state("random-pure", 0, 0, 5, seed=2)
     grid = _simulate(blk, RIGID)
-    off = reconstruct_offdiag(grid, RIGID, 5)
-    assert (6, 3) in off.deep_values
-    assert off.deep_values[(6, 3)] == pytest.approx(0.0, abs=1e-11)
+    deep = reconstruct_block(grid, RIGID, 5).diagnostics["deep_values"]
+    assert deep[(6, 3)] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_offdiag_flags_truncated_chains():
     blk = make_test_state("random-mixed", 0, 0, 5, seed=5)
     grid = _simulate(blk, RIGID)
-    off = reconstruct_offdiag(grid, RIGID, 5, j_search_cap=20)
-    assert off.flags == {(5, 0): [(29, 1)], (5, 2): [(23, 1)]}
+    plan = SamplingPlan.derive(RIGID, 5, search_cap=20)
+    flags = {
+        pair: [mem.pair for mem in chain.neglected]
+        for pair, chain in plan.chains.items()
+        if chain.neglected
+    }
+    assert flags == {(5, 0): [(29, 1)], (5, 2): [(23, 1)]}
     # deep content is zero here, so values stay exact despite the truncation
-    for (j1, j2), val in off.values.items():
-        assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
+    off = reconstruct_offdiag(grid, RIGID, plan)
+    for (j1, j2), val in off.items():
+        if j1 <= 5:
+            assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
 
 
 def test_offdiag_rejects_distorted_spectra():
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-3)
     blk = make_test_state("random-mixed", 0, 0, 3, seed=0)
     grid = _simulate(blk, spec, n_periods=64)
+    plan = SamplingPlan.derive(spec, 3, n_periods=64)
     with pytest.raises(ValueError):
-        reconstruct_offdiag(grid, spec, 3)
+        reconstruct_offdiag(grid, spec, plan)
+
+
+def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
+    # the plan enumerates each upper-triangle pair's chain; the solve reuses them
+    calls = []
+    enumerate_chain = tomography.degeneracy_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_chain(*args, **kwargs)
+
+    monkeypatch.setattr(tomography, "degeneracy_set", counted)
+    for spec, j_max in [(RIGID, 5), (_spec(m=1), 6), (_spec(RotorKind.SYMTOP, k=1, m=1), 4)]:
+        blk = make_test_state("random-mixed", spec.k, spec.m, j_max, seed=3)
+        grid = _simulate(blk, spec)
+        calls.clear()
+        result = reconstruct_block(grid, spec, j_max)
+        n_levels = j_max - spec.m_min + 1
+        assert len(calls) == n_levels * (n_levels - 1) // 2
+        assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
 
 
 # ------------------------------------------------------------- sampling plans
@@ -295,6 +333,27 @@ def test_plan_respects_explicit_grids_and_rejects_small_ones():
         SamplingPlan.derive(RIGID, 5, n_t=10)
     with pytest.raises(SamplingError, match="n_x"):
         SamplingPlan.derive(RIGID, 5, n_x=5)
+
+
+@pytest.mark.parametrize(
+    "spec,j_max",
+    [(RIGID, 15), (RIGID, 17), (RIGID, 19), (RIGID, 20), (_spec(RotorKind.SYMTOP, k=1, m=1), 15)],
+    ids=["rigid-15", "rigid-17", "rigid-19", "rigid-20", "symtop-15"],
+)
+def test_plan_rejects_chain_probes_beyond_the_legendre_cap(spec, j_max):
+    # the default search cap drives chain probes past the supported order
+    with pytest.raises(SamplingError, match="search_cap"):
+        SamplingPlan.derive(spec, j_max)
+    plan = SamplingPlan.derive(spec, j_max, search_cap=J_CAP)
+    assert plan.alpha_max <= J_CAP
+
+
+def test_search_cap_named_by_the_sampling_error_reconstructs_j15():
+    blk = make_test_state("random-mixed", 0, 0, 15, seed=15)
+    plan = SamplingPlan.derive(RIGID, 15, search_cap=J_CAP)
+    grid = simulate_pr(blk, RIGID, gauss_legendre_grid(plan.n_x), plan.n_t)
+    result = reconstruct_block(grid, RIGID, 15, j_search_cap=J_CAP)
+    assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-10
 
 
 def test_plan_rejects_excessive_distortion():
