@@ -53,7 +53,6 @@ from .tomography import (
     ReconstructionResult,
     SamplingError,
     SamplingPlan,
-    default_search_cap,
     degeneracy_set,
     degeneracy_set_cd,
     moment_integral,
@@ -101,7 +100,6 @@ __all__ = [
     "ReconstructionResult",
     "SamplingError",
     "SamplingPlan",
-    "default_search_cap",
     "degeneracy_set",
     "degeneracy_set_cd",
     "moment_integral",

@@ -68,12 +68,7 @@ def _load_state(args, cfg: ExperimentConfig):
 
 def _simulate(cfg: ExperimentConfig, block, seed: int | None):
     plan = SamplingPlan.derive(
-        cfg.spec,
-        cfg.j_max,
-        n_periods=cfg.n_periods,
-        n_t=cfg.n_t,
-        n_x=cfg.n_x,
-        search_cap=cfg.search_cap or None,
+        cfg.spec, cfg.j_max, n_periods=cfg.n_periods, n_t=cfg.n_t, n_x=cfg.n_x
     )
     grid = simulate_pr(
         block, cfg.spec, gauss_legendre_grid(plan.n_x), plan.n_t, cfg.n_periods
@@ -81,7 +76,7 @@ def _simulate(cfg: ExperimentConfig, block, seed: int | None):
     if cfg.noise.samples_per_time:
         noise_seed = seed if seed is not None else cfg.noise.seed
         grid = add_shot_noise(grid, cfg.noise.samples_per_time, noise_seed)
-    return grid, plan
+    return grid
 
 
 def _write_alignment(grid, path: Path) -> None:
@@ -94,7 +89,7 @@ def _write_alignment(grid, path: Path) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     block = _load_state(args, cfg)
-    grid, plan = _simulate(cfg, block, args.seed)
+    grid = _simulate(cfg, block, args.seed)
     data_path = _resolve(args.data, cfg, "data")
     save_grid(grid, data_path)
     print(
@@ -130,12 +125,12 @@ def _render_report(result: ReconstructionResult, cfg: ExperimentConfig) -> str:
     if plan is not None:
         lines.append(
             f"sampling: n_t={plan.n_t} n_x={plan.n_x} n_periods={plan.n_periods} "
-            f"search_cap={plan.search_cap} tau_max={plan.tau_max} alpha_max={plan.alpha_max}"
+            f"tau_max={plan.tau_max} alpha_max={plan.alpha_max}"
         )
     if result.flags:
         lines.append(
             f"flagged elements: {len(result.flags)} "
-            "(chain members beyond the search cap were neglected)"
+            "(chain members outside the block were taken as zero)"
         )
     lines += ["", "(J1, J2)  value  |  chain members (S, dJ)  |  neglected"]
     for j1 in block.j_values:
@@ -150,27 +145,10 @@ def _render_report(result: ReconstructionResult, cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_grid_matches(grid, cfg: ExperimentConfig) -> None:
-    spec = cfg.spec
-    if grid.kind is not spec.kind or (grid.k, grid.m) != (spec.k, spec.m):
-        raise FileFormatError(
-            f"data header (kind={grid.kind.value}, k={grid.k}, m={grid.m}) does not "
-            f"match config (kind={spec.kind.value}, k={spec.k}, m={spec.m})"
-        )
-    if abs(grid.omega - spec.omega) > 1e-12 * spec.omega:
-        raise FileFormatError(
-            f"data header omega={grid.omega!r} does not match config "
-            f"spec.omega={spec.omega!r}"
-        )
-
-
 def cmd_reconstruct(args) -> int:
     cfg = load_config(args.config)
     grid = load_grid(_resolve(args.data, cfg, "data"))
-    _check_grid_matches(grid, cfg)
-    result = reconstruct_block(
-        grid, cfg.spec, cfg.j_max, j_search_cap=cfg.search_cap or None
-    )
+    result = reconstruct_block(grid, cfg.spec, cfg.j_max)
     out_path = _resolve(args.out, cfg, "out")
     save_block(result.block, out_path)
     report_path = Path(cfg.paths.get("report", f"{out_path}.report.txt"))
@@ -219,10 +197,8 @@ def cmd_roundtrip(args) -> int:
         seed=seed,
         kick_strength=cfg.kick_strength,
     )
-    grid, plan = _simulate(cfg, truth, seed)
-    result = reconstruct_block(
-        grid, cfg.spec, cfg.j_max, j_search_cap=cfg.search_cap or None
-    )
+    grid = _simulate(cfg, truth, seed)
+    result = reconstruct_block(grid, cfg.spec, cfg.j_max)
     err = float(np.max(np.abs(result.block.elements - truth.elements)))
     trace_err = abs(result.block.trace() - truth.trace())
     threshold = args.threshold if args.threshold is not None else cfg.threshold
@@ -313,9 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except SamplingError as exc:
         print(f"sampling error: {exc}", file=sys.stderr)
         return EXIT_INVALID

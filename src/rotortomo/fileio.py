@@ -214,7 +214,6 @@ class ExperimentConfig:
     n_periods: int = 1
     n_t: int = 0  # 0 = derive from the block
     n_x: int = 0
-    search_cap: int = 0  # 0 = default degeneracy search depth
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     state_kind: str = "random-mixed"
     kick_strength: float = 1.0
@@ -223,7 +222,7 @@ class ExperimentConfig:
 
 
 _SPEC_KEYS = {"kind", "omega", "omega2", "d_cd", "k", "m"}
-_SAMPLING_KEYS = {"n_periods", "n_t", "n_x", "search_cap"}
+_SAMPLING_KEYS = {"n_periods", "n_t", "n_x"}
 _NOISE_KEYS = {"samples_per_time", "seed"}
 _PATH_KEYS = {"state", "data", "out", "report", "metrics", "alignment"}
 _TOP_KEYS = {"spec", "j_max", "sampling", "noise", "state", "paths", "threshold"}
@@ -313,7 +312,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         n_periods=_get_int(sampling, "sampling", "n_periods", 1, minimum=1),
         n_t=_get_int(sampling, "sampling", "n_t", 0),
         n_x=_get_int(sampling, "sampling", "n_x", 0),
-        search_cap=_get_int(sampling, "sampling", "search_cap", 0),
         noise=NoiseConfig(
             samples_per_time=_get_int(noise_cfg, "noise", "samples_per_time", 0),
             seed=_get_int(noise_cfg, "noise", "seed", 0),

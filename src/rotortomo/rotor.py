@@ -15,7 +15,7 @@ with f_J the normalized eigenfunctions from :mod:`rotortomo.angular`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -139,7 +139,7 @@ def monotone_j_limit(spec: RotorSpec) -> int:
 
 def check_distortion_range(spec: RotorSpec, j_cap: int) -> None:
     """Require d_cd/omega < 1/(2 j_cap (j_cap+1)) so E_J is monotone up to j_cap."""
-    if spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0:
+    if spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0 or j_cap == 0:
         return
     bound = 1.0 / (2.0 * j_cap * (j_cap + 1))
     ratio = spec.d_cd / spec.omega
@@ -420,13 +420,4 @@ def add_shot_noise(grid: MeasurementGrid, samples_per_time: int, seed: int) -> M
             continue
         counts = rng.multinomial(samples_per_time, masses / total)
         noisy[i] = trace * counts / (samples_per_time * weights)
-    return MeasurementGrid(
-        x_grid=grid.x_grid,
-        period=grid.period,
-        n_periods=grid.n_periods,
-        values=noisy,
-        omega=grid.omega,
-        kind=grid.kind,
-        k=grid.k,
-        m=grid.m,
-    )
+    return replace(grid, values=noisy)

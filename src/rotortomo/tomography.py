@@ -12,9 +12,11 @@ incommensurate with the sampling window, so that path solves one linear
 system whose matrix carries the exact finite-window Fourier kernel of every
 (probe, element) pair instead of assuming Kronecker deltas.
 
-Only :meth:`SamplingPlan.derive` enumerates chains.  Both solves read them
-from the plan and return values by level pair; :func:`reconstruct_block`
-assembles either into the Hermitian block, deep values and truncation flags.
+The block is the support: population above j_max is assumed absent, so a
+chain keeps only the members inside the block, and the members outside it
+are set to zero and reported as flags.  Chains are enumerated in one place,
+:attr:`SamplingPlan.chains`.  Both solves return values by level pair, and
+:func:`reconstruct_block` assembles either into the Hermitian block.
 
 Throughout, pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha,
 beta) targets the element with S = alpha, DJ = beta, and only beta >= 0
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -81,9 +84,10 @@ class ChainMember:
 class DegeneracyChain:
     """All pairs sharing one probe's frequency, by decreasing |DJ|.
 
-    ``members`` are within the search cap; ``neglected`` lists pairs that
-    satisfy every frequency/parity condition but lie beyond it, i.e. the
-    contributions the back substitution cannot subtract.
+    ``members`` lie within the chain's horizon (an S cap, or in a plan the
+    block); ``neglected`` lists pairs that satisfy every frequency/parity
+    condition but lie beyond it, i.e. the contributions taken as zero
+    instead of subtracted.
     """
 
     target: int
@@ -94,14 +98,8 @@ class DegeneracyChain:
         return [mem.pair for mem in self.members]
 
 
-def default_search_cap(j_max: int) -> int:
-    """Chain search horizon on S = J1 + J2: j_max(j_max+1), halved for even j_max."""
-    n = j_max * (j_max + 1)
-    return n // 2 if j_max % 2 == 0 else n
-
-
 def degeneracy_set(
-    alpha: int, beta: int, m_km: int, j_search_cap: int, parity: bool = True
+    alpha: int, beta: int, m_km: int, s_cap: int, parity: bool = True
 ) -> DegeneracyChain:
     """Enumerate the pairs degenerate with the probe (alpha, beta) of a rigid spectrum.
 
@@ -113,7 +111,8 @@ def degeneracy_set(
     with k != 0 have no such rule and must pass ``parity=False``, which
     keeps every integer pair on the frequency.  Divisor enumeration of the
     target integer walks |DJ| downward, so members come out in strictly
-    decreasing |DJ| with the probe's own pair first.
+    decreasing |DJ| with the probe's own pair first.  Pairs with S above
+    ``s_cap`` are returned as ``neglected``; every member has S < |target|.
     """
     if beta == 0:
         raise ValueError("beta must be non-zero; the diagonal is handled separately")
@@ -136,7 +135,7 @@ def degeneracy_set(
         if (j_sum - dj) // 2 < m_km:
             continue
         mem = ChainMember(j_sum=j_sum, delta_j=sign * dj)
-        (members if j_sum <= j_search_cap else neglected).append(mem)
+        (members if j_sum <= s_cap else neglected).append(mem)
     return DegeneracyChain(target=target, members=members, neglected=neglected)
 
 
@@ -144,7 +143,7 @@ def degeneracy_set_cd(
     alpha: int,
     beta: int,
     m_km: int,
-    j_search_cap: int,
+    s_cap: int,
     spec: RotorSpec,
     freq_tolerance: float,
 ) -> DegeneracyChain:
@@ -153,7 +152,7 @@ def degeneracy_set_cd(
     Same admissibility conditions as :func:`degeneracy_set`, but pairs are
     kept when their exact level-difference frequency falls within
     ``freq_tolerance`` of the probe pair's, instead of matching the rigid
-    integer condition.  The scan stops at the search cap and at the J where
+    integer condition.  The scan stops at S = ``s_cap`` and at the J where
     the distorted spectrum stops increasing.  With d_cd = 0 the output
     reduces to the rigid chain.
     """
@@ -164,12 +163,12 @@ def degeneracy_set_cd(
     # both signs of beta compare positive upper-minus-lower frequencies
     omega0 = abs(probe_frequency(spec, alpha, beta))
     sign = 1 if beta > 0 else -1
-    j1_cap = min(j_search_cap, monotone_j_limit(spec))
+    j1_cap = min(s_cap, monotone_j_limit(spec))
     found: list[ChainMember] = []
     for dj in range(abs(beta), 0, -1):
         if (alpha - dj) % 2:
             continue
-        for j2 in range(m_km, (j_search_cap - dj) // 2 + 1):
+        for j2 in range(m_km, (s_cap - dj) // 2 + 1):
             j1 = j2 + dj
             if j1 > j1_cap or j1 + j2 < alpha or (j1 + j2 - alpha) % 2:
                 continue
@@ -314,29 +313,24 @@ def reconstruct_offdiag(
 ) -> dict[tuple[int, int], complex]:
     """Off-diagonal elements by chain back substitution (rigid / symmetric top).
 
-    Every member of the plan's chains -- including pairs beyond the block --
-    is probed at its own stretched moment and solved in order of increasing
-    |DJ|.  A member's own chain is the tail of any chain holding it (same
-    target, smaller |DJ|), so its deeper partners are already known when it
-    is divided by its stretched coefficient.  Returns every solved pair as
-    (J1, J2) -> value with J1 > J2.
+    Each block pair is probed at its own stretched moment and solved in
+    order of increasing |DJ|.  Its chain lists the pair first and then its
+    in-block partners by decreasing |DJ|, so those are already known when
+    they are subtracted; partners outside the block are taken as zero.
+    Returns (J1, J2) -> value with J1 > J2.
     """
     if spec.kind is RotorKind.CENTRIFUGAL and spec.d_cd != 0.0:
         raise ValueError("chain back substitution assumes a rigid spectrum; "
                          "use reconstruct_block for centrifugal data")
     table = spec.coefficient_table()
-    tails: dict[tuple[int, int], list[ChainMember]] = {}
-    for chain in plan.chains.values():
-        for i, mem in enumerate(chain.members):
-            tails.setdefault(mem.pair, chain.members[i + 1:])
-
     solved: dict[tuple[int, int], complex] = {}
-    for s, dj in sorted(tails, key=lambda p: (p[1], p[0])):
+    for j1, j2 in sorted(plan.chains, key=lambda pair: (pair[0] - pair[1], pair)):
+        s, dj = j1 + j2, j1 - j2
         acc = moment_integral(grid, s, dj, spec).value
-        for mem in tails[(s, dj)]:
-            acc -= table.coefficient(mem.j_sum, mem.delta_j, s) * solved[mem.pair]
-        solved[(s, dj)] = acc / table.coefficient(s, dj, s)
-    return {((s + dj) // 2, (s - dj) // 2): val for (s, dj), val in solved.items()}
+        for mem in plan.chains[(j1, j2)].members[1:]:
+            acc -= table.coefficient(mem.j_sum, mem.delta_j, s) * solved[(mem.j1, mem.j2)]
+        solved[(j1, j2)] = acc / table.coefficient(s, dj, s)
+    return solved
 
 
 def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
@@ -362,23 +356,18 @@ def _reconstruct_windowed(
 ) -> dict[tuple[int, int], complex]:
     """Joint linear solve for the centrifugal path.
 
-    Unknowns are every ordered pair of the block plus any near-degenerate
-    partners of the plan's chains outside it; each unknown owns one probe
-    at its exact frequency.  The system matrix carries the window kernel of
+    Unknowns are the ordered pairs of the block, each owning one probe at
+    its exact frequency.  The system matrix carries the window kernel of
     every (probe, unknown) frequency offset, so finite-window leakage
     between lines is modeled instead of ignored.  Only beta >= 0 moments
     are evaluated; conjugate rows reuse them.  Returns (J1, J2) -> value
-    for every unknown.
+    for every ordered pair.
     """
-    m_min, j_max = plan.m_min, plan.j_max
-    pairs: list[tuple[int, int]] = [(j, j) for j in range(m_min, j_max + 1)]
-    for (j1, j2), chain in plan.chains.items():
-        for hi, lo in [(j1, j2)] + [(mem.j1, mem.j2) for mem in chain.members]:
-            pairs += [pair for pair in ((hi, lo), (lo, hi)) if pair not in pairs]
-
-    levels = np.array(pairs)
-    energies = np.array([energy(spec, J) for J in range(m_min, int(levels.max()) + 1)])
-    freqs = energies[levels[:, 0] - m_min] - energies[levels[:, 1] - m_min]
+    js = range(plan.m_min, plan.j_max + 1)
+    pairs = [(j1, j2) for j1 in js for j2 in js]
+    energies = np.array([energy(spec, J) for J in js])
+    levels = np.array(pairs) - plan.m_min
+    freqs = energies[levels[:, 0]] - energies[levels[:, 1]]
     table = spec.coefficient_table()
     moments: dict[tuple[int, int], complex] = {}
     b = np.empty(len(pairs), dtype=complex)
@@ -397,26 +386,23 @@ def _reconstruct_windowed(
 class SamplingPlan:
     """Grid sizes that make every probe of a reconstruction exact.
 
-    tau_max is the largest frequency in the block in units of omega;
-    sampling tau_max + 1 times per period puts every line on its own exact
-    Fourier bin.  alpha_max is the deepest Legendre order any chain probe
-    uses; the x grid must integrate that order against the block's own
-    degree-2*j_max content exactly.  ``chains`` maps each off-diagonal
-    block pair (J1, J2), J1 > J2, to its degeneracy chain: exact for rigid
-    and symmetric-top spectra, within ``freq_tolerance`` = 2 omega /
-    n_periods of the probe frequency for centrifugal ones.
+    The block is the support: no population above j_max is assumed, so no
+    probe goes deeper than the block.  tau_max is the largest frequency in
+    the block in units of omega; sampling tau_max + 1 times per period puts
+    every line on its own exact Fourier bin.  alpha_max = 2 j_max is the
+    deepest Legendre order probed; the x grid must integrate it against the
+    block's own degree-2 j_max content exactly, hence n_x >= 2 j_max + 1.
     """
 
     j_max: int
     m_min: int
     n_periods: int
-    search_cap: int
     tau_max: int
     alpha_max: int
     n_t: int
     n_x: int
     freq_tolerance: float
-    chains: dict[tuple[int, int], DegeneracyChain] = field(compare=False, repr=False)
+    spec: RotorSpec = field(compare=False, repr=False)
 
     @classmethod
     def derive(
@@ -426,9 +412,8 @@ class SamplingPlan:
         n_periods: int = 1,
         n_t: int = 0,
         n_x: int = 0,
-        search_cap: int | None = None,
     ) -> "SamplingPlan":
-        """Enumerate the chains, fill n_t / n_x (0 = auto) and validate explicit values.
+        """Fill n_t / n_x (0 = auto) and validate explicit values.
 
         Raises :class:`SamplingError` naming the violated requirement.
         """
@@ -437,27 +422,14 @@ class SamplingPlan:
             raise ValueError(f"j_max = {j_max} below channel minimum {m_min}")
         if n_periods < 1:
             raise ValueError(f"n_periods must be >= 1, got {n_periods}")
-        check_distortion_range(spec, j_max)
-        cap = default_search_cap(j_max) if search_cap is None else search_cap
-        tau_max = (j_max - m_min) * (j_max + m_min + 1)
-        freq_tolerance = 2.0 * spec.omega / n_periods
-
-        chains = {
-            (j1, j2): degeneracy_set_cd(j1 + j2, j1 - j2, m_min, cap, spec, freq_tolerance)
-            if spec.kind is RotorKind.CENTRIFUGAL
-            else degeneracy_set(j1 + j2, j1 - j2, m_min, cap, parity=spec.k == 0)
-            for j2 in range(m_min, j_max + 1)
-            for j1 in range(j2 + 1, j_max + 1)
-        }
-        alpha_max = max(
-            [2 * j_max] + [mem.j_sum for chain in chains.values() for mem in chain.members]
-        )
+        alpha_max = 2 * j_max
         if alpha_max > J_CAP:
             raise SamplingError(
-                f"chain probes of a j_max = {j_max} block reach Legendre order "
-                f"{alpha_max} with search cap {cap}, beyond the supported order "
-                f"{J_CAP}: need search_cap <= {J_CAP}"
+                f"a j_max = {j_max} block is probed up to Legendre order {alpha_max}, "
+                f"beyond the supported order {J_CAP}: need j_max <= {J_CAP // 2}"
             )
+        check_distortion_range(spec, j_max)
+        tau_max = (j_max - m_min) * (j_max + m_min + 1)
 
         n_t_min = n_periods * tau_max + 1
         if n_t == 0:
@@ -467,26 +439,54 @@ class SamplingPlan:
                 f"n_t = {n_t} cannot separate block frequencies up to {tau_max}*omega "
                 f"over {n_periods} period(s): need n_t >= {n_t_min}"
             )
-        n_x_min = (alpha_max + 2 * j_max + 1 + 1) // 2
+        n_x_min = alpha_max + 1
         if n_x == 0:
-            n_x = max(2 * j_max + 1, n_x_min)
+            n_x = n_x_min
         elif n_x < n_x_min:
             raise SamplingError(
-                f"n_x = {n_x} cannot integrate the order-{alpha_max} chain probes "
+                f"n_x = {n_x} cannot integrate the order-{alpha_max} probes "
                 f"against degree-{2 * j_max} data exactly: need n_x >= {n_x_min}"
             )
         return cls(
             j_max=j_max,
             m_min=m_min,
             n_periods=n_periods,
-            search_cap=cap,
             tau_max=tau_max,
             alpha_max=alpha_max,
             n_t=n_t,
             n_x=n_x,
-            freq_tolerance=freq_tolerance,
-            chains=chains,
+            freq_tolerance=2.0 * spec.omega / n_periods,
+            spec=spec,
         )
+
+    @cached_property
+    def chains(self) -> dict[tuple[int, int], DegeneracyChain]:
+        """Degeneracy chain of each off-diagonal block pair (J1, J2), J1 > J2.
+
+        Exact for rigid and symmetric-top spectra, within ``freq_tolerance``
+        = 2 omega / n_periods of the probe frequency for centrifugal ones.
+        ``members`` are the pairs inside the block; ``neglected`` are the
+        partners outside it, which the support assumption sets to zero.
+        Enumerated on first read.
+        """
+        spec, m_min = self.spec, self.m_min
+        chains = {}
+        for j2 in range(m_min, self.j_max + 1):
+            for j1 in range(j2 + 1, self.j_max + 1):
+                alpha, beta = j1 + j2, j1 - j2
+                s_cap = beta * (alpha + 1)  # the rigid chain's horizon: S < target
+                if spec.kind is RotorKind.CENTRIFUGAL:
+                    chain = degeneracy_set_cd(
+                        alpha, beta, m_min, s_cap, spec, self.freq_tolerance
+                    )
+                else:
+                    chain = degeneracy_set(alpha, beta, m_min, s_cap, parity=spec.k == 0)
+                chains[(j1, j2)] = DegeneracyChain(
+                    target=chain.target,
+                    members=[mem for mem in chain.members if mem.j1 <= self.j_max],
+                    neglected=[mem for mem in chain.members if mem.j1 > self.j_max],
+                )
+        return chains
 
 
 @dataclass
@@ -499,29 +499,27 @@ class ReconstructionResult:
     diagnostics: dict
 
 
-def reconstruct_block(
-    grid: MeasurementGrid,
-    spec: RotorSpec,
-    j_max: int,
-    j_search_cap: int | None = None,
-    psd_project: bool = False,
-) -> ReconstructionResult:
+def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> ReconstructionResult:
     """Full Hermitian block from one measurement grid, with diagnostics.
 
     Routes by rotor kind: rigid and symmetric-top data go through exact
     chain back substitution; centrifugal data through the windowed joint
-    solve.  Either returns values by level pair; pairs beyond j_max are
-    reported as ``diagnostics["deep_values"]``, and an element whose chain
-    reaches past the search cap is flagged with the neglected pairs.  The
-    residual reported is the sup-norm mismatch between the data and a
-    resimulation from the reconstructed block on the same grid.
+    solve.  Population above j_max is assumed absent: an element whose
+    chain has partners outside the block is flagged with those pairs,
+    which the solve set to zero.  The residual reported is the sup-norm
+    mismatch between the data and a resimulation from the reconstructed
+    block on the same grid.
     """
-    if (grid.k, grid.m) != (spec.k, spec.m):
+    if (grid.kind, grid.k, grid.m) != (spec.kind, spec.k, spec.m):
         raise ValueError(
-            f"grid channel (k={grid.k}, m={grid.m}) does not match "
-            f"spec channel (k={spec.k}, m={spec.m})"
+            f"grid (kind={grid.kind.value}, k={grid.k}, m={grid.m}) does not match "
+            f"spec (kind={spec.kind.value}, k={spec.k}, m={spec.m})"
         )
-    plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x, j_search_cap)
+    if abs(grid.omega - spec.omega) > 1e-12 * spec.omega:
+        raise ValueError(
+            f"grid omega={grid.omega!r} does not match spec omega={spec.omega!r}"
+        )
+    plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x)
 
     if spec.kind is RotorKind.CENTRIFUGAL:
         method = "windowed-least-squares"
@@ -535,11 +533,7 @@ def reconstruct_block(
         diagnostics = {}
 
     block = DensityBlock.zeros(spec.k, spec.m, j_max)
-    deep: dict[tuple[int, int], complex] = {}
     for (j1, j2), val in values.items():
-        if max(j1, j2) > j_max:
-            deep[(j1, j2)] = complex(val)
-            continue
         block.elements[j1 - block.j_min, j2 - block.j_min] = val
         if (j2, j1) not in values:  # one triangle solved: the other is its mirror
             block.elements[j2 - block.j_min, j1 - block.j_min] = np.conj(val)
@@ -547,14 +541,7 @@ def reconstruct_block(
 
     resim = simulate_pr(block, spec, grid.x_grid, grid.n_t, grid.n_periods)
     residual = float(np.max(np.abs(resim.values - grid.values)))
-    if psd_project:
-        block = block.project_psd()
-    diagnostics.update(
-        deep_values=deep,
-        trace=block.trace(),
-        min_eigenvalue=block.min_eigenvalue(),
-        plan=plan,
-    )
+    diagnostics.update(trace=block.trace(), min_eigenvalue=block.min_eigenvalue(), plan=plan)
     return ReconstructionResult(
         block=block,
         method=method,

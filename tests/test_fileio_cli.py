@@ -142,7 +142,7 @@ def test_config_full_parse(tmp_path):
     path.write_text(
         "spec: {kind: centrifugal-linear, omega: 2.0, d_cd: 1.0e-3, m: 1}\n"
         "j_max: 5\n"
-        "sampling: {n_periods: 64, n_t: 0, n_x: 12, search_cap: 25}\n"
+        "sampling: {n_periods: 64, n_t: 0, n_x: 12}\n"
         "noise: {samples_per_time: 1000, seed: 9}\n"
         "state: {kind: cos2-kicked, kick_strength: 0.8}\n"
         "threshold: 1.0e-6\n"
@@ -150,7 +150,7 @@ def test_config_full_parse(tmp_path):
     )
     cfg = load_config(path)
     assert cfg.spec.kind is RotorKind.CENTRIFUGAL and cfg.spec.d_cd == 1e-3
-    assert (cfg.j_max, cfg.n_periods, cfg.n_x, cfg.search_cap) == (5, 64, 12, 25)
+    assert (cfg.j_max, cfg.n_periods, cfg.n_x) == (5, 64, 12)
     assert (cfg.noise.samples_per_time, cfg.noise.seed) == (1000, 9)
     assert (cfg.state_kind, cfg.kick_strength) == ("cos2-kicked", 0.8)
     assert cfg.threshold == 1e-6
@@ -162,7 +162,7 @@ def test_config_minimal_defaults(tmp_path):
     path.write_text("spec: {kind: rigid-linear}\nj_max: 3\n")
     cfg = load_config(path)
     assert cfg.spec.omega == 1.0 and cfg.spec.kind is RotorKind.RIGID
-    assert (cfg.n_periods, cfg.n_t, cfg.n_x, cfg.search_cap) == (1, 0, 0, 0)
+    assert (cfg.n_periods, cfg.n_t, cfg.n_x) == (1, 0, 0)
     assert cfg.noise.samples_per_time == 0 and cfg.threshold == 0.0
 
 
@@ -173,6 +173,7 @@ def test_config_minimal_defaults(tmp_path):
         ("spec: {kind: rigid-linear}\n", "j_max"),
         ("spec: {kind: oblate-top}\nj_max: 3\n", "oblate-top"),
         ("spec: {kind: rigid-linear}\nj_max: 3\nsampling: {n_T: 4}\n", "n_T"),
+        ("spec: {kind: rigid-linear}\nj_max: 3\nsampling: {search_cap: 20}\n", "search_cap"),
         ("spec: {kind: rigid-linear}\nj_max: 3\nfoo: 1\n", "foo"),
         ("spec: {kind: rigid-linear, omega: -1}\nj_max: 3\n", "omega"),
         ("spec: {kind: rigid-linear}\nj_max: 3.5\n", "j_max"),
@@ -227,12 +228,31 @@ def test_cli_simulate_reconstruct_cycle(workdir, capsys):
     assert "(4, 4)" in report and "residual sup norm" in report
 
 
+def test_cli_simulate_runs_no_chain_scan(workdir, capsys, monkeypatch):
+    from rotortomo import tomography
+
+    def scan(*args, **kwargs):
+        raise AssertionError("simulate enumerated a degeneracy chain")
+
+    monkeypatch.setattr(tomography, "degeneracy_set", scan)
+    monkeypatch.setattr(tomography, "degeneracy_set_cd", scan)
+    cfg = _write_config(
+        workdir / "run.yaml",
+        "spec: {kind: centrifugal-linear, omega: 1.0, d_cd: 1.0e-4}\n"
+        "j_max: 4\n"
+        "sampling: {n_periods: 16}\n"
+        "paths: {state: state.json, data: data.csv}\n",
+    )
+    save_block(make_test_state("random-mixed", 0, 0, 4, seed=3), workdir / "state.json")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert "n_x=9" in capsys.readouterr().out
+
+
 def test_cli_reconstruct_report_shows_truncated_chain(workdir, capsys):
     cfg = _write_config(
         workdir / "run.yaml",
         "spec: {kind: rigid-linear, omega: 1.0, m: 0}\n"
         "j_max: 5\n"
-        "sampling: {search_cap: 20}\n"
         "paths: {state: state.json, data: data.csv, out: rec.json}\n",
     )
     save_block(make_test_state("random-mixed", 0, 0, 5, seed=2), workdir / "state.json")
@@ -240,8 +260,9 @@ def test_cli_reconstruct_report_shows_truncated_chain(workdir, capsys):
     assert main(["reconstruct", "--config", cfg]) == 0
     capsys.readouterr()
     report = (workdir / "rec.json.report.txt").read_text()
-    assert "flagged elements: 2" in report
-    assert "(29,+1)" in report  # the (5, 0) chain ran past the cap
+    assert "flagged elements: 4" in report
+    # the (5, 0) chain runs through levels (6, 3) and (15, 14), outside the block
+    assert "(5, 0)" in report and "(9,+3) (29,+1)" in report
 
 
 def test_cli_simulate_embeds_smaller_state(workdir, capsys):
@@ -354,7 +375,15 @@ def test_cli_validation_failures_exit_two(workdir, capsys):
         "paths: {data: data.csv, out: rec.json}\n",
     )
     assert main(["reconstruct", "--config", other]) == 2
-    assert "does not match config" in capsys.readouterr().err
+    assert "does not match spec" in capsys.readouterr().err
+    faster = _write_config(
+        workdir / "faster.yaml",
+        "spec: {kind: rigid-linear, omega: 2.0, m: 0}\n"
+        "j_max: 4\n"
+        "paths: {data: data.csv, out: rec.json}\n",
+    )
+    assert main(["reconstruct", "--config", faster]) == 2
+    assert "omega" in capsys.readouterr().err
 
     # state bigger than the simulation cap
     big = _write_config(
@@ -370,8 +399,8 @@ def test_cli_validation_failures_exit_two(workdir, capsys):
 def test_cli_roundtrip_names_the_sampling_limit(workdir, capsys):
     cfg = _write_config(
         workdir / "run.yaml",
-        "spec: {kind: rigid-linear, omega: 1.0, m: 0}\nj_max: 15\n",
+        "spec: {kind: rigid-linear, omega: 1.0, m: 0}\nj_max: 101\n",
     )
     assert main(["roundtrip", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("sampling error:") and "search_cap" in err
+    assert err.startswith("sampling error:") and "need j_max <= 100" in err

@@ -18,7 +18,6 @@ from rotortomo.rotor import (
 from rotortomo.tomography import (
     SamplingError,
     SamplingPlan,
-    default_search_cap,
     degeneracy_set,
     degeneracy_set_cd,
     moment_integral,
@@ -42,13 +41,6 @@ def _simulate(block, spec, n_periods=1):
 
 
 # ------------------------------------------------------------------- chains
-
-
-def test_search_cap_defaults():
-    assert default_search_cap(5) == 30
-    assert default_search_cap(6) == 21
-    assert default_search_cap(3) == 12
-    assert default_search_cap(8) == 36
 
 
 def test_worked_degeneracy_chains():
@@ -249,37 +241,35 @@ def test_offdiag_round_trip_rigid():
     grid = _simulate(blk, RIGID)
     plan = SamplingPlan.derive(RIGID, 5)
     off = reconstruct_offdiag(grid, RIGID, plan)
-    assert set(plan.chains) <= set(off)
+    assert set(off) == set(plan.chains)  # the block pairs, nothing deeper
     for (j1, j2), val in off.items():
-        if j1 <= 5:
-            assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
-    assert not any(chain.neglected for chain in plan.chains.values())
+        assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
+    assert all(mem.j1 <= 5 for chain in plan.chains.values() for mem in chain.members)
 
 
 def test_offdiag_reports_deep_members_beyond_block():
-    # the (5,0) element's chain passes through (9,3) = levels (6,3): outside
-    # a j_max = 5 block but inside the search cap, so it is solved and reported
+    # the (5,0) element's chain passes through (9,3) = levels (6,3) and
+    # (29,1) = levels (15,14): outside a j_max = 5 block, so they are taken
+    # as zero and reported as the element's flags
     blk = make_test_state("random-pure", 0, 0, 5, seed=2)
     grid = _simulate(blk, RIGID)
-    deep = reconstruct_block(grid, RIGID, 5).diagnostics["deep_values"]
-    assert deep[(6, 3)] == pytest.approx(0.0, abs=1e-11)
+    result = reconstruct_block(grid, RIGID, 5)
+    assert result.flags[(5, 0)] == [(9, 3), (29, 1)]
+    assert result.chains[(5, 0)] == [(5, 5)]
+    assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
 
 
 def test_offdiag_flags_truncated_chains():
-    blk = make_test_state("random-mixed", 0, 0, 5, seed=5)
+    # a j_max = 7 block keeps (9,3) = levels (6,3) inside the (5,0) chain
+    blk = make_test_state("random-mixed", 0, 0, 7, seed=5)
     grid = _simulate(blk, RIGID)
-    plan = SamplingPlan.derive(RIGID, 5, search_cap=20)
-    flags = {
-        pair: [mem.pair for mem in chain.neglected]
-        for pair, chain in plan.chains.items()
-        if chain.neglected
-    }
-    assert flags == {(5, 0): [(29, 1)], (5, 2): [(23, 1)]}
-    # deep content is zero here, so values stay exact despite the truncation
+    plan = SamplingPlan.derive(RIGID, 7)
+    assert plan.chains[(5, 0)].pairs() == [(5, 5), (9, 3)]
+    assert [mem.pair for mem in plan.chains[(5, 0)].neglected] == [(29, 1)]
+    # partners outside the block hold no population here, so values stay exact
     off = reconstruct_offdiag(grid, RIGID, plan)
     for (j1, j2), val in off.items():
-        if j1 <= 5:
-            assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
+        assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
 
 
 def test_offdiag_rejects_distorted_spectra():
@@ -316,14 +306,39 @@ def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
 
 def test_plan_numbers_for_reference_blocks():
     plan = SamplingPlan.derive(RIGID, 5)
-    assert (plan.n_t, plan.n_x) == (31, 20)
-    assert (plan.tau_max, plan.alpha_max, plan.search_cap) == (30, 29, 30)
+    assert (plan.n_t, plan.n_x) == (31, 11)
+    assert (plan.tau_max, plan.alpha_max) == (30, 10)
     plan6 = SamplingPlan.derive(RIGID, 6)
-    assert (plan6.n_t, plan6.n_x) == (43, 17)
-    assert (plan6.tau_max, plan6.alpha_max, plan6.search_cap) == (42, 20, 21)
+    assert (plan6.n_t, plan6.n_x) == (43, 13)
+    assert (plan6.tau_max, plan6.alpha_max) == (42, 12)
     top = _spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=1)
     plan_top = SamplingPlan.derive(top, 5)
-    assert (plan_top.n_t, plan_top.n_x, plan_top.alpha_max) == (29, 19, 27)
+    assert (plan_top.n_t, plan_top.n_x, plan_top.alpha_max) == (29, 11, 10)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [RIGID, _spec(m=1), _spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=1),
+     _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)],
+    ids=["rigid", "rigid-m1", "symtop", "centrifugal"],
+)
+def test_default_n_x_is_two_j_max_plus_one(spec):
+    for j_max in range(spec.m_min, 13):
+        plan = SamplingPlan.derive(spec, j_max, n_periods=16)
+        assert (plan.n_x, plan.alpha_max) == (2 * j_max + 1, 2 * j_max)
+
+
+def test_plan_enumerates_chains_on_first_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tomography, "degeneracy_set", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(tomography, "degeneracy_set_cd", lambda *a, **kw: calls.append(a))
+    for spec in (RIGID, _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)):
+        SamplingPlan.derive(spec, 6, n_periods=16)
+    assert calls == []  # sizes alone need no chain scan
+    monkeypatch.undo()
+    plan = SamplingPlan.derive(RIGID, 6)
+    assert plan.chains is plan.chains
+    assert plan == SamplingPlan.derive(RIGID, 6)
 
 
 def test_plan_respects_explicit_grids_and_rejects_small_ones():
@@ -341,19 +356,27 @@ def test_plan_respects_explicit_grids_and_rejects_small_ones():
     ids=["rigid-15", "rigid-17", "rigid-19", "rigid-20", "symtop-15"],
 )
 def test_plan_rejects_chain_probes_beyond_the_legendre_cap(spec, j_max):
-    # the default search cap drives chain probes past the supported order
-    with pytest.raises(SamplingError, match="search_cap"):
-        SamplingPlan.derive(spec, j_max)
-    plan = SamplingPlan.derive(spec, j_max, search_cap=J_CAP)
-    assert plan.alpha_max <= J_CAP
+    # these blocks have chain partners past the supported Legendre order;
+    # the plan never probes them but sets them to zero as partners outside
+    # the block, and it probes no deeper than 2 j_max
+    plan = SamplingPlan.derive(spec, j_max)
+    assert plan.alpha_max == 2 * j_max <= J_CAP
+    members = [mem for chain in plan.chains.values() for mem in chain.members]
+    neglected = [mem for chain in plan.chains.values() for mem in chain.neglected]
+    assert max(mem.j_sum for mem in members) <= plan.alpha_max
+    assert max(mem.j_sum for mem in neglected) > J_CAP
 
 
-def test_search_cap_named_by_the_sampling_error_reconstructs_j15():
-    blk = make_test_state("random-mixed", 0, 0, 15, seed=15)
-    plan = SamplingPlan.derive(RIGID, 15, search_cap=J_CAP)
-    grid = simulate_pr(blk, RIGID, gauss_legendre_grid(plan.n_x), plan.n_t)
-    result = reconstruct_block(grid, RIGID, 15, j_search_cap=J_CAP)
-    assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-10
+@pytest.mark.parametrize("spec", [RIGID, _spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=1)],
+                         ids=["rigid", "symtop"])
+def test_plan_rejects_blocks_beyond_the_legendre_cap(spec):
+    assert SamplingPlan.derive(spec, J_CAP // 2).alpha_max == J_CAP
+    with pytest.raises(SamplingError, match=f"need j_max <= {J_CAP // 2}"):
+        SamplingPlan.derive(spec, J_CAP // 2 + 1)
+    blk = make_test_state("random-mixed", spec.k, spec.m, 3, seed=0)
+    grid = _simulate(blk, spec)
+    with pytest.raises(SamplingError, match="need j_max <= 100"):
+        reconstruct_block(grid, spec, 101)
 
 
 def test_plan_rejects_excessive_distortion():
@@ -433,20 +456,48 @@ def test_reconstruct_block_channel_mismatch():
         reconstruct_block(grid, _spec(m=1), 3)
 
 
+@pytest.mark.parametrize(
+    "spec,needle",
+    [(_spec(RotorKind.CENTRIFUGAL, d_cd=0.0), "kind"), (_spec(omega=2.0), "omega")],
+    ids=["kind", "omega"],
+)
+def test_reconstruct_block_rejects_a_grid_of_another_rotor(spec, needle):
+    blk = make_test_state("random-mixed", 0, 0, 3, seed=0)
+    grid = _simulate(blk, _spec(omega=1.0))
+    with pytest.raises(ValueError, match=needle):
+        reconstruct_block(grid, spec, 3)
+
+
 def test_reconstruct_block_psd_projection_on_noisy_data():
     from rotortomo.rotor import add_shot_noise
 
     blk = make_test_state("cos2-kicked", 0, 0, 3, kick_strength=1.2)
     grid = add_shot_noise(_simulate(blk, RIGID), 200_000, seed=17)
-    plain = reconstruct_block(grid, RIGID, 3)
-    projected = reconstruct_block(grid, RIGID, 3, psd_project=True)
-    assert projected.block.min_eigenvalue() >= -1e-10
-    assert projected.block.trace() == pytest.approx(plain.block.trace(), abs=1e-10)
+    plain = reconstruct_block(grid, RIGID, 3).block
+    projected = plain.project_psd()
+    assert projected.min_eigenvalue() >= -1e-10
+    assert projected.trace() == pytest.approx(plain.trace(), abs=1e-10)
 
 
 def test_truncation_flags_propagate_to_result():
     blk = make_test_state("random-mixed", 0, 0, 5, seed=5)
     grid = _simulate(blk, RIGID)
-    result = reconstruct_block(grid, RIGID, 5, j_search_cap=20)
-    assert result.flags == {(5, 0): [(29, 1)], (5, 2): [(23, 1)]}
+    result = reconstruct_block(grid, RIGID, 5)
+    assert result.flags == {
+        (3, 0): [(11, 1)], (5, 0): [(9, 3), (29, 1)], (4, 1): [(17, 1)], (5, 2): [(23, 1)],
+    }
     assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "spec,j_max",
+    [(_spec(m=m), j) for m in (0, 1) for j in range(15, 21)]
+    + [(_spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=1), j) for j in range(15, 21)],
+    ids=[f"rigid-m{m}-{j}" for m in (0, 1) for j in range(15, 21)]
+    + [f"symtop-{j}" for j in range(15, 21)],
+)
+def test_round_trip_large_blocks_with_default_grids(spec, j_max):
+    blk = make_test_state("random-mixed", spec.k, spec.m, j_max, seed=j_max)
+    grid = _simulate(blk, spec)
+    result = reconstruct_block(grid, spec, j_max)
+    assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-10
