@@ -56,6 +56,13 @@ from numpy.polynomial.legendre import leggauss
 # chains would be astronomically long anyway.
 J_CAP = 200
 
+# Most Gauss-Legendre nodes a grid may carry.  The deepest probe (order J_CAP
+# against degree-J_CAP data) needs J_CAP + 1; the rest is headroom for
+# oversampled grids.  load_grid and SamplingPlan reject more, so neither a
+# file header nor a config can make gauss_legendre_grid build or cache a
+# larger rule.
+N_X_CAP = 2 * J_CAP + 1
+
 # log(n!) for n = 0 .. 4*J_CAP+2, enough for every factorial that appears in
 # the Racah sum and the Wigner-d seeds at the cap.  A plain list: scalar
 # lookups dominate the Clebsch-Gordan inner loop and are much faster than

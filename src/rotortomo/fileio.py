@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .angular import QuadratureGrid
+from .angular import N_X_CAP, gauss_legendre_grid
 from .rotor import DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
 
 
@@ -121,7 +121,12 @@ def save_grid(grid: MeasurementGrid, path: str | Path) -> None:
 
 
 def load_grid(path: str | Path) -> MeasurementGrid:
-    """Read a grid written by :func:`save_grid`."""
+    """Read a grid written by :func:`save_grid`.
+
+    The x column must hold the n_x-point Gauss-Legendre nodes and weights
+    (to 1e-12); the grid returned carries the shared
+    :func:`~rotortomo.angular.gauss_legendre_grid` rule.
+    """
     path = Path(path)
     raw = path.read_text().splitlines()
     if not raw:
@@ -143,6 +148,8 @@ def load_grid(path: str | Path) -> MeasurementGrid:
         raise FileFormatError(f"{path}: line 1: omega must be positive")
     if n_t < 1 or n_x < 1 or n_periods < 1:
         raise FileFormatError(f"{path}: line 1: n_t, n_x, n_periods must be >= 1")
+    if n_x > N_X_CAP:
+        raise FileFormatError(f"{path}: line 1: n_x = {n_x} exceeds the supported {N_X_CAP}")
 
     rows = []
     for lineno, line in enumerate(raw[1:], start=2):
@@ -164,11 +171,14 @@ def load_grid(path: str | Path) -> MeasurementGrid:
         )
     data = np.array(rows).reshape(n_t, n_x, 4)
 
-    nodes, weights = data[0, :, 1].copy(), data[0, :, 2].copy()
-    if not (np.all(np.diff(nodes) > 0) and np.all(np.abs(nodes) < 1)):
-        raise FileFormatError(f"{path}: x nodes must be increasing and inside (-1, 1)")
-    if np.any(weights <= 0) or abs(weights.sum() - 2.0) > 1e-8:
-        raise FileFormatError(f"{path}: x weights must be positive and sum to 2")
+    # every x integral is exact only on the Gauss-Legendre rule
+    x_grid = gauss_legendre_grid(n_x)
+    nodes, weights = data[0, :, 1], data[0, :, 2]
+    if (np.max(np.abs(nodes - x_grid.nodes)) > 1e-12
+            or np.max(np.abs(weights - x_grid.weights)) > 1e-12):
+        raise FileFormatError(
+            f"{path}: x nodes and weights are not the {n_x}-point Gauss-Legendre rule"
+        )
     if np.any(data[:, :, 1] != nodes) or np.any(data[:, :, 2] != weights):
         bad = np.argwhere((data[:, :, 1] != nodes) | (data[:, :, 2] != weights))[0]
         raise FileFormatError(
@@ -184,7 +194,7 @@ def load_grid(path: str | Path) -> MeasurementGrid:
             f"{n_periods} period(s) of T = pi/omega"
         )
     return MeasurementGrid(
-        x_grid=QuadratureGrid(nodes=nodes, weights=weights, order=n_x),
+        x_grid=x_grid,
         period=period,
         n_periods=n_periods,
         values=data[:, :, 3],

@@ -272,8 +272,12 @@ class MeasurementGrid:
         return np.arange(self.n_t) * self.dt
 
     def x_integrals(self, f_of_x: np.ndarray) -> np.ndarray:
-        """integral f(x) Pr(x, t) dx for every time sample."""
-        return self.values @ (self.x_grid.weights * f_of_x)
+        """integral f(x) Pr(x, t) dx for every time sample.
+
+        ``f_of_x`` holds f at the nodes, shape (n_x,), or one f per row,
+        shape (k, n_x), which gives shape (n_t, k).
+        """
+        return self.values @ (self.x_grid.weights * f_of_x).T
 
     def trace_estimate(self) -> float:
         """Mean over t of integral Pr dx (equals the trace for exact data)."""

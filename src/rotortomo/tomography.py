@@ -18,6 +18,13 @@ are set to zero and reported as flags.  Chains are enumerated in one place,
 :attr:`SamplingPlan.chains`.  Both solves return values by level pair, and
 :func:`reconstruct_block` assembles either into the Hermitian block.
 
+Every solve takes all of its moments from one :func:`moment_integral` call:
+one matrix product projects the grid onto P~_0 .. P~_alpha_max, and one
+phase-matrix product along t then yields every probe.  Plans are memoized
+per (spec, j_max, n_periods, n_t, n_x), so chains are enumerated once per
+grid shape; the centrifugal system's LU factors are kept for the last few
+grid shapes.
+
 Throughout, pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha,
 beta) targets the element with S = alpha, DJ = beta, and only beta >= 0
 moments are ever evaluated (beta < 0 follows by conjugation of real data).
@@ -27,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .angular import J_CAP, assoc_legendre_norm, coefficient_table
+from .angular import J_CAP, N_X_CAP, assoc_legendre_norm, coefficient_table
 from .rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -52,7 +59,11 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class MomentValue:
-    """One probed moment: Legendre order alpha, pair offset beta, probe frequency."""
+    """Probed moments: Legendre order alpha, pair offset beta, probe frequency, value.
+
+    Scalars for one probe; arrays of one shape for many (see
+    :func:`moment_integral`).
+    """
 
     alpha: int
     beta: int
@@ -150,11 +161,12 @@ def degeneracy_set_cd(
     """Near-degenerate pairs of a centrifugally distorted spectrum.
 
     Same admissibility conditions as :func:`degeneracy_set`, but pairs are
-    kept when their exact level-difference frequency falls within
-    ``freq_tolerance`` of the probe pair's, instead of matching the rigid
-    integer condition.  The scan stops at S = ``s_cap`` and at the J where
-    the distorted spectrum stops increasing.  With d_cd = 0 the output
-    reduces to the rigid chain.
+    kept when their exact level-difference frequency lies strictly closer
+    than ``freq_tolerance`` to the probe pair's, instead of matching the
+    rigid integer condition.  Strictly, because a line exactly one bin
+    (2 omega / n_periods) away sits on a zero of the window kernel.  The
+    scan stops at S = ``s_cap`` and at the J where the distorted spectrum
+    stops increasing.  With d_cd = 0 the output reduces to the rigid chain.
     """
     if beta == 0:
         raise ValueError("beta must be non-zero; the diagonal is handled separately")
@@ -172,7 +184,7 @@ def degeneracy_set_cd(
             j1 = j2 + dj
             if j1 > j1_cap or j1 + j2 < alpha or (j1 + j2 - alpha) % 2:
                 continue
-            if abs(bohr_frequency(spec, j1, j2) - omega0) <= freq_tolerance:
+            if abs(bohr_frequency(spec, j1, j2) - omega0) < freq_tolerance:
                 found.append(ChainMember(j_sum=j1 + j2, delta_j=sign * dj))
     return DegeneracyChain(target=beta * (alpha + 1), members=found, neglected=[])
 
@@ -201,33 +213,69 @@ def probe_frequency(spec: RotorSpec, alpha: int, beta: int) -> float:
     return spec.omega * beta * (alpha + 1)
 
 
-def moment_integral(grid: MeasurementGrid, alpha: int, beta: int, spec: RotorSpec) -> MomentValue:
+@lru_cache(maxsize=32)
+def _analysis_rows(alpha_max: int, nodes: bytes) -> np.ndarray:
+    """Read-only rows P~_alpha(x) for alpha = 0 .. alpha_max at the x nodes."""
+    x = np.frombuffer(nodes)
+    rows = np.array([assoc_legendre_norm(alpha, 0, x) for alpha in range(alpha_max + 1)])
+    rows.setflags(write=False)
+    return rows
+
+
+def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> MomentValue:
     """Project the data onto P~_alpha and Fourier-probe the (alpha, beta) frequency.
 
     Returns (1/N_t) sum_t exp(+i omega t) * integral P~_alpha(x) Pr(x, t) dx,
     which for exact sampling equals the coefficient-weighted sum of the
-    degenerate elements.
+    degenerate elements.  ``alpha`` and ``beta`` are integers, or integer
+    arrays of one shape; for arrays every field of the result is an array
+    of that shape.
+
+    All probes of a call share one projection: a single matrix product gives
+    y[t, alpha] = integral P~_alpha(x) Pr(x, t) dx for alpha up to the
+    deepest probe, and one phase-matrix product against y then gives every
+    moment, at the frequencies of :func:`probe_frequency`.  The grid must
+    span whole periods pi/omega of the spec.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if abs(beta) > alpha:
-        raise ValueError(f"|beta| = {abs(beta)} exceeds alpha = {alpha}")
-    omega = probe_frequency(spec, alpha, beta)
-    if 2 * grid.n_x - 1 < alpha:
-        raise SamplingError(
-            f"n_x = {grid.n_x} cannot represent the order-{alpha} projection: "
-            f"need n_x >= {(alpha + 1 + 1) // 2}"
+    a, b = np.asarray(alpha), np.asarray(beta)
+    if a.shape != b.shape:
+        raise ValueError(f"alpha shape {a.shape} differs from beta shape {b.shape}")
+    if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
+        raise ValueError("alpha and beta must be integers")
+    if (a < 0).any():
+        raise ValueError(f"alpha must be non-negative, got {a[a < 0][0]}")
+    bad = abs(b) > a
+    if bad.any():
+        raise ValueError(f"|beta| = {abs(b[bad][0])} exceeds alpha = {a[bad][0]}")
+    period = np.pi / spec.omega
+    if abs(grid.period - period) > 1e-12 * period:
+        raise ValueError(
+            f"grid period={grid.period!r} does not match pi/omega={period!r} of the spec"
         )
-    if abs(omega) * grid.dt > np.pi:
-        needed = math.ceil(abs(omega) * grid.n_periods * grid.period / np.pi)
+    omega = np.array(
+        [probe_frequency(spec, int(p), int(q)) for p, q in zip(a.flat, b.flat)]
+    ).reshape(a.shape)
+    alpha_max = int(a.max(initial=0))
+    if 2 * grid.n_x - 1 < alpha_max:
         raise SamplingError(
-            f"n_t = {grid.n_t} undersamples the probe frequency {omega:.6g} "
-            f"(alpha={alpha}, beta={beta}): need n_t >= {needed}"
+            f"n_x = {grid.n_x} cannot represent the order-{alpha_max} projection: "
+            f"need n_x >= {(alpha_max + 1 + 1) // 2}"
         )
-    y = grid.x_integrals(assoc_legendre_norm(alpha, 0, grid.x_grid.nodes))
-    phases = np.exp(1j * omega * grid.times)
-    value = complex(phases @ y) / grid.n_t
-    return MomentValue(alpha=alpha, beta=beta, omega=omega, value=value)
+    if a.size and abs(omega).max() * grid.dt > np.pi:
+        worst = int(abs(omega).argmax())
+        fastest = float(omega.flat[worst])
+        needed = math.ceil(abs(fastest) * grid.n_periods * grid.period / np.pi)
+        raise SamplingError(
+            f"n_t = {grid.n_t} undersamples the probe frequency {fastest:.6g} "
+            f"(alpha={a.flat[worst]}, beta={b.flat[worst]}): need n_t >= {needed}"
+        )
+    nodes = np.asarray(grid.x_grid.nodes, dtype=float).tobytes()
+    y = grid.x_integrals(_analysis_rows(alpha_max, nodes))  # (n_t, alpha_max + 1)
+    phases = np.exp(1j * np.multiply.outer(grid.times, omega))
+    value = np.sum(phases * y[:, a], axis=0) / grid.n_t
+    if a.ndim == 0:
+        return MomentValue(alpha=int(a), beta=int(b), omega=float(omega), value=complex(value))
+    return MomentValue(alpha=a, beta=b, omega=omega, value=value)
 
 
 @dataclass(frozen=True)
@@ -258,8 +306,9 @@ class PatternFunction:
         return float(np.mean(grid.x_integrals(self.evaluate(grid.x_grid.nodes))))
 
 
+@lru_cache(maxsize=64)
 def _diag_system(k: int, m: int, j_cap: int) -> np.ndarray:
-    """Upper-triangular matrix M[a, j] = C(2*(M+j), 0, 2*(M+a))."""
+    """Read-only upper-triangular matrix M[a, j] = C(2*(M+j), 0, 2*(M+a))."""
     table = coefficient_table(k, m)
     m_min = max(abs(k), abs(m))
     n = j_cap - m_min + 1
@@ -267,6 +316,7 @@ def _diag_system(k: int, m: int, j_cap: int) -> np.ndarray:
     for a in range(n):
         for j in range(a, n):
             mat[a, j] = table.coefficient(2 * (m_min + j), 0, 2 * (m_min + a))
+    mat.setflags(write=False)
     return mat
 
 
@@ -295,9 +345,8 @@ def reconstruct_diag(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> np.n
         raise ValueError(f"j_max = {j_max} below channel minimum {m_min}")
     mat = _diag_system(spec.k, spec.m, j_max)
     n = mat.shape[0]
-    b = np.empty(n)
-    for a in range(n):
-        b[a] = moment_integral(grid, 2 * (m_min + a), 0, spec).value.real
+    alphas = 2 * (m_min + np.arange(n))
+    b = moment_integral(grid, alphas, np.zeros_like(alphas), spec).value.real
     diag = np.zeros(n)
     for a in range(n - 1, -1, -1):
         if abs(mat[a, a]) < 1e-13:
@@ -323,10 +372,14 @@ def reconstruct_offdiag(
         raise ValueError("chain back substitution assumes a rigid spectrum; "
                          "use reconstruct_block for centrifugal data")
     table = spec.coefficient_table()
+    order = sorted(plan.chains, key=lambda pair: (pair[0] - pair[1], pair))
+    levels = np.array(order, dtype=int).reshape(-1, 2)
+    moments = moment_integral(
+        grid, levels[:, 0] + levels[:, 1], levels[:, 0] - levels[:, 1], spec
+    ).value
     solved: dict[tuple[int, int], complex] = {}
-    for j1, j2 in sorted(plan.chains, key=lambda pair: (pair[0] - pair[1], pair)):
+    for (j1, j2), acc in zip(order, moments):
         s, dj = j1 + j2, j1 - j2
-        acc = moment_integral(grid, s, dj, spec).value
         for mem in plan.chains[(j1, j2)].members[1:]:
             acc -= table.coefficient(mem.j_sum, mem.delta_j, s) * solved[(mem.j1, mem.j2)]
         solved[(j1, j2)] = acc / table.coefficient(s, dj, s)
@@ -351,6 +404,32 @@ def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
     return kernel
 
 
+@lru_cache(maxsize=4)
+def _windowed_system(
+    spec: RotorSpec, j_max: int, n_periods: int, n_t: int
+) -> tuple[list[tuple[int, int]], tuple[np.ndarray, np.ndarray]]:
+    """Ordered block pairs (J1, J2) and the LU factors of the windowed system.
+
+    A[p, q] is the coefficient of pair q at probe p's Legendre order times
+    the window kernel of their frequency offset, over n_t samples of
+    n_periods periods pi/omega.  A is complex and n^2 x n^2 with
+    n = j_max - m_min + 1, so each entry holds 16 n^4 bytes (3 MB at n = 21,
+    15 MB at n = 31); the memo keeps the last four grid shapes.
+    """
+    js = range(spec.m_min, j_max + 1)
+    pairs = [(j1, j2) for j1 in js for j2 in js]
+    energies = np.array([energy(spec, J) for J in js])
+    levels = np.array(pairs) - spec.m_min
+    freqs = energies[levels[:, 0]] - energies[levels[:, 1]]
+    table = spec.coefficient_table()
+    coeffs = np.array(
+        [[table.coefficient(b1 + b2, b1 - b2, a1 + a2) for b1, b2 in pairs] for a1, a2 in pairs]
+    )
+    dt = n_periods * (np.pi / spec.omega) / n_t
+    kernel = _window_kernel(freqs[:, None] - freqs[None, :], dt, n_t)
+    return pairs, scipy.linalg.lu_factor(coeffs * kernel)
+
+
 def _reconstruct_windowed(
     grid: MeasurementGrid, spec: RotorSpec, plan: SamplingPlan
 ) -> dict[tuple[int, int], complex]:
@@ -359,32 +438,27 @@ def _reconstruct_windowed(
     Unknowns are the ordered pairs of the block, each owning one probe at
     its exact frequency.  The system matrix carries the window kernel of
     every (probe, unknown) frequency offset, so finite-window leakage
-    between lines is modeled instead of ignored.  Only beta >= 0 moments
-    are evaluated; conjugate rows reuse them.  Returns (J1, J2) -> value
-    for every ordered pair.
+    between lines is modeled instead of ignored; it is factored once per
+    grid shape (:func:`_windowed_system`).  Only beta >= 0 moments are
+    evaluated; conjugate rows reuse them.  Returns (J1, J2) -> value for
+    every ordered pair.
     """
-    js = range(plan.m_min, plan.j_max + 1)
-    pairs = [(j1, j2) for j1 in js for j2 in js]
-    energies = np.array([energy(spec, J) for J in js])
-    levels = np.array(pairs) - plan.m_min
-    freqs = energies[levels[:, 0]] - energies[levels[:, 1]]
-    table = spec.coefficient_table()
-    moments: dict[tuple[int, int], complex] = {}
-    b = np.empty(len(pairs), dtype=complex)
-    coeffs = np.empty((len(pairs), len(pairs)))
-    for p, (a1, a2) in enumerate(pairs):
-        key = (a1 + a2, abs(a1 - a2))
-        if key not in moments:
-            moments[key] = moment_integral(grid, *key, spec).value
-        b[p] = moments[key] if a1 >= a2 else np.conj(moments[key])
-        coeffs[p] = [table.coefficient(b1 + b2, b1 - b2, a1 + a2) for b1, b2 in pairs]
-    A = coeffs * _window_kernel(freqs[:, None] - freqs[None, :], grid.dt, grid.n_t)
-    return dict(zip(pairs, np.linalg.solve(A, b)))
+    pairs, lu = _windowed_system(spec, plan.j_max, plan.n_periods, plan.n_t)
+    n = plan.j_max - plan.m_min + 1
+    i1, i2 = np.tril_indices(n)  # level offsets with J1 >= J2: one probe each
+    moments = np.zeros((n, n), dtype=complex)
+    moments[i1, i2] = moment_integral(grid, i1 + i2 + 2 * plan.m_min, i1 - i2, spec).value
+    b = (moments + np.triu(moments.T.conj(), 1)).ravel()  # rows in the order of pairs
+    return dict(zip(pairs, scipy.linalg.lu_solve(lu, b)))
 
 
 @dataclass(frozen=True)
 class SamplingPlan:
     """Grid sizes that make every probe of a reconstruction exact.
+
+    :meth:`derive` memoizes one plan per (spec, j_max, n_periods, n_t,
+    n_x), so its lazy :attr:`chains` are enumerated once per grid shape.
+    Plans compare by their sizes alone (``spec`` is not compared).
 
     The block is the support: no population above j_max is assumed, so no
     probe goes deeper than the block.  tau_max is the largest frequency in
@@ -415,8 +489,15 @@ class SamplingPlan:
     ) -> "SamplingPlan":
         """Fill n_t / n_x (0 = auto) and validate explicit values.
 
+        Plans are memoized: equal arguments return the same plan, so its
+        lazy chains are enumerated once per grid shape.
         Raises :class:`SamplingError` naming the violated requirement.
         """
+        return cls._build(spec, j_max, n_periods, n_t, n_x)
+
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def _build(spec: RotorSpec, j_max: int, n_periods: int, n_t: int, n_x: int) -> "SamplingPlan":
         m_min = spec.m_min
         if j_max < m_min:
             raise ValueError(f"j_max = {j_max} below channel minimum {m_min}")
@@ -447,7 +528,11 @@ class SamplingPlan:
                 f"n_x = {n_x} cannot integrate the order-{alpha_max} probes "
                 f"against degree-{2 * j_max} data exactly: need n_x >= {n_x_min}"
             )
-        return cls(
+        elif n_x > N_X_CAP:
+            raise SamplingError(
+                f"n_x = {n_x} exceeds the supported {N_X_CAP} nodes: need n_x <= {N_X_CAP}"
+            )
+        return SamplingPlan(
             j_max=j_max,
             m_min=m_min,
             n_periods=n_periods,
@@ -508,7 +593,9 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     chain has partners outside the block is flagged with those pairs,
     which the solve set to zero.  The residual reported is the sup-norm
     mismatch between the data and a resimulation from the reconstructed
-    block on the same grid.
+    block on the same grid.  A grid whose kind, channel, omega or period
+    (pi/omega, checked by :func:`moment_integral`) differs from the spec's
+    raises ValueError.
     """
     if (grid.kind, grid.k, grid.m) != (spec.kind, spec.k, spec.m):
         raise ValueError(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rotortomo.angular import gauss_legendre_grid
+from rotortomo.angular import N_X_CAP, gauss_legendre_grid
 from rotortomo.cli import main
 from rotortomo.fileio import (
     FileFormatError,
@@ -89,6 +89,7 @@ def test_grid_csv_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(grid.values, back.values)
     assert np.array_equal(grid.x_grid.nodes, back.x_grid.nodes)
     assert np.array_equal(grid.x_grid.weights, back.x_grid.weights)
+    assert back.x_grid is gauss_legendre_grid(9)
     assert back.period == grid.period and back.n_periods == 2
     assert (back.kind, back.k, back.m, back.omega) == (RotorKind.RIGID, 0, 1, 2.0)
 
@@ -131,6 +132,34 @@ def test_grid_csv_detects_inconsistent_x_grid(tmp_path):
     lines[12] = f"{t}, 0.123, {w}, {pr}"
     path.write_text("\n".join(lines))
     with pytest.raises(FileFormatError, match="first time slice"):
+        load_grid(path)
+
+
+def test_grid_csv_rejects_more_nodes_than_supported_before_building_a_rule(tmp_path):
+    # the header alone decides: no n_x-point rule is built for an oversized n_x
+    path = tmp_path / "g.csv"
+    path.write_text(
+        f"# omega=1, kind=rigid-linear, k=0, m=0, n_t=1, n_x={N_X_CAP + 1}, n_periods=1\n"
+    )
+    built = gauss_legendre_grid.cache_info().misses
+    with pytest.raises(FileFormatError, match=f"n_x = {N_X_CAP + 1} exceeds"):
+        load_grid(path)
+    assert gauss_legendre_grid.cache_info().misses == built
+
+
+def test_grid_csv_rejects_nodes_that_are_not_gauss_legendre(tmp_path):
+    # evenly spaced nodes with positive weights summing to 2 break the
+    # quadrature's exactness without any other symptom
+    path = tmp_path / "g.csv"
+    save_grid(_grid(), path)
+    header, *rows = path.read_text().splitlines()
+    nodes = np.linspace(-1.0, 1.0, 11)[1:-1]
+    lines = [header]
+    for i, row in enumerate(rows):
+        t, _, _, pr = [p.strip() for p in row.split(",")]
+        lines.append(f"{t}, {nodes[i % 9]:.17g}, {2.0 / 9:.17g}, {pr}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="Gauss-Legendre"):
         load_grid(path)
 
 

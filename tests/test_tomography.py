@@ -7,9 +7,10 @@ import pytest
 
 import oracles
 from rotortomo import tomography
-from rotortomo.angular import J_CAP, gauss_legendre_grid
+from rotortomo.angular import J_CAP, N_X_CAP, gauss_legendre_grid
 from rotortomo.rotor import (
     DensityBlock,
+    MeasurementGrid,
     RotorKind,
     RotorSpec,
     make_test_state,
@@ -123,6 +124,19 @@ def test_cd_chain_negative_beta_mirrors_positive():
     assert chain.target == -30
 
 
+def test_cd_chains_drop_lines_one_bin_away():
+    # at one period the tolerance 2 omega equals the spacing of neighbouring
+    # |DJ| = 1 lines, where the window kernel is zero: (9,1) sits 2 omega
+    # below the (3,3) probe and is not degenerate with it
+    spec0 = _spec(RotorKind.CENTRIFUGAL, d_cd=0.0)
+    assert degeneracy_set_cd(3, 3, 0, 12, spec0, 2.0).pairs() == [(3, 3), (11, 1)]
+    blk = make_test_state("random-mixed", 0, 0, 6, seed=1)
+    cd = reconstruct_block(_simulate(blk, spec0), spec0, 6)
+    rigid = reconstruct_block(_simulate(blk, RIGID), RIGID, 6)
+    assert cd.chains == rigid.chains and cd.flags == rigid.flags
+    assert cd.chains[(3, 0)] == [(3, 3), (11, 1)]
+
+
 def test_cd_scan_respects_monotone_limit():
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-3)  # spectrum folds past J = 21
     chain = degeneracy_set_cd(5, 5, 0, 200, spec, math.inf)
@@ -189,6 +203,46 @@ def test_moment_validation():
     coarse = simulate_pr(blk, RIGID, grid.x_grid, n_t=3)
     with pytest.raises(SamplingError):
         moment_integral(coarse, 3, 3, RIGID)  # 12 rad/time undersampled
+    # the same checks hold for every entry of an array call
+    for alpha, beta, error in [
+        ([2, -1], [0, 0], ValueError),  # negative alpha
+        ([2, 2], [0, 4], ValueError),  # |beta| > alpha
+        ([2, 4], [0, 1], ValueError),  # parity
+        ([2, 2 * grid.n_x + 2], [0, 0], SamplingError),
+    ]:
+        with pytest.raises(error):
+            moment_integral(grid, np.array(alpha), np.array(beta), RIGID)
+    with pytest.raises(SamplingError):
+        moment_integral(coarse, np.array([2, 3]), np.array([0, 3]), RIGID)
+    with pytest.raises(ValueError, match="shape"):
+        moment_integral(grid, np.array([2, 2]), np.array([0]), RIGID)
+    cd = _spec(RotorKind.CENTRIFUGAL, m=2)
+    cd_grid = simulate_pr(make_test_state("random-mixed", 0, 2, 3, seed=0), cd, grid.x_grid, 40)
+    with pytest.raises(ValueError, match="no level below"):
+        moment_integral(cd_grid, np.array([4, 4]), np.array([0, 2]), cd)  # pair (3, 1)
+
+
+@pytest.mark.parametrize(
+    "spec,n_periods",
+    [(RIGID, 1), (_spec(m=1), 3), (_spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=1), 2),
+     (_spec(RotorKind.CENTRIFUGAL, d_cd=1e-4), 4)],
+    ids=["rigid", "rigid-m1-p3", "symtop-p2", "centrifugal-p4"],
+)
+def test_vectorised_moments_match_scalar_calls(spec, n_periods):
+    blk = make_test_state("random-mixed", spec.k, spec.m, 5, seed=9)
+    grid = _simulate(blk, spec, n_periods)
+    # every ordered level pair (J1, J2) of the block: beta = J1 - J2 of both signs
+    levels = range(spec.m_min, 6)
+    probes = [(j1 + j2, j1 - j2) for j1 in levels for j2 in levels]
+    alphas, betas = np.array(probes).T
+    many = moment_integral(grid, alphas, betas, spec)
+    one = [moment_integral(grid, int(a), int(b), spec) for a, b in probes]
+    assert np.max(np.abs(many.value - [m.value for m in one])) <= 1e-15
+    assert np.array_equal(many.omega, [m.omega for m in one])
+    assert isinstance(one[0].value, complex) and isinstance(one[0].alpha, int)
+    square = moment_integral(grid, alphas[:4].reshape(2, 2), betas[:4].reshape(2, 2), spec)
+    assert square.value.shape == (2, 2)
+    assert np.array_equal(square.value.ravel(), many.value[:4])
 
 
 # ------------------------------------------------------------------ diagonal
@@ -282,7 +336,8 @@ def test_offdiag_rejects_distorted_spectra():
 
 
 def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
-    # the plan enumerates each upper-triangle pair's chain; the solve reuses them
+    # the plan enumerates each upper-triangle pair's chain once per grid
+    # shape; the solve, and every later reconstruction of that shape, reuse them
     calls = []
     enumerate_chain = tomography.degeneracy_set
 
@@ -294,8 +349,10 @@ def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
     for spec, j_max in [(RIGID, 5), (_spec(m=1), 6), (_spec(RotorKind.SYMTOP, k=1, m=1), 4)]:
         blk = make_test_state("random-mixed", spec.k, spec.m, j_max, seed=3)
         grid = _simulate(blk, spec)
+        SamplingPlan._build.cache_clear()
         calls.clear()
-        result = reconstruct_block(grid, spec, j_max)
+        for _ in range(2):
+            result = reconstruct_block(grid, spec, j_max)
         n_levels = j_max - spec.m_min + 1
         assert len(calls) == n_levels * (n_levels - 1) // 2
         assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
@@ -341,6 +398,16 @@ def test_plan_enumerates_chains_on_first_read(monkeypatch):
     assert plan == SamplingPlan.derive(RIGID, 6)
 
 
+def test_plan_is_memoized_per_spec_and_grid_shape():
+    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)
+    plan = SamplingPlan.derive(spec, 5, n_periods=16)
+    assert SamplingPlan.derive(spec, 5, n_periods=16) is plan
+    # plans compare by sizes only, so the memo must tell the specs apart
+    other = SamplingPlan.derive(_spec(RotorKind.CENTRIFUGAL, d_cd=2e-4), 5, n_periods=16)
+    assert other == plan and other is not plan
+    assert other.spec.d_cd == 2e-4
+
+
 def test_plan_respects_explicit_grids_and_rejects_small_ones():
     plan = SamplingPlan.derive(RIGID, 5, n_t=50, n_x=25)
     assert (plan.n_t, plan.n_x) == (50, 25)
@@ -348,6 +415,8 @@ def test_plan_respects_explicit_grids_and_rejects_small_ones():
         SamplingPlan.derive(RIGID, 5, n_t=10)
     with pytest.raises(SamplingError, match="n_x"):
         SamplingPlan.derive(RIGID, 5, n_x=5)
+    with pytest.raises(SamplingError, match=f"need n_x <= {N_X_CAP}"):
+        SamplingPlan.derive(RIGID, 5, n_x=N_X_CAP + 1)
 
 
 @pytest.mark.parametrize(
@@ -466,6 +535,18 @@ def test_reconstruct_block_rejects_a_grid_of_another_rotor(spec, needle):
     grid = _simulate(blk, _spec(omega=1.0))
     with pytest.raises(ValueError, match=needle):
         reconstruct_block(grid, spec, 3)
+
+
+def test_reconstruct_block_rejects_a_grid_of_another_period():
+    # the probes read exact DFT bins only on whole periods of pi/omega
+    blk = make_test_state("random-mixed", 0, 0, 3, seed=0)
+    grid = _simulate(blk, RIGID)
+    skewed = MeasurementGrid(
+        x_grid=grid.x_grid, period=math.pi * (1 + 1e-9), n_periods=1, values=grid.values,
+        omega=1.0, kind=RotorKind.RIGID, k=0, m=0,
+    )
+    with pytest.raises(ValueError, match="period"):
+        reconstruct_block(skewed, RIGID, 3)
 
 
 def test_reconstruct_block_psd_projection_on_noisy_data():
