@@ -4,8 +4,11 @@ Blocks store the upper triangle only and are completed Hermitianly on load.
 Grids store one row per (t, x) sample with the quadrature weight alongside, so
 a file is self-contained: header metadata plus rows rebuild the exact
 measurement object (floats are written with %.17g and survive the round trip
-bit for bit).  Configs are YAML with a fixed key set; anything unknown or
-ill-typed is rejected with a message naming the offending field.
+bit for bit).  Each column is formatted once: the writer formats t once per
+time slice and x, w once per node, and the reader matches each line's
+`t, x, w, ` prefix against that same text, so only the pr column is formatted
+and parsed per row.  Configs are YAML with a fixed key set; anything unknown
+or ill-typed is rejected with a message naming the offending field.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .angular import N_X_CAP, gauss_legendre_grid
+from .angular import N_X_CAP, QuadratureGrid, gauss_legendre_grid
 from .rotor import DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
 
 
@@ -107,16 +110,28 @@ _GRID_HEADER = re.compile(
 )
 
 
+def _row_prefixes(times: np.ndarray, x_grid: QuadratureGrid) -> tuple[list[str], list[str]]:
+    """The `t, ` text of each time slice and the `x, w, ` text of each node."""
+    t_text = [f"{t:.17g}, " for t in times.tolist()]
+    xw_text = [
+        f"{x:.17g}, {w:.17g}, " for x, w in zip(x_grid.nodes.tolist(), x_grid.weights.tolist())
+    ]
+    return t_text, xw_text
+
+
 def save_grid(grid: MeasurementGrid, path: str | Path) -> None:
-    """Write Pr(x, t) as CSV: metadata header, then `t, x, weight, pr` rows."""
+    """Write Pr(x, t) as CSV: metadata header, then `t, x, weight, pr` rows.
+
+    Each row reads `f"{t:.17g}, {x:.17g}, {w:.17g}, {pr:.17g}"`; t is
+    formatted once per slice and x, w once per node.
+    """
     lines = [
         f"# omega={grid.omega:.17g}, kind={grid.kind.value}, k={grid.k}, "
         f"m={grid.m}, n_t={grid.n_t}, n_x={grid.n_x}, n_periods={grid.n_periods}"
     ]
-    nodes, weights = grid.x_grid.nodes, grid.x_grid.weights
-    for t, row in zip(grid.times, grid.values):
-        for x, w, pr in zip(nodes, weights, row):
-            lines.append(f"{t:.17g}, {x:.17g}, {w:.17g}, {pr:.17g}")
+    t_text, xw_text = _row_prefixes(grid.times, grid.x_grid)
+    for t, row in zip(t_text, grid.values.tolist()):
+        lines += [f"{t}{xw}{pr:.17g}" for xw, pr in zip(xw_text, row)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -125,7 +140,11 @@ def load_grid(path: str | Path) -> MeasurementGrid:
 
     The x column must hold the n_x-point Gauss-Legendre nodes and weights
     (to 1e-12); the grid returned carries the shared
-    :func:`~rotortomo.angular.gauss_legendre_grid` rule.
+    :func:`~rotortomo.angular.gauss_legendre_grid` rule.  A line whose
+    `t, x, w, ` prefix is the text :func:`save_grid` writes for its (t_i, x_j)
+    has only its pr field parsed; any other line is parsed field by field
+    and checked, so other spacing, and times within the 1e-9 tolerance,
+    still load.
     """
     path = Path(path)
     raw = path.read_text().splitlines()
@@ -151,8 +170,26 @@ def load_grid(path: str | Path) -> MeasurementGrid:
     if n_x > N_X_CAP:
         raise FileFormatError(f"{path}: line 1: n_x = {n_x} exceeds the supported {N_X_CAP}")
 
-    rows = []
+    period = math.pi / omega
+    # one row per line at most: a header promising more fails the row count
+    times = np.arange(min(n_t, len(raw) // n_x + 1)) * (n_periods * period / n_t)
+    # every x integral is exact only on the Gauss-Legendre rule
+    x_grid = gauss_legendre_grid(n_x)
+    t_text, xw_text = _row_prefixes(times, x_grid)
+
+    n_rows = n_t * n_x
+    pr = []
+    parsed = {}  # row index -> [t, x, w, pr] of the lines read field by field
     for lineno, line in enumerate(raw[1:], start=2):
+        row = len(pr)
+        if row < n_rows:
+            t, xw = t_text[row // n_x], xw_text[row % n_x]
+            if line.startswith(t) and line.startswith(xw, len(t)):
+                try:
+                    pr.append(float(line[len(t) + len(xw):]))
+                    continue
+                except ValueError:
+                    pass  # read field by field below, which names the fault
         if not line.strip():
             continue
         parts = line.split(",")
@@ -162,17 +199,23 @@ def load_grid(path: str | Path) -> MeasurementGrid:
                 f"got {len(parts)}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            parsed[row] = [float(p) for p in parts]
         except ValueError:
             raise FileFormatError(f"{path}: line {lineno}: non-numeric field in {line!r}")
-    if len(rows) != n_t * n_x:
+        pr.append(parsed[row][3])
+    if len(pr) != n_rows:
         raise FileFormatError(
-            f"{path}: found {len(rows)} data rows, header promises n_t*n_x = {n_t * n_x}"
+            f"{path}: found {len(pr)} data rows, header promises n_t*n_x = {n_rows}"
         )
-    data = np.array(rows).reshape(n_t, n_x, 4)
+    # a matched prefix is the %.17g text of these very floats
+    data = np.empty((n_t, n_x, 4))
+    data[:, :, 0] = times[:, None]
+    data[:, :, 1] = x_grid.nodes
+    data[:, :, 2] = x_grid.weights
+    data[:, :, 3] = np.reshape(pr, (n_t, n_x))
+    for row, fields in parsed.items():
+        data[divmod(row, n_x)] = fields
 
-    # every x integral is exact only on the Gauss-Legendre rule
-    x_grid = gauss_legendre_grid(n_x)
     nodes, weights = data[0, :, 1], data[0, :, 2]
     if (np.max(np.abs(nodes - x_grid.nodes)) > 1e-12
             or np.max(np.abs(weights - x_grid.weights)) > 1e-12):
@@ -185,8 +228,6 @@ def load_grid(path: str | Path) -> MeasurementGrid:
             f"{path}: line {2 + bad[0] * n_x + bad[1]}: x grid differs from the "
             f"first time slice"
         )
-    period = math.pi / omega
-    times = np.arange(n_t) * (n_periods * period / n_t)
     if np.any(np.abs(data[:, :, 0] - times[:, None]) > 1e-9 * period):
         bad = int(np.argmax(np.abs(data[:, 0, 0] - times) > 1e-9 * period))
         raise FileFormatError(

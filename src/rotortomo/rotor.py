@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .angular import QuadratureGrid, coefficient_table, eigenfunction_rows
 
@@ -205,7 +205,7 @@ class DensityBlock:
         return float(np.max(np.abs(self.elements - self.elements.conj().T)))
 
     def min_eigenvalue(self) -> float:
-        return float(np.min(scipy.linalg.eigvalsh(self.elements)))
+        return float(np.min(np.linalg.eigvalsh(self.elements)))
 
     def embedded(self, j_max: int) -> "DensityBlock":
         """Copy of the block zero-padded up to a larger j_max."""
@@ -218,7 +218,7 @@ class DensityBlock:
 
     def project_psd(self) -> "DensityBlock":
         """Nearest-PSD projection: clip negative eigenvalues, restore the trace."""
-        vals, vecs = scipy.linalg.eigh(self.elements)
+        vals, vecs = np.linalg.eigh(self.elements)
         clipped = np.clip(vals, 0.0, None)
         total = clipped.sum()
         if total > 0:
@@ -288,6 +288,20 @@ class MeasurementGrid:
         return self.x_integrals(self.x_grid.nodes**2)
 
 
+@lru_cache(maxsize=32)
+def _contraction_paths(n_t: int, n_j: int, n_x: int) -> tuple[list, list]:
+    """The einsum paths ``optimize=True`` finds for :func:`simulate_pr`'s two sums.
+
+    The search reads only operand shapes, so it runs once per (n_t, n_j, n_x)
+    on zero-stride stand-ins instead of on every call.
+    """
+    phases, rho = np.broadcast_to(0j, (n_t, n_j)), np.broadcast_to(0j, (n_j, n_j))
+    evolved, f = np.broadcast_to(0j, (n_t, n_j, n_j)), np.broadcast_to(0.0, (n_j, n_x))
+    evolve = np.einsum_path("ta,ab,tb->tab", phases, rho, phases, optimize=True)[0]
+    project = np.einsum_path("tab,ax,bx->tx", evolved, f, f, optimize=True)[0]
+    return evolve, project
+
+
 def simulate_pr(
     block: DensityBlock,
     spec: RotorSpec,
@@ -323,9 +337,10 @@ def simulate_pr(
     energies = np.array([energy(spec, J) for J in block.j_values])
     f = spec.basis_matrix(block.j_max, x_grid.nodes)  # (n_j, n_x)
     phases = np.exp(-1j * np.outer(times, energies))  # (n_t, n_j)
+    evolve, project = _contraction_paths(n_t, len(energies), x_grid.order)
     # Pr[t, x] = sum_ab phases[t,a] rho[a,b] conj(phases[t,b]) f[a,x] f[b,x]
-    evolved = np.einsum("ta,ab,tb->tab", phases, block.elements, phases.conj(), optimize=True)
-    values = np.einsum("tab,ax,bx->tx", evolved, f, f, optimize=True)
+    evolved = np.einsum("ta,ab,tb->tab", phases, block.elements, phases.conj(), optimize=evolve)
+    values = np.einsum("tab,ax,bx->tx", evolved, f, f, optimize=project)
     imag_max = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if imag_max >= 1e-12:
         raise ValueError(f"simulated distribution has imaginary residue {imag_max:.3e}")
@@ -387,7 +402,9 @@ def make_test_state(
                 if a == b:
                     val += 1.0 / 3.0
                 x2[a, b] = x2[b, a] = val
-        v = scipy.linalg.expm(1j * kick_strength * x2)[:, 0]
+        # x2 is real symmetric: exp(i kappa x2) = V diag(exp(i kappa lambda)) V^T
+        lam, vecs = np.linalg.eigh(x2)
+        v = vecs @ (np.exp(1j * kick_strength * lam) * vecs[0])  # its first column
         v = v[:n]
         norm = np.linalg.norm(v)
         if norm == 0:
@@ -414,14 +431,11 @@ def add_shot_noise(grid: MeasurementGrid, samples_per_time: int, seed: int) -> M
         raise ValueError(f"samples_per_time must be >= 1, got {samples_per_time}")
     rng = np.random.default_rng(seed)
     weights = grid.x_grid.weights
-    trace = grid.trace_estimate()
-    noisy = np.empty_like(grid.values)
-    for i in range(grid.n_t):
-        masses = np.clip(weights * grid.values[i], 0.0, None)
-        total = masses.sum()
-        if total <= 0:
-            noisy[i] = 0.0
-            continue
-        counts = rng.multinomial(samples_per_time, masses / total)
-        noisy[i] = trace * counts / (samples_per_time * weights)
+    masses = np.clip(weights * grid.values, 0.0, None)
+    totals = masses.sum(axis=1)
+    live = totals > 0  # slices without mass stay 0 and draw nothing
+    # one call draws the live slices in time order, as one call per slice would
+    counts = rng.multinomial(samples_per_time, masses[live] / totals[live, None])
+    noisy = np.zeros_like(grid.values)
+    noisy[live] = grid.trace_estimate() * counts / (samples_per_time * weights)
     return replace(grid, values=noisy)

@@ -22,7 +22,7 @@ Every solve takes all of its moments from one :func:`moment_integral` call:
 one matrix product projects the grid onto P~_0 .. P~_alpha_max, and one
 phase-matrix product along t then yields every probe.  Plans are memoized
 per (spec, j_max, n_periods, n_t, n_x), so chains are enumerated once per
-grid shape; the centrifugal system's LU factors are kept for the last few
+grid shape; the centrifugal system's inverse is kept for the last few
 grid shapes.
 
 Throughout, pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha,
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .angular import J_CAP, N_X_CAP, assoc_legendre_norm, coefficient_table
 from .rotor import (
@@ -222,7 +221,9 @@ def _analysis_rows(alpha_max: int, nodes: bytes) -> np.ndarray:
     return rows
 
 
-def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> MomentValue:
+def moment_integral(
+    grid: MeasurementGrid, alpha, beta, spec: RotorSpec, alpha_max: int = 0
+) -> MomentValue:
     """Project the data onto P~_alpha and Fourier-probe the (alpha, beta) frequency.
 
     Returns (1/N_t) sum_t exp(+i omega t) * integral P~_alpha(x) Pr(x, t) dx,
@@ -235,7 +236,9 @@ def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> Mome
     y[t, alpha] = integral P~_alpha(x) Pr(x, t) dx for alpha up to the
     deepest probe, and one phase-matrix product against y then gives every
     moment, at the frequencies of :func:`probe_frequency`.  The grid must
-    span whole periods pi/omega of the spec.
+    span whole periods pi/omega of the spec.  The projection goes to the
+    deeper of the deepest probe and ``alpha_max``: a solve passes its
+    plan's, so that every solve of a grid shape reads one memoized row set.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
@@ -255,7 +258,7 @@ def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> Mome
     omega = np.array(
         [probe_frequency(spec, int(p), int(q)) for p, q in zip(a.flat, b.flat)]
     ).reshape(a.shape)
-    alpha_max = int(a.max(initial=0))
+    alpha_max = max(int(a.max(initial=0)), alpha_max)
     if 2 * grid.n_x - 1 < alpha_max:
         raise SamplingError(
             f"n_x = {grid.n_x} cannot represent the order-{alpha_max} projection: "
@@ -326,10 +329,12 @@ def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
         raise ValueError(f"j1 = {j1} outside the reconstructible range {m_min}..{j_cap}")
     mat = _diag_system(k, m, j_cap)
     n = mat.shape[0]
-    e = np.zeros(n)
     idx = j1 - m_min
-    e[idx] = 1.0
-    row = scipy.linalg.solve_triangular(mat.T, e, lower=True)
+    # row idx of mat^-1: row @ mat = e_idx, solved by forward substitution
+    row = np.zeros(n)
+    row[idx] = 1.0 / mat[idx, idx]
+    for j in range(idx + 1, n):
+        row[j] = -(row[idx:j] @ mat[idx:j, j]) / mat[j, j]
     coeffs = {m_min + j: float(row[j]) for j in range(idx, n)}
     return PatternFunction(j1=j1, k=k, m=m, j_cap=j_cap, coeffs=coeffs)
 
@@ -375,7 +380,7 @@ def reconstruct_offdiag(
     order = sorted(plan.chains, key=lambda pair: (pair[0] - pair[1], pair))
     levels = np.array(order, dtype=int).reshape(-1, 2)
     moments = moment_integral(
-        grid, levels[:, 0] + levels[:, 1], levels[:, 0] - levels[:, 1], spec
+        grid, levels[:, 0] + levels[:, 1], levels[:, 0] - levels[:, 1], spec, plan.alpha_max
     ).value
     solved: dict[tuple[int, int], complex] = {}
     for (j1, j2), acc in zip(order, moments):
@@ -407,14 +412,15 @@ def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _windowed_system(
     spec: RotorSpec, j_max: int, n_periods: int, n_t: int
-) -> tuple[list[tuple[int, int]], tuple[np.ndarray, np.ndarray]]:
-    """Ordered block pairs (J1, J2) and the LU factors of the windowed system.
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Ordered block pairs (J1, J2) and the inverse of the windowed system.
 
     A[p, q] is the coefficient of pair q at probe p's Legendre order times
     the window kernel of their frequency offset, over n_t samples of
-    n_periods periods pi/omega.  A is complex and n^2 x n^2 with
-    n = j_max - m_min + 1, so each entry holds 16 n^4 bytes (3 MB at n = 21,
-    15 MB at n = 31); the memo keeps the last four grid shapes.
+    n_periods periods pi/omega.  A and its inverse are complex and
+    n^2 x n^2 with n = j_max - m_min + 1, so each entry holds 16 n^4 bytes
+    (3 MB at n = 21, 15 MB at n = 31); the memo keeps the last four grid
+    shapes.
     """
     js = range(spec.m_min, j_max + 1)
     pairs = [(j1, j2) for j1 in js for j2 in js]
@@ -427,7 +433,9 @@ def _windowed_system(
     )
     dt = n_periods * (np.pi / spec.omega) / n_t
     kernel = _window_kernel(freqs[:, None] - freqs[None, :], dt, n_t)
-    return pairs, scipy.linalg.lu_factor(coeffs * kernel)
+    inverse = np.linalg.inv(coeffs * kernel)
+    inverse.setflags(write=False)
+    return pairs, inverse
 
 
 def _reconstruct_windowed(
@@ -438,18 +446,18 @@ def _reconstruct_windowed(
     Unknowns are the ordered pairs of the block, each owning one probe at
     its exact frequency.  The system matrix carries the window kernel of
     every (probe, unknown) frequency offset, so finite-window leakage
-    between lines is modeled instead of ignored; it is factored once per
-    grid shape (:func:`_windowed_system`).  Only beta >= 0 moments are
-    evaluated; conjugate rows reuse them.  Returns (J1, J2) -> value for
-    every ordered pair.
+    between lines is modeled instead of ignored; it is inverted once per
+    grid shape (:func:`_windowed_system`), so a solve is one product.  Only
+    beta >= 0 moments are evaluated; conjugate rows reuse them.  Returns
+    (J1, J2) -> value for every ordered pair.
     """
-    pairs, lu = _windowed_system(spec, plan.j_max, plan.n_periods, plan.n_t)
+    pairs, inverse = _windowed_system(spec, plan.j_max, plan.n_periods, plan.n_t)
     n = plan.j_max - plan.m_min + 1
     i1, i2 = np.tril_indices(n)  # level offsets with J1 >= J2: one probe each
     moments = np.zeros((n, n), dtype=complex)
     moments[i1, i2] = moment_integral(grid, i1 + i2 + 2 * plan.m_min, i1 - i2, spec).value
     b = (moments + np.triu(moments.T.conj(), 1)).ravel()  # rows in the order of pairs
-    return dict(zip(pairs, scipy.linalg.lu_solve(lu, b)))
+    return dict(zip(pairs, inverse @ b))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Disk formats and the command-line workbench."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotortomo
 from rotortomo.angular import N_X_CAP, gauss_legendre_grid
 from rotortomo.cli import main
 from rotortomo.fileio import (
@@ -94,6 +99,41 @@ def test_grid_csv_round_trip_is_bit_identical(tmp_path):
     assert (back.kind, back.k, back.m, back.omega) == (RotorKind.RIGID, 0, 1, 2.0)
 
 
+def test_grid_csv_rows_are_formatted_as_one_17g_line_each(tmp_path):
+    grid = _grid(n_periods=3)
+    path = tmp_path / "g.csv"
+    save_grid(grid, path)
+    header = path.read_text().splitlines()[0]
+    rows = [
+        f"{t:.17g}, {x:.17g}, {w:.17g}, {pr:.17g}"
+        for t, row in zip(grid.times, grid.values)
+        for x, w, pr in zip(grid.x_grid.nodes, grid.x_grid.weights, row)
+    ]
+    assert path.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
+
+
+def test_grid_csv_reads_rows_written_another_way(tmp_path):
+    # lines that differ from the writer's text are parsed field by field
+    grid = _grid(n_periods=2)
+    path = tmp_path / "g.csv"
+    save_grid(grid, path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *(row.replace(" ", "") for row in rows)]) + "\n")
+    back = load_grid(path)
+    assert np.array_equal(back.values, grid.values)
+    assert back.x_grid is gauss_legendre_grid(9)
+
+    # times off the writer's by far less than the 1e-9 * period tolerance
+    shifted = []
+    for row in rows:
+        t, rest = row.split(",", 1)
+        shifted.append(f"{float(t) + 1e-13!r},{rest}")
+    path.write_text("\n".join([header, *shifted]) + "\n")
+    back = load_grid(path)
+    assert np.array_equal(back.values, grid.values)
+    assert np.array_equal(back.times, grid.times)
+
+
 def test_grid_csv_header_format(tmp_path):
     path = tmp_path / "g.csv"
     save_grid(_grid(), path)
@@ -122,6 +162,15 @@ def test_grid_csv_malformed_inputs(tmp_path):
     bad.write_text("\n".join(lines[:-3]))
     with pytest.raises(FileFormatError, match="rows"):
         load_grid(bad)
+
+
+def test_grid_csv_header_promising_more_rows_than_lines_fails_on_the_count(tmp_path):
+    path = tmp_path / "g.csv"
+    save_grid(_grid(), path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header.replace("n_t=21", "n_t=1000000000000"), *rows]))
+    with pytest.raises(FileFormatError, match="found 189 data rows"):
+        load_grid(path)
 
 
 def test_grid_csv_detects_inconsistent_x_grid(tmp_path):
@@ -161,6 +210,19 @@ def test_grid_csv_rejects_nodes_that_are_not_gauss_legendre(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match="Gauss-Legendre"):
         load_grid(path)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(rotortomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, rotortomo.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------- config

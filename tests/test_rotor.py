@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rotortomo import rotor
 from rotortomo.angular import gauss_legendre_grid
 from rotortomo.rotor import (
     DensityBlock,
@@ -175,6 +176,24 @@ def test_simulate_matches_direct_summation(kind, k, m, j_max):
     assert np.max(np.abs(grid.values - ref)) < 1e-12
 
 
+def test_simulate_contracts_in_the_order_einsum_would_search_for():
+    spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0, m=1)
+    blk = make_test_state("random-mixed", 0, 1, 4, seed=2)
+    x_grid = gauss_legendre_grid(9)
+    rotor._contraction_paths.cache_clear()
+    grids = [simulate_pr(blk, spec, x_grid, n_t=21) for _ in range(2)]
+    info = rotor._contraction_paths.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # one path search per operand shape
+
+    times = grids[0].times
+    phases = np.exp(-1j * np.outer(times, [energy(spec, J) for J in blk.j_values]))
+    f = spec.basis_matrix(4, x_grid.nodes)
+    evolved = np.einsum("ta,ab,tb->tab", phases, blk.elements, phases.conj(), optimize=True)
+    want = np.einsum("tab,ax,bx->tx", evolved, f, f, optimize=True).real
+    for grid in grids:
+        assert np.array_equal(grid.values, want)
+
+
 def test_simulate_diagonal_block_is_stationary():
     spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0)
     blk = DensityBlock.zeros(0, 0, 4)
@@ -277,6 +296,20 @@ def test_kicked_state_builds_coherences():
     assert np.max(np.abs(off)) > 0.05
 
 
+@pytest.mark.parametrize("m, j_max, kick", [(0, 6, 1.2), (1, 8, 1.7), (2, 5, 0.8)])
+def test_kicked_state_matches_the_kick_applied_by_quadrature(m, j_max, kick):
+    # c_J = integral f_J(x) exp(i kick x^2) f_m(x) dx, truncated to the block and renormalized
+    rule = gauss_legendre_grid(120)
+    x, w = rule.nodes, rule.weights
+    kicked = np.exp(1j * kick * x**2) * oracles.norm_legendre(abs(m), m, x)
+    c = np.array(
+        [np.sum(w * oracles.norm_legendre(J, m, x) * kicked) for J in range(abs(m), j_max + 1)]
+    )
+    c /= np.linalg.norm(c)
+    blk = make_test_state("cos2-kicked", 0, m, j_max, kick_strength=kick)
+    assert np.max(np.abs(blk.elements - np.outer(c, c.conj()))) < 1e-12
+
+
 def test_make_test_state_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_test_state("thermal", 0, 0, 3, seed=0)
@@ -307,6 +340,24 @@ def test_shot_noise_shrinks_with_sample_count():
     err_fine = np.max(np.abs(fine.values - grid.values))
     assert err_fine < err_coarse / 5
     assert err_fine < 0.02
+
+
+def test_shot_noise_draws_like_one_multinomial_call_per_slice():
+    grid, _ = _noise_setup(10, 0)
+    grid.values[4] = 0.0  # a slice without mass draws nothing and stays 0
+    grid.values[7] = -grid.values[7]  # negative masses clip to 0 as well
+    samples, seed = 100_000, 21
+    rng = np.random.default_rng(seed)
+    weights, trace = grid.x_grid.weights, grid.trace_estimate()
+    want = np.zeros_like(grid.values)
+    for i, row in enumerate(grid.values):
+        masses = np.clip(weights * row, 0.0, None)
+        if masses.sum() > 0:
+            counts = rng.multinomial(samples, masses / masses.sum())
+            want[i] = trace * counts / (samples * weights)
+    got = add_shot_noise(grid, samples, seed).values
+    assert np.array_equal(got, want)
+    assert not got[4].any() and not got[7].any()
 
 
 def test_shot_noise_rejects_bad_sample_count():

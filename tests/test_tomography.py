@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from rotortomo import tomography
@@ -13,6 +14,7 @@ from rotortomo.rotor import (
     MeasurementGrid,
     RotorKind,
     RotorSpec,
+    energy,
     make_test_state,
     simulate_pr,
 )
@@ -258,6 +260,19 @@ def test_pattern_rows_match_closed_form_inverse():
                 assert ours.get(J, 0.0) == pytest.approx(ref.get(J, 0.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("k, m, cap", [(0, 0, 14), (0, 2, 10), (0, 3, 14), (1, 1, 8), (2, -1, 9)])
+def test_pattern_rows_match_scipy_triangular_solve(k, m, cap):
+    mat = tomography._diag_system(k, m, cap)
+    m_min = max(abs(k), abs(m))
+    for j1 in range(m_min, cap + 1):
+        e = np.zeros(mat.shape[0])
+        e[j1 - m_min] = 1.0
+        want = scipy.linalg.solve_triangular(mat.T, e, lower=True)
+        coeffs = pattern_function(j1, k, m, cap).coeffs
+        got = np.array([coeffs.get(m_min + j, 0.0) for j in range(mat.shape[0])])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_diagonal_two_routes_agree():
     rng = np.random.default_rng(6)
     for trial in range(4):
@@ -356,6 +371,16 @@ def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
         n_levels = j_max - spec.m_min + 1
         assert len(calls) == n_levels * (n_levels - 1) // 2
         assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
+
+
+def test_one_reconstruct_builds_the_analysis_rows_once():
+    # the chain solve probes to 2 j_max - 1 and the diagonal to 2 j_max:
+    # both read the rows built to the plan's alpha_max
+    blk = make_test_state("random-mixed", 0, 0, 14, seed=4)
+    grid = _simulate(blk, RIGID)
+    tomography._analysis_rows.cache_clear()
+    reconstruct_block(grid, RIGID, 14)
+    assert tomography._analysis_rows.cache_info().misses == 1
 
 
 # ------------------------------------------------------------- sampling plans
@@ -492,6 +517,38 @@ def test_round_trip_centrifugal_windowed():
     assert result.method == "windowed-least-squares"
     assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-8
     assert result.block.hermiticity_defect() < 1e-14
+
+
+def _scipy_windowed_block(grid, spec, j_max):
+    """The windowed solve by scipy's LU, on a system whose window kernel is summed directly."""
+    js = range(spec.m_min, j_max + 1)
+    pairs = [(j1, j2) for j1 in js for j2 in js]
+    freqs = np.array([energy(spec, j1) - energy(spec, j2) for j1, j2 in pairs])
+    table = spec.coefficient_table()
+    coeffs = np.array(
+        [[table.coefficient(b1 + b2, b1 - b2, a1 + a2) for b1, b2 in pairs] for a1, a2 in pairs]
+    )
+    offsets = freqs[:, None] - freqs[None, :]
+    kernel = np.exp(1j * np.multiply.outer(offsets, grid.times)).mean(axis=-1)
+    levels = np.array(pairs)
+    moments = moment_integral(grid, levels[:, 0] + levels[:, 1], levels[:, 0] - levels[:, 1], spec)
+    solved = scipy.linalg.lu_solve(scipy.linalg.lu_factor(coeffs * kernel), moments.value)
+    n = len(js)
+    mat = solved.reshape(n, n)
+    return (mat + mat.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d_cd, j_max, n_periods", [(1e-4, 5, 16), (1e-3, 4, 4), (0.0, 3, 1)])
+def test_centrifugal_blocks_match_a_scipy_lu_solve(d_cd, j_max, n_periods):
+    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=d_cd)
+    blk = make_test_state("random-mixed", 0, 0, j_max, seed=14)
+    grid = _simulate(blk, spec, n_periods=n_periods)
+    want = _scipy_windowed_block(grid, spec, j_max)
+    tomography._windowed_system.cache_clear()
+    for _ in range(2):  # cold, then from the memoized inverse
+        got = reconstruct_block(grid, spec, j_max).block.elements
+        assert np.max(np.abs(got - want)) <= 1e-13
+    assert tomography._windowed_system.cache_info().hits == 1
 
 
 def test_centrifugal_with_zero_distortion_reproduces_rigid():
