@@ -6,8 +6,9 @@ angular distribution Pr(x = cos theta, t).  This package provides the angular
 machinery (normalized associated Legendre functions, Wigner d rows,
 Clebsch-Gordan coefficients, product decompositions), a forward simulator for
 Pr(x, t), and the inverse engine that recovers the block by Fourier-probing
-the distribution's beat frequencies and back-substituting through frequency
-degeneracies -- plus a file-format layer and a CLI workbench on top.
+the distribution's beat frequencies at every Legendre order and fitting the
+moments by least squares -- plus a file-format layer and a CLI workbench on
+top.
 """
 
 from .angular import (
@@ -59,8 +60,6 @@ from .tomography import (
     pattern_function,
     probe_frequency,
     reconstruct_block,
-    reconstruct_diag,
-    reconstruct_offdiag,
 )
 
 __all__ = [
@@ -106,8 +105,6 @@ __all__ = [
     "pattern_function",
     "probe_frequency",
     "reconstruct_block",
-    "reconstruct_diag",
-    "reconstruct_offdiag",
 ]
 
 __version__ = "0.1.0"

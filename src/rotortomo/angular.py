@@ -297,7 +297,8 @@ class CoefficientTable:
         self.m_min = max(abs(k), abs(m))
         self._cache: dict[tuple[int, int], dict[int, float]] = {}
 
-    def _pair(self, j1: int, j2: int) -> dict[int, float]:
+    def decomposition(self, j1: int, j2: int) -> dict[int, float]:
+        """{L: c_L} of f_j1 * f_j2, memoized per ordered pair (see product_decomp)."""
         key = (j1, j2)
         entry = self._cache.get(key)
         if entry is None:
@@ -315,7 +316,7 @@ class CoefficientTable:
         j2 = (j_sum - dj) // 2
         if j2 < self.m_min:
             return 0.0
-        return self._pair(j1, j2)[L]
+        return self.decomposition(j1, j2)[L]
 
     def entries(self, j_sum_max: int):
         """Yield (j_sum, delta_j, L, coefficient) rows up to j_sum_max."""

@@ -118,6 +118,8 @@ def _render_report(result: ReconstructionResult, cfg: ExperimentConfig) -> str:
         "reconstruction report",
         f"channel: kind={cfg.spec.kind.value} k={block.k} m={block.m} j_max={block.j_max}",
         f"method: {result.method}",
+        f"operator: {result.diagnostics['n_unknowns']} unknowns, "
+        f"{result.diagnostics['n_rows']} rows, cond {result.diagnostics['cond']:.6g}",
         f"trace: {result.diagnostics['trace']:.12g}",
         f"min eigenvalue: {result.diagnostics['min_eigenvalue']:.6g}",
         f"residual sup norm: {result.residual_inf:.6g}",

@@ -1,33 +1,27 @@
 """Inverse engine: moment integrals, degeneracy chains, and block reconstruction.
 
-The data Pr(x, t) is linear in the density block: projecting onto the
-normalized Legendre polynomial P~_alpha and Fourier-probing at the
-interference frequency of a level pair isolates a small set of elements.
-For the rigid (and symmetric-top) spectrum the frequency of the pair
-(J1, J2) is omega * DJ * (S + 1) with S = J1 + J2 and DJ = J1 - J2, so
-distinct pairs collide exactly when DJ * (S + 1) matches; those collisions
-form finite chains resolved by back substitution, deepest member first.
-Centrifugal distortion detunes the collisions but makes frequencies
-incommensurate with the sampling window, so that path solves one linear
-system whose matrix carries the exact finite-window Fourier kernel of every
-(probe, element) pair instead of assuming Kronecker deltas.
+The data Pr(x, t) is linear in the density block: the level pair p = (J1,
+J2) contributes rho_p f_J1(x) f_J2(x) exp(-i w_p t) on its line w_p = E(J1)
+- E(J2).  Projecting onto the normalized Legendre polynomial P~_alpha and
+Fourier-probing at a line frequency f gives the moment
+I(alpha, f) = sum_p c_alpha(p) K(f - w_p) rho_p, with c_alpha the product
+decomposition coefficient and K the finite-window Fourier kernel.  A
+reconstruction fits these moments, at every line of the block and every
+order the line carries, by least squares: one fixed linear map from data to
+block for every rotor kind (:func:`_probe_operator`).  Rigid and
+symmetric-top lines sit on exact Fourier bins, where K is a Kronecker delta
+and the fit splits into one small group per line (and per parity of
+S = J1 + J2 when k = 0); centrifugal distortion moves the lines off the
+bins, and the kernel couples them.
 
-The block is the support: population above j_max is assumed absent, so a
-chain keeps only the members inside the block, and the members outside it
-are set to zero and reported as flags.  Chains are enumerated in one place,
-:attr:`SamplingPlan.chains`.  Both solves return values by level pair, and
-:func:`reconstruct_block` assembles either into the Hermitian block.
+The block is the support: population above j_max is assumed absent.  The
+degeneracy chains, enumerated in one place (:attr:`SamplingPlan.chains`),
+name the pairs outside the block that share an element's line; they are
+reported as flags.
 
-Every solve takes all of its moments from one :func:`moment_integral` call:
-one matrix product projects the grid onto P~_0 .. P~_alpha_max, and one
-phase-matrix product along t then yields every probe.  Plans are memoized
-per (spec, j_max, n_periods, n_t, n_x), so chains are enumerated once per
-grid shape; the centrifugal system's inverse is kept for the last few
-grid shapes.
-
-Throughout, pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha,
-beta) targets the element with S = alpha, DJ = beta, and only beta >= 0
-moments are ever evaluated (beta < 0 follows by conjugation of real data).
+Pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha, beta) sits on
+the line of the pair with S = alpha, DJ = beta.  Only lines of non-negative
+frequency are probed: for real data the others are their conjugates.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import J_CAP, N_X_CAP, assoc_legendre_norm, coefficient_table
+from .angular import J_CAP, N_X_CAP, assoc_legendre_norm
 from .rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -61,13 +55,15 @@ class MomentValue:
     """Probed moments: Legendre order alpha, pair offset beta, probe frequency, value.
 
     Scalars for one probe; arrays of one shape for many (see
-    :func:`moment_integral`).
+    :func:`moment_integral`).  ``orders`` holds each probe's moment at every
+    Legendre order 0 .. alpha_max of the call, along a trailing axis.
     """
 
     alpha: int
     beta: int
     omega: float
     value: complex
+    orders: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class DegeneracyChain:
     ``members`` lie within the chain's horizon (an S cap, or in a plan the
     block); ``neglected`` lists pairs that satisfy every frequency/parity
     condition but lie beyond it, i.e. the contributions taken as zero
-    instead of subtracted.
+    instead of fitted.
     """
 
     target: int
@@ -234,11 +230,13 @@ def moment_integral(
 
     All probes of a call share one projection: a single matrix product gives
     y[t, alpha] = integral P~_alpha(x) Pr(x, t) dx for alpha up to the
-    deepest probe, and one phase-matrix product against y then gives every
-    moment, at the frequencies of :func:`probe_frequency`.  The grid must
-    span whole periods pi/omega of the spec.  The projection goes to the
-    deeper of the deepest probe and ``alpha_max``: a solve passes its
-    plan's, so that every solve of a grid shape reads one memoized row set.
+    deeper of the deepest probe and ``alpha_max``, and one phase-matrix
+    product against y then gives every probe's moment at every one of those
+    orders (``orders``), at the frequencies of :func:`probe_frequency`;
+    ``value`` reads each probe's own order from it.  The grid must span
+    whole periods pi/omega of the spec.  A reconstruction passes its plan's
+    ``alpha_max`` and reads ``orders``: its probes are one per line, and its
+    operator fits every order of each line.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
@@ -274,22 +272,23 @@ def moment_integral(
         )
     nodes = np.asarray(grid.x_grid.nodes, dtype=float).tobytes()
     y = grid.x_integrals(_analysis_rows(alpha_max, nodes))  # (n_t, alpha_max + 1)
-    phases = np.exp(1j * np.multiply.outer(grid.times, omega))
-    value = np.sum(phases * y[:, a], axis=0) / grid.n_t
+    orders = np.exp(1j * np.multiply.outer(omega, grid.times)) @ y / grid.n_t
+    value = np.take_along_axis(orders, a[..., None], axis=-1)[..., 0]
     if a.ndim == 0:
-        return MomentValue(alpha=int(a), beta=int(b), omega=float(omega), value=complex(value))
-    return MomentValue(alpha=a, beta=b, omega=omega, value=value)
+        return MomentValue(int(a), int(b), float(omega), complex(value), orders)
+    return MomentValue(alpha=a, beta=b, omega=omega, value=value, orders=orders)
 
 
 @dataclass(frozen=True)
 class PatternFunction:
     """Projection function extracting one diagonal element directly.
 
-    The diagonal system I(2J', 0) = sum_J M[J', J] rho_JJ is upper
-    triangular; ``coeffs`` is the j1-th row of its inverse, so
-    rho(j1, j1) = sum_J coeffs[J] * I(2J, 0).  Equivalently the data-domain
-    function F(x) = sum_J coeffs[J] * P~_{2J}(x) time-averaged against
-    Pr(x, t) yields the element in one pass.
+    The zero-frequency moments I(alpha, 0) carry only the populations; the
+    block's bin-0 probes fit them by least squares, and ``coeffs`` is the
+    j1-th row of that fit's pseudo-inverse, keyed by Legendre order alpha:
+    rho(j1, j1) = sum_alpha coeffs[alpha] * I(alpha, 0).  Equivalently the
+    data-domain function F(x) = sum_alpha coeffs[alpha] * P~_alpha(x),
+    time-averaged against Pr(x, t), yields the element in one pass.
     """
 
     j1: int
@@ -301,94 +300,26 @@ class PatternFunction:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for J, c in self.coeffs.items():
-            out += c * assoc_legendre_norm(2 * J, 0, x)
+        for alpha, c in self.coeffs.items():
+            out += c * assoc_legendre_norm(alpha, 0, x)
         return out
 
     def apply(self, grid: MeasurementGrid) -> float:
         return float(np.mean(grid.x_integrals(self.evaluate(grid.x_grid.nodes))))
 
 
-@lru_cache(maxsize=64)
-def _diag_system(k: int, m: int, j_cap: int) -> np.ndarray:
-    """Read-only upper-triangular matrix M[a, j] = C(2*(M+j), 0, 2*(M+a))."""
-    table = coefficient_table(k, m)
-    m_min = max(abs(k), abs(m))
-    n = j_cap - m_min + 1
-    mat = np.zeros((n, n))
-    for a in range(n):
-        for j in range(a, n):
-            mat[a, j] = table.coefficient(2 * (m_min + j), 0, 2 * (m_min + a))
-    mat.setflags(write=False)
-    return mat
-
-
 def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
+    """Row j1 of the bin-0 pseudo-inverse of a (k, m) block up to j_cap."""
     m_min = max(abs(k), abs(m))
     if not m_min <= j1 <= j_cap:
         raise ValueError(f"j1 = {j1} outside the reconstructible range {m_min}..{j_cap}")
-    mat = _diag_system(k, m, j_cap)
-    n = mat.shape[0]
-    idx = j1 - m_min
-    # row idx of mat^-1: row @ mat = e_idx, solved by forward substitution
-    row = np.zeros(n)
-    row[idx] = 1.0 / mat[idx, idx]
-    for j in range(idx + 1, n):
-        row[j] = -(row[idx:j] @ mat[idx:j, j]) / mat[j, j]
-    coeffs = {m_min + j: float(row[j]) for j in range(idx, n)}
+    spec = RotorSpec(kind=RotorKind.SYMTOP if k else RotorKind.RIGID, omega=1.0, k=k, m=m)
+    plan = SamplingPlan.derive(spec, j_cap)
+    op = _probe_operator(spec, j_cap, plan.n_periods, plan.n_t)
+    p = (j1 - m_min) * (j_cap - m_min + 2)  # the unknown (j1, j1)
+    # bin 0 is the first probe, so its rows index the moment table by order alone
+    coeffs = {int(i): float(w) for i, w in zip(op.index[p], op.weight[p]) if w}
     return PatternFunction(j1=j1, k=k, m=m, j_cap=j_cap, coeffs=coeffs)
-
-
-def reconstruct_diag(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> np.ndarray:
-    """Diagonal of the block from zero-frequency moments, by backward substitution.
-
-    Probes I(alpha, 0) for alpha = 2*M .. 2*j_max; the system truncates at
-    j_max, i.e. population beyond the requested block is assumed absent.
-    """
-    m_min = spec.m_min
-    if j_max < m_min:
-        raise ValueError(f"j_max = {j_max} below channel minimum {m_min}")
-    mat = _diag_system(spec.k, spec.m, j_max)
-    n = mat.shape[0]
-    alphas = 2 * (m_min + np.arange(n))
-    b = moment_integral(grid, alphas, np.zeros_like(alphas), spec).value.real
-    diag = np.zeros(n)
-    for a in range(n - 1, -1, -1):
-        if abs(mat[a, a]) < 1e-13:
-            raise ValueError(
-                f"stretched diagonal coefficient vanished at alpha = {2 * (m_min + a)}"
-            )
-        diag[a] = (b[a] - mat[a, a + 1:] @ diag[a + 1:]) / mat[a, a]
-    return diag
-
-
-def reconstruct_offdiag(
-    grid: MeasurementGrid, spec: RotorSpec, plan: SamplingPlan
-) -> dict[tuple[int, int], complex]:
-    """Off-diagonal elements by chain back substitution (rigid / symmetric top).
-
-    Each block pair is probed at its own stretched moment and solved in
-    order of increasing |DJ|.  Its chain lists the pair first and then its
-    in-block partners by decreasing |DJ|, so those are already known when
-    they are subtracted; partners outside the block are taken as zero.
-    Returns (J1, J2) -> value with J1 > J2.
-    """
-    if spec.kind is RotorKind.CENTRIFUGAL and spec.d_cd != 0.0:
-        raise ValueError("chain back substitution assumes a rigid spectrum; "
-                         "use reconstruct_block for centrifugal data")
-    table = spec.coefficient_table()
-    order = sorted(plan.chains, key=lambda pair: (pair[0] - pair[1], pair))
-    levels = np.array(order, dtype=int).reshape(-1, 2)
-    moments = moment_integral(
-        grid, levels[:, 0] + levels[:, 1], levels[:, 0] - levels[:, 1], spec, plan.alpha_max
-    ).value
-    solved: dict[tuple[int, int], complex] = {}
-    for (j1, j2), acc in zip(order, moments):
-        s, dj = j1 + j2, j1 - j2
-        for mem in plan.chains[(j1, j2)].members[1:]:
-            acc -= table.coefficient(mem.j_sum, mem.delta_j, s) * solved[(mem.j1, mem.j2)]
-        solved[(j1, j2)] = acc / table.coefficient(s, dj, s)
-    return solved
 
 
 def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
@@ -409,55 +340,119 @@ def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
     return kernel
 
 
+@dataclass(frozen=True)
+class ProbeOperator:
+    """The fixed linear map from one grid's moments to its block.
+
+    ``probes`` holds the (alpha, beta) labels of one level pair on each line
+    of non-negative frequency, in order; :func:`moment_integral` gives their
+    moments M at every order.  Stacking M over its conjugate (the negative
+    lines, for real data) and flattening it, the ordered pair p of the block,
+    row-major in (J1, J2), is sum_i weight[p, i] * table[index[p, i]].
+    """
+
+    probes: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+    n_rows: int
+    cond: float
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
+    """Connected components of the bipartite graph with edges (rows, cols).
+
+    Each column and each row is labeled with the smallest column index in
+    its component.
+    """
+    label = np.arange(n_cols)
+    while True:
+        row_label = np.full(n_rows, n_cols)
+        np.minimum.at(row_label, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, row_label[rows])
+        if np.array_equal(new, label):
+            return label, row_label
+        label = new
+
+
 @lru_cache(maxsize=4)
-def _windowed_system(
-    spec: RotorSpec, j_max: int, n_periods: int, n_t: int
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Ordered block pairs (J1, J2) and the inverse of the windowed system.
+def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> ProbeOperator:
+    """Least-squares probe operator of a j_max block over one grid shape.
 
-    A[p, q] is the coefficient of pair q at probe p's Legendre order times
-    the window kernel of their frequency offset, over n_t samples of
-    n_periods periods pi/omega.  A and its inverse are complex and
-    n^2 x n^2 with n = j_max - m_min + 1, so each entry holds 16 n^4 bytes
-    (3 MB at n = 21, 15 MB at n = 31); the memo keeps the last four grid
-    shapes.
+    Unknowns are the ordered pairs p of the block, on lines w_p = E(J1) -
+    E(J2).  Each distinct line frequency f is probed at every order alpha at
+    which one of its own pairs has a coefficient c_alpha, and the probe rows
+    read D[(alpha, f), p] = c_alpha(p) * K(f - w_p), with K the window
+    kernel over n_t samples of n_periods periods pi/omega.  D splits into
+    groups that share no row and no unknown: lines on exact bins (rigid and
+    symmetric-top spectra) give one group per line, off-bin lines one dense
+    group, and either splits by the parity of S where the coefficients keep
+    it (k = 0).  When every line sits on one grid of exact bins, K is the
+    line incidence and no dense kernel is formed.  Each group's
+    pseudo-inverse comes from its SVD, one call per group shape, and
+    ``cond`` is the worst group's ratio of largest to smallest singular
+    value.  Index and weight arrays are padded to the largest group's row
+    count.  The memo keeps four grid shapes.
     """
-    js = range(spec.m_min, j_max + 1)
-    pairs = [(j1, j2) for j1 in js for j2 in js]
-    energies = np.array([energy(spec, J) for J in js])
-    levels = np.array(pairs) - spec.m_min
-    freqs = energies[levels[:, 0]] - energies[levels[:, 1]]
+    m_min, n_orders = spec.m_min, 2 * j_max + 1
+    js = np.arange(m_min, j_max + 1)
+    n = len(js)
+    j1, j2 = np.repeat(js, n), np.tile(js, n)
+    energies = np.array([energy(spec, int(J)) for J in js])
+    omega = energies[j1 - m_min] - energies[j2 - m_min]
     table = spec.coefficient_table()
-    coeffs = np.array(
-        [[table.coefficient(b1 + b2, b1 - b2, a1 + a2) for b1, b2 in pairs] for a1, a2 in pairs]
-    )
-    dt = n_periods * (np.pi / spec.omega) / n_t
-    kernel = _window_kernel(freqs[:, None] - freqs[None, :], dt, n_t)
-    inverse = np.linalg.inv(coeffs * kernel)
-    inverse.setflags(write=False)
-    return pairs, inverse
+    coeffs = np.zeros((n * n, n_orders))
+    for p, (a, b) in enumerate(zip(j1.tolist(), j2.tolist())):
+        decomp = table.decomposition(max(a, b), min(a, b))
+        coeffs[p, list(decomp)] = list(decomp.values())
 
+    # lines: unknowns whose frequencies share one exact bin, by increasing frequency;
+    # the frequencies come in +- pairs, so h lines lie below the zero line and h above
+    bins = omega * n_periods / (2.0 * spec.omega)
+    _, first, line = np.unique(np.round(bins, 8), return_index=True, return_inverse=True)
+    freq, h, lines = omega[first], len(first) // 2, np.arange(len(first))
+    source = np.where(lines >= h, lines - h, 2 * h + 1 - lines)  # row of the moment table
 
-def _reconstruct_windowed(
-    grid: MeasurementGrid, spec: RotorSpec, plan: SamplingPlan
-) -> dict[tuple[int, int], complex]:
-    """Joint linear solve for the centrifugal path.
+    # rows (alpha, line), grouped by line; edges where D is non-zero
+    carries = coeffs != 0
+    on_line = np.zeros((len(first), n_orders), dtype=bool)
+    np.logical_or.at(on_line, line, carries)
+    row_line, row_alpha = np.nonzero(on_line)
+    row_id = np.cumsum(on_line).reshape(on_line.shape) - 1  # row of (line, alpha)
+    if np.ptp(bins - np.round(bins)) < 1e-8:
+        # every line on one grid of exact bins: the kernel is 1 on a pair's own line, else 0
+        kernel = lines[:, None] == line
+    else:
+        dt = n_periods * (np.pi / spec.omega) / n_t
+        kernel = _window_kernel(freq[:, None] - omega[None, :], dt, n_t)
+    k_line, k_unknown = np.nonzero(kernel)
+    edge, alpha = np.nonzero(on_line[k_line] & carries[k_unknown])
+    edge_row, edge_unknown = row_id[k_line[edge], alpha], k_unknown[edge]
+    u_label, r_label = _components(edge_row, edge_unknown, len(row_line), n * n)
 
-    Unknowns are the ordered pairs of the block, each owning one probe at
-    its exact frequency.  The system matrix carries the window kernel of
-    every (probe, unknown) frequency offset, so finite-window leakage
-    between lines is modeled instead of ignored; it is inverted once per
-    grid shape (:func:`_windowed_system`), so a solve is one product.  Only
-    beta >= 0 moments are evaluated; conjugate rows reuse them.  Returns
-    (J1, J2) -> value for every ordered pair.
-    """
-    pairs, inverse = _windowed_system(spec, plan.j_max, plan.n_periods, plan.n_t)
-    n = plan.j_max - plan.m_min + 1
-    i1, i2 = np.tril_indices(n)  # level offsets with J1 >= J2: one probe each
-    moments = np.zeros((n, n), dtype=complex)
-    moments[i1, i2] = moment_integral(grid, i1 + i2 + 2 * plan.m_min, i1 - i2, spec).value
-    b = (moments + np.triu(moments.T.conj(), 1)).ravel()  # rows in the order of pairs
-    return dict(zip(pairs, inverse @ b))
+    # groups, labeled by their first unknown: sizes and members in label order
+    u_count, r_count = np.bincount(u_label, minlength=n * n), np.bincount(r_label, minlength=n * n)
+    u_members, r_members = np.argsort(u_label, kind="stable"), np.argsort(r_label, kind="stable")
+    u_start, r_start = np.cumsum(u_count) - u_count, np.cumsum(r_count) - r_count
+    row_source = source[row_line] * n_orders + row_alpha
+    index = np.zeros((n * n, r_count.max()), dtype=np.intp)
+    weight = np.zeros(index.shape, dtype=np.result_type(kernel, float))
+    cond = 1.0
+    for n_r, n_u in sorted(set(zip(r_count.tolist(), u_count.tolist())) - {(0, 0)}):
+        same = np.flatnonzero((r_count == n_r) & (u_count == n_u))
+        rows = r_members[r_start[same, None] + np.arange(n_r)]
+        unknowns = u_members[u_start[same, None] + np.arange(n_u)]
+        mat = (coeffs[unknowns[:, None, :], row_alpha[rows][:, :, None]]
+               * kernel[row_line[rows][:, :, None], unknowns[:, None, :]])
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        cond = max(cond, float(np.max(s[:, 0] / s[:, -1])))
+        pinv = (vh.conj() / s[:, :, None]).transpose(0, 2, 1) @ u.conj().transpose(0, 2, 1)
+        index[unknowns, :n_r] = row_source[rows][:, None, :]
+        weight[unknowns, :n_r] = pinv
+    probes = np.stack((j1 + j2, j1 - j2), axis=1)[first[h:]]
+    for arr in (probes, index, weight):
+        arr.setflags(write=False)
+    return ProbeOperator(probes=probes, index=index, weight=weight, n_rows=len(row_line), cond=cond)
 
 
 @dataclass(frozen=True)
@@ -595,13 +590,15 @@ class ReconstructionResult:
 def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> ReconstructionResult:
     """Full Hermitian block from one measurement grid, with diagnostics.
 
-    Routes by rotor kind: rigid and symmetric-top data go through exact
-    chain back substitution; centrifugal data through the windowed joint
-    solve.  Population above j_max is assumed absent: an element whose
-    chain has partners outside the block is flagged with those pairs,
-    which the solve set to zero.  The residual reported is the sup-norm
-    mismatch between the data and a resimulation from the reconstructed
-    block on the same grid.  A grid whose kind, channel, omega or period
+    One :func:`moment_integral` call probes every line of the block at every
+    order; the grid shape's :func:`_probe_operator` maps those moments to
+    the block's ordered pairs, the same least-squares map for every rotor
+    kind.  Population above j_max is assumed absent: an element whose chain
+    has partners outside the block is flagged with those pairs.  The
+    residual reported is the sup-norm mismatch between the data and a
+    resimulation from the reconstructed block on the same grid, and the
+    diagnostics give the operator's unknown and row counts and its worst
+    group's condition number.  A grid whose kind, channel, omega or period
     (pi/omega, checked by :func:`moment_integral`) differs from the spec's
     raises ValueError.
     """
@@ -615,31 +612,26 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
             f"grid omega={grid.omega!r} does not match spec omega={spec.omega!r}"
         )
     plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x)
+    op = _probe_operator(spec, j_max, plan.n_periods, plan.n_t)
+    moments = moment_integral(grid, op.probes[:, 0], op.probes[:, 1], spec, plan.alpha_max).orders
+    table = np.concatenate((moments, moments.conj())).ravel()
+    n = j_max - plan.m_min + 1
+    elements = np.sum(op.weight * table[op.index], axis=1).reshape(n, n)
 
-    if spec.kind is RotorKind.CENTRIFUGAL:
-        method = "windowed-least-squares"
-        values = _reconstruct_windowed(grid, spec, plan)
-        diagnostics = {"n_unknowns": len(values), "freq_tolerance": plan.freq_tolerance}
-    else:
-        method = "chain-back-substitution"
-        values = reconstruct_offdiag(grid, spec, plan)
-        diag = reconstruct_diag(grid, spec, j_max)
-        values.update(((plan.m_min + i, plan.m_min + i), val) for i, val in enumerate(diag))
-        diagnostics = {}
-
-    block = DensityBlock.zeros(spec.k, spec.m, j_max)
-    for (j1, j2), val in values.items():
-        block.elements[j1 - block.j_min, j2 - block.j_min] = val
-        if (j2, j1) not in values:  # one triangle solved: the other is its mirror
-            block.elements[j2 - block.j_min, j1 - block.j_min] = np.conj(val)
-    block.elements = (block.elements + block.elements.conj().T) / 2.0
-
+    block = DensityBlock(spec.k, spec.m, j_max, (elements + elements.conj().T) / 2.0)
     resim = simulate_pr(block, spec, grid.x_grid, grid.n_t, grid.n_periods)
     residual = float(np.max(np.abs(resim.values - grid.values)))
-    diagnostics.update(trace=block.trace(), min_eigenvalue=block.min_eigenvalue(), plan=plan)
+    diagnostics = {
+        "n_unknowns": n * n,
+        "n_rows": op.n_rows,
+        "cond": op.cond,
+        "trace": block.trace(),
+        "min_eigenvalue": block.min_eigenvalue(),
+        "plan": plan,
+    }
     return ReconstructionResult(
         block=block,
-        method=method,
+        method="probe-least-squares",
         residual_inf=residual,
         chains={pair: chain.pairs() for pair, chain in plan.chains.items()},
         flags={

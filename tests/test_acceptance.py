@@ -34,7 +34,6 @@ from rotortomo.tomography import (
     moment_integral,
     pattern_function,
     reconstruct_block,
-    reconstruct_diag,
 )
 
 
@@ -156,7 +155,7 @@ def test_criterion_5_diagonal_dual_method(capsys):
         pops = rng.dirichlet(np.ones(9))
         blk.elements[np.arange(9), np.arange(9)] = pops
         grid = _simulate_auto(blk, spec)
-        direct = reconstruct_diag(grid, spec, 8)
+        direct = np.diag(reconstruct_block(grid, spec, 8).block.elements).real
         via_patterns = np.array([pattern_function(j, 0, 0, 8).apply(grid) for j in range(9)])
         worst = max(worst, float(np.max(np.abs(direct - via_patterns))))
     elapsed = time.perf_counter() - t0

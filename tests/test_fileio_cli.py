@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,17 +229,20 @@ def test_importing_the_cli_loads_no_scipy():
 # ---------------------------------------------------------------------- config
 
 
+FULL_CONFIG = (
+    "spec: {kind: centrifugal-linear, omega: 2.0, d_cd: 1.0e-3, m: 1}\n"
+    "j_max: 5\n"
+    "sampling: {n_periods: 64, n_t: 0, n_x: 12}\n"
+    "noise: {samples_per_time: 1000, seed: 9}\n"
+    "state: {kind: cos2-kicked, kick_strength: 0.8}\n"
+    "threshold: 1.0e-6\n"
+    "paths: {data: d.csv, out: o.json}\n"
+)
+
+
 def test_config_full_parse(tmp_path):
     path = tmp_path / "c.yaml"
-    path.write_text(
-        "spec: {kind: centrifugal-linear, omega: 2.0, d_cd: 1.0e-3, m: 1}\n"
-        "j_max: 5\n"
-        "sampling: {n_periods: 64, n_t: 0, n_x: 12}\n"
-        "noise: {samples_per_time: 1000, seed: 9}\n"
-        "state: {kind: cos2-kicked, kick_strength: 0.8}\n"
-        "threshold: 1.0e-6\n"
-        "paths: {data: d.csv, out: o.json}\n"
-    )
+    path.write_text(FULL_CONFIG)
     cfg = load_config(path)
     assert cfg.spec.kind is RotorKind.CENTRIFUGAL and cfg.spec.d_cd == 1e-3
     assert (cfg.j_max, cfg.n_periods, cfg.n_x) == (5, 64, 12)
@@ -246,6 +250,24 @@ def test_config_full_parse(tmp_path):
     assert (cfg.state_kind, cfg.kick_strength) == ("cos2-kicked", 0.8)
     assert cfg.threshold == 1e-6
     assert cfg.paths == {"data": "d.csv", "out": "o.json"}
+
+
+def test_config_reads_alike_with_the_libyaml_and_the_python_loader(tmp_path, monkeypatch):
+    import yaml
+
+    from rotortomo import fileio
+
+    assert fileio._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    path, bad = tmp_path / "c.yaml", tmp_path / "bad.yaml"
+    path.write_text(FULL_CONFIG)
+    bad.write_text("spec: {kind: rigid-linear\nj_max: [3\n")
+    configs = []
+    for loader in (fileio._YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(fileio, "_YAML_LOADER", loader)
+        configs.append(load_config(path))
+        with pytest.raises(FileFormatError, match=re.escape(f"{bad}: not valid YAML")):
+            load_config(bad)
+    assert configs[0] == configs[1]
 
 
 def test_config_minimal_defaults(tmp_path):
@@ -315,7 +337,8 @@ def test_cli_simulate_reconstruct_cycle(workdir, capsys):
     rec = load_block(workdir / "rec.json")
     assert np.max(np.abs(rec.elements - truth.elements)) < 1e-11
     report = (workdir / "rec.report.txt").read_text()
-    assert "chain-back-substitution" in report
+    assert "method: probe-least-squares" in report
+    assert re.search(r"operator: 25 unknowns, \d+ rows, cond \d", report)
     assert "(4, 4)" in report and "residual sup norm" in report
 
 
@@ -387,7 +410,7 @@ def test_cli_roundtrip_writes_metrics_and_gates(workdir, capsys):
     metrics = json.loads((workdir / "met.json").read_text())
     assert metrics["passed"] is True
     assert metrics["max_abs_error"] < 1e-10
-    assert metrics["method"] == "chain-back-substitution"
+    assert metrics["method"] == "probe-least-squares"
     assert len(metrics["elements"]) == 4 * 5 // 2  # upper triangle of a 4-level block
 
 

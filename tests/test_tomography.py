@@ -8,7 +8,7 @@ import scipy.linalg
 
 import oracles
 from rotortomo import tomography
-from rotortomo.angular import J_CAP, N_X_CAP, gauss_legendre_grid
+from rotortomo.angular import J_CAP, N_X_CAP, coefficient_table, gauss_legendre_grid
 from rotortomo.rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -27,8 +27,6 @@ from rotortomo.tomography import (
     pattern_function,
     probe_frequency,
     reconstruct_block,
-    reconstruct_diag,
-    reconstruct_offdiag,
 )
 
 RIGID = RotorSpec(kind=RotorKind.RIGID, omega=1.0)
@@ -250,27 +248,58 @@ def test_vectorised_moments_match_scalar_calls(spec, n_periods):
 # ------------------------------------------------------------------ diagonal
 
 
+def _bin0_matrix(k, m, cap):
+    """D[alpha, J] = c_alpha(J, J) for alpha = 0 .. 2 cap, in closed form."""
+    js = range(max(abs(k), abs(m)), cap + 1)
+    return np.array([[oracles.c_l_closed(k, m, J, J, a) for J in js] for a in range(2 * cap + 1)])
+
+
 def test_pattern_rows_match_closed_form_inverse():
-    for k, m, cap in [(0, 0, 6), (0, 2, 7), (1, 1, 5)]:
+    # k = m = 0: the bin-0 system is square, the old triangular one, so the
+    # rows are its inverse's, keyed by alpha = 2J
+    for j1 in range(7):
+        ours = pattern_function(j1, 0, 0, 6).coeffs
+        ref = {2 * J: c for J, c in oracles.pattern_row(0, 0, 6, j1).items()}
+        for alpha in set(ours) | set(ref):
+            assert ours.get(alpha, 0.0) == pytest.approx(ref.get(alpha, 0.0), abs=1e-10)
+    # other channels have more orders than populations: least squares
+    for k, m, cap in [(0, 2, 7), (1, 1, 5)]:
+        pinv = scipy.linalg.lstsq(_bin0_matrix(k, m, cap), np.eye(2 * cap + 1))[0]
         for j1 in range(max(abs(k), abs(m)), cap + 1):
             ours = pattern_function(j1, k, m, cap).coeffs
-            ref = oracles.pattern_row(k, m, cap, j1)
-            # the system is triangular: rows carry no weight below their own J
-            for J in set(ours) | set(ref):
-                assert ours.get(J, 0.0) == pytest.approx(ref.get(J, 0.0), abs=1e-10)
+            want = pinv[j1 - max(abs(k), abs(m))]
+            got = np.array([ours.get(alpha, 0.0) for alpha in range(2 * cap + 1)])
+            assert np.max(np.abs(got - want)) <= 1e-10
 
 
-@pytest.mark.parametrize("k, m, cap", [(0, 0, 14), (0, 2, 10), (0, 3, 14), (1, 1, 8), (2, -1, 9)])
+@pytest.mark.parametrize("k, m, cap", [(0, 0, 6), (0, 0, 14), (0, 0, 20)])
 def test_pattern_rows_match_scipy_triangular_solve(k, m, cap):
-    mat = tomography._diag_system(k, m, cap)
-    m_min = max(abs(k), abs(m))
-    for j1 in range(m_min, cap + 1):
+    # M[a, J] = c_2a(J, J), upper triangular: rows alpha = 2a are all of bin 0 when k = m = 0
+    table = coefficient_table(k, m)
+    js = range(cap + 1)
+    mat = np.array([[table.coefficient(2 * J, 0, 2 * a) for J in js] for a in js])
+    for j1 in range(cap + 1):
         e = np.zeros(mat.shape[0])
-        e[j1 - m_min] = 1.0
+        e[j1] = 1.0
         want = scipy.linalg.solve_triangular(mat.T, e, lower=True)
         coeffs = pattern_function(j1, k, m, cap).coeffs
-        got = np.array([coeffs.get(m_min + j, 0.0) for j in range(mat.shape[0])])
+        got = np.array([coeffs.get(2 * j, 0.0) for j in range(mat.shape[0])])
+        assert set(coeffs) <= set(range(0, 2 * cap + 1, 2))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k, m, cap", [(0, 2, 10), (0, 3, 14), (1, 1, 8), (2, -1, 9)])
+def test_pattern_rows_match_a_scipy_least_squares_solve(k, m, cap):
+    # bin 0 holds every order up to 2 cap, also those below 2 m_min
+    mat = _bin0_matrix(k, m, cap)
+    pinv = scipy.linalg.lstsq(mat, np.eye(mat.shape[0]))[0]
+    m_min = max(abs(k), abs(m))
+    for j1 in range(m_min, cap + 1):
+        want = pinv[j1 - m_min]
+        coeffs = pattern_function(j1, k, m, cap).coeffs
+        got = np.array([coeffs.get(alpha, 0.0) for alpha in range(mat.shape[0])])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.allclose(got @ mat, np.eye(cap - m_min + 1)[j1 - m_min], atol=1e-13)
 
 
 def test_diagonal_two_routes_agree():
@@ -280,7 +309,7 @@ def test_diagonal_two_routes_agree():
         pops = rng.dirichlet(np.ones(7))
         blk.elements[np.arange(7), np.arange(7)] = pops
         grid = _simulate(blk, RIGID)
-        direct = reconstruct_diag(grid, RIGID, 6)
+        direct = np.diag(reconstruct_block(grid, RIGID, 6).block.elements).real
         via_patterns = np.array(
             [pattern_function(j, 0, 0, 6).apply(grid) for j in range(7)]
         )
@@ -292,7 +321,7 @@ def test_diagonal_recovers_nonzero_m_channel():
     spec = _spec(m=2)
     blk = make_test_state("random-mixed", 0, 2, 6, seed=8)
     grid = _simulate(blk, spec)
-    got = reconstruct_diag(grid, spec, 6)
+    got = np.diag(reconstruct_block(grid, spec, 6).block.elements).real
     want = np.real(np.diag(blk.elements))
     assert np.max(np.abs(got - want)) < 1e-11
 
@@ -309,10 +338,12 @@ def test_offdiag_round_trip_rigid():
     blk = make_test_state("random-mixed", 0, 0, 5, seed=4)
     grid = _simulate(blk, RIGID)
     plan = SamplingPlan.derive(RIGID, 5)
-    off = reconstruct_offdiag(grid, RIGID, plan)
-    assert set(off) == set(plan.chains)  # the block pairs, nothing deeper
-    for (j1, j2), val in off.items():
-        assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
+    result = reconstruct_block(grid, RIGID, 5)
+    # the chains are the block pairs, nothing deeper
+    pairs = {(j1, j2) for j1 in range(6) for j2 in range(j1)}
+    assert set(result.chains) == set(plan.chains) == pairs
+    for j1, j2 in plan.chains:
+        assert result.block.element(j1, j2) == pytest.approx(blk.element(j1, j2), abs=1e-11)
     assert all(mem.j1 <= 5 for chain in plan.chains.values() for mem in chain.members)
 
 
@@ -336,18 +367,10 @@ def test_offdiag_flags_truncated_chains():
     assert plan.chains[(5, 0)].pairs() == [(5, 5), (9, 3)]
     assert [mem.pair for mem in plan.chains[(5, 0)].neglected] == [(29, 1)]
     # partners outside the block hold no population here, so values stay exact
-    off = reconstruct_offdiag(grid, RIGID, plan)
-    for (j1, j2), val in off.items():
-        assert val == pytest.approx(blk.element(j1, j2), abs=1e-11)
-
-
-def test_offdiag_rejects_distorted_spectra():
-    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-3)
-    blk = make_test_state("random-mixed", 0, 0, 3, seed=0)
-    grid = _simulate(blk, spec, n_periods=64)
-    plan = SamplingPlan.derive(spec, 3, n_periods=64)
-    with pytest.raises(ValueError):
-        reconstruct_offdiag(grid, spec, plan)
+    result = reconstruct_block(grid, RIGID, 7)
+    assert result.flags[(5, 0)] == [(29, 1)]
+    for j1, j2 in plan.chains:
+        assert result.block.element(j1, j2) == pytest.approx(blk.element(j1, j2), abs=1e-11)
 
 
 def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
@@ -374,8 +397,7 @@ def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
 
 
 def test_one_reconstruct_builds_the_analysis_rows_once():
-    # the chain solve probes to 2 j_max - 1 and the diagonal to 2 j_max:
-    # both read the rows built to the plan's alpha_max
+    # one moment call reads every order up to the plan's alpha_max
     blk = make_test_state("random-mixed", 0, 0, 14, seed=4)
     grid = _simulate(blk, RIGID)
     tomography._analysis_rows.cache_clear()
@@ -490,7 +512,7 @@ def test_round_trip_rigid_channels(m):
     result = reconstruct_block(grid, spec, 5)
     assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
     assert result.residual_inf < 1e-11
-    assert result.method == "chain-back-substitution"
+    assert result.method == "probe-least-squares"
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (-1, 2), (2, 0)])
@@ -514,7 +536,7 @@ def test_round_trip_centrifugal_windowed():
     blk = make_test_state("random-mixed", 0, 0, 5, seed=12)
     grid = _simulate(blk, spec, n_periods=64)
     result = reconstruct_block(grid, spec, 5)
-    assert result.method == "windowed-least-squares"
+    assert result.method == "probe-least-squares"
     assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-8
     assert result.block.hermiticity_defect() < 1e-14
 
@@ -544,11 +566,77 @@ def test_centrifugal_blocks_match_a_scipy_lu_solve(d_cd, j_max, n_periods):
     blk = make_test_state("random-mixed", 0, 0, j_max, seed=14)
     grid = _simulate(blk, spec, n_periods=n_periods)
     want = _scipy_windowed_block(grid, spec, j_max)
-    tomography._windowed_system.cache_clear()
-    for _ in range(2):  # cold, then from the memoized inverse
+    tomography._probe_operator.cache_clear()
+    for _ in range(2):  # cold, then from the memoized operator
         got = reconstruct_block(grid, spec, j_max).block.elements
         assert np.max(np.abs(got - want)) <= 1e-13
-    assert tomography._windowed_system.cache_info().hits == 1
+    assert tomography._probe_operator.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("j_max", [10, 14, 18])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_exact_rigid_blocks_round_trip_to_rounding(m, j_max):
+    spec = _spec(m=m)
+    blk = make_test_state("random-mixed", 0, m, j_max, seed=j_max + m)
+    result = reconstruct_block(_simulate(blk, spec), spec, j_max)
+    assert np.max(np.abs(result.block.elements - blk.elements)) <= 1e-13
+
+
+@pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (1, -2)])
+def test_exact_symmetric_top_blocks_round_trip_to_rounding(k, m):
+    spec = _spec(RotorKind.SYMTOP, omega2=0.3, k=k, m=m)
+    blk = make_test_state("random-mixed", k, m, 12, seed=40)
+    result = reconstruct_block(_simulate(blk, spec), spec, 12)
+    assert np.max(np.abs(result.block.elements - blk.elements)) <= 1e-13
+
+
+def test_one_reconstruct_makes_one_moment_call(monkeypatch):
+    calls = []
+    probe = tomography.moment_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(tomography, "moment_integral", counted)
+    for spec, n_periods in [(RIGID, 1), (_spec(RotorKind.CENTRIFUGAL, d_cd=1e-4), 16)]:
+        blk = make_test_state("random-mixed", 0, 0, 5, seed=2)
+        calls.clear()
+        reconstruct_block(_simulate(blk, spec, n_periods), spec, 5)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,n_periods",
+    [(_spec(m=3), 1), (_spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=1), 1),
+     (_spec(RotorKind.CENTRIFUGAL, d_cd=1e-4), 16)],
+    ids=["rigid-m3", "symtop", "centrifugal"],
+)
+def test_diagnostics_describe_the_operator_for_every_kind(spec, n_periods):
+    blk = make_test_state("random-mixed", spec.k, spec.m, 6, seed=5)
+    result = reconstruct_block(_simulate(blk, spec, n_periods), spec, 6)
+    diagnostics = result.diagnostics
+    assert set(diagnostics) == {"n_unknowns", "n_rows", "cond", "trace", "min_eigenvalue", "plan"}
+    n = 6 - spec.m_min + 1
+    assert diagnostics["n_unknowns"] == n * n < diagnostics["n_rows"]
+    assert 1.0 <= diagnostics["cond"] < 20.0
+    if spec.m == 3:  # bin 0 is the worst-conditioned group of a rigid m = 3 block
+        want = np.linalg.cond(_bin0_matrix(0, 3, 6))
+        assert diagnostics["cond"] == pytest.approx(want, rel=1e-12)
+
+
+def test_zero_distortion_operator_splits_into_the_rigid_groups():
+    # the groups come from the operator's own zero pattern: with d_cd = 0 every
+    # line sits on an exact bin, so the centrifugal operator is the rigid one
+    plan = SamplingPlan.derive(RIGID, 6, n_periods=4)
+    rigid = tomography._probe_operator(RIGID, 6, 4, plan.n_t)
+    cd = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=0.0), 6, 4, plan.n_t)
+    assert np.array_equal(cd.probes, rigid.probes) and np.array_equal(cd.index, rigid.index)
+    assert np.max(np.abs(cd.weight - rigid.weight)) <= 1e-15
+    # real weights, and no group wider than bin 0's rows alpha = 0, 2 .. 12
+    assert rigid.weight.dtype == float and rigid.weight.shape == (49, 7)
+    distorted = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=1e-4), 6, 4, plan.n_t)
+    assert distorted.weight.dtype == complex and distorted.weight.shape[1] > 7
 
 
 def test_centrifugal_with_zero_distortion_reproduces_rigid():
