@@ -113,7 +113,7 @@ def _pairs_str(pairs) -> str:
 
 def _render_report(result: ReconstructionResult, cfg: ExperimentConfig) -> str:
     block = result.block
-    plan = result.diagnostics.get("plan")
+    plan = result.diagnostics["plan"]
     lines = [
         "reconstruction report",
         f"channel: kind={cfg.spec.kind.value} k={block.k} m={block.m} j_max={block.j_max}",
@@ -123,12 +123,9 @@ def _render_report(result: ReconstructionResult, cfg: ExperimentConfig) -> str:
         f"trace: {result.diagnostics['trace']:.12g}",
         f"min eigenvalue: {result.diagnostics['min_eigenvalue']:.6g}",
         f"residual sup norm: {result.residual_inf:.6g}",
+        f"sampling: n_t={plan.n_t} n_x={plan.n_x} n_periods={plan.n_periods} "
+        f"tau_max={plan.tau_max} alpha_max={plan.alpha_max}",
     ]
-    if plan is not None:
-        lines.append(
-            f"sampling: n_t={plan.n_t} n_x={plan.n_x} n_periods={plan.n_periods} "
-            f"tau_max={plan.tau_max} alpha_max={plan.alpha_max}"
-        )
     if result.flags:
         lines.append(
             f"flagged elements: {len(result.flags)} "

@@ -318,7 +318,7 @@ def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
     op = _probe_operator(spec, j_cap, plan.n_periods, plan.n_t)
     p = (j1 - m_min) * (j_cap - m_min + 2)  # the unknown (j1, j1)
     # bin 0 is the first probe, so its rows index the moment table by order alone
-    coeffs = {int(i): float(w) for i, w in zip(op.index[p], op.weight[p]) if w}
+    coeffs = {int(i): float(w.real) for i, w in zip(op.index[p], op.weight[p]) if w}
     return PatternFunction(j1=j1, k=k, m=m, j_cap=j_cap, coeffs=coeffs)
 
 
@@ -375,8 +375,23 @@ def _components(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
         label = new
 
 
-@lru_cache(maxsize=4)
+_OPERATOR_BYTES = 64 * 2**20
+_operators: dict[tuple, ProbeOperator] = {}  # by grid shape, least recently used first
+
+
 def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> ProbeOperator:
+    """:func:`_build_probe_operator` memoized for the last four grid shapes, within 64 MiB."""
+    key = (spec, j_max, n_periods, n_t)
+    op = _operators[key] = _operators.pop(key, None) or _build_probe_operator(*key)
+    # the oldest go first, and the one just used stays however large it is
+    while len(_operators) > 4 or len(_operators) > 1 and _OPERATOR_BYTES < sum(
+        o.index.nbytes + o.weight.nbytes for o in _operators.values()
+    ):
+        del _operators[next(iter(_operators))]
+    return op
+
+
+def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> ProbeOperator:
     """Least-squares probe operator of a j_max block over one grid shape.
 
     Unknowns are the ordered pairs p of the block, on lines w_p = E(J1) -
@@ -385,14 +400,16 @@ def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> Pr
     read D[(alpha, f), p] = c_alpha(p) * K(f - w_p), with K the window
     kernel over n_t samples of n_periods periods pi/omega.  D splits into
     groups that share no row and no unknown: lines on exact bins (rigid and
-    symmetric-top spectra) give one group per line, off-bin lines one dense
-    group, and either splits by the parity of S where the coefficients keep
-    it (k = 0).  When every line sits on one grid of exact bins, K is the
-    line incidence and no dense kernel is formed.  Each group's
-    pseudo-inverse comes from its SVD, one call per group shape, and
-    ``cond`` is the worst group's ratio of largest to smallest singular
-    value.  Index and weight arrays are padded to the largest group's row
-    count.  The memo keeps four grid shapes.
+    symmetric-top spectra), where K is 0 or 1, give one group per line,
+    off-bin lines one dense group, and either splits by the parity of S
+    where the coefficients keep it (k = 0).  Each group's pseudo-inverse
+    comes from its SVD, one call per group shape, and ``cond`` is the worst
+    group's ratio of largest to smallest singular value.
+
+    Index and weight arrays are padded to the widest group's w rows: 24 n^2 w
+    bytes, n = j_max - m_min + 1.  A group on one bin has w <= 2 j_max + 1; a
+    dense centrifugal one has w ~ n^3 / 6, so ~4 n^5 bytes: 0.69 MiB at
+    j_max = 10, 16.7 MiB at 20, 114 MiB at 30.
     """
     m_min, n_orders = spec.m_min, 2 * j_max + 1
     js = np.arange(m_min, j_max + 1)
@@ -412,6 +429,8 @@ def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> Pr
     _, first, line = np.unique(np.round(bins, 8), return_index=True, return_inverse=True)
     freq, h, lines = omega[first], len(first) // 2, np.arange(len(first))
     source = np.where(lines >= h, lines - h, 2 * h + 1 - lines)  # row of the moment table
+    dt = n_periods * (np.pi / spec.omega) / n_t
+    kernel = _window_kernel(freq[:, None] - omega[None, :], dt, n_t)
 
     # rows (alpha, line), grouped by line; edges where D is non-zero
     carries = coeffs != 0
@@ -419,12 +438,6 @@ def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> Pr
     np.logical_or.at(on_line, line, carries)
     row_line, row_alpha = np.nonzero(on_line)
     row_id = np.cumsum(on_line).reshape(on_line.shape) - 1  # row of (line, alpha)
-    if np.ptp(bins - np.round(bins)) < 1e-8:
-        # every line on one grid of exact bins: the kernel is 1 on a pair's own line, else 0
-        kernel = lines[:, None] == line
-    else:
-        dt = n_periods * (np.pi / spec.omega) / n_t
-        kernel = _window_kernel(freq[:, None] - omega[None, :], dt, n_t)
     k_line, k_unknown = np.nonzero(kernel)
     edge, alpha = np.nonzero(on_line[k_line] & carries[k_unknown])
     edge_row, edge_unknown = row_id[k_line[edge], alpha], k_unknown[edge]
@@ -436,7 +449,7 @@ def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> Pr
     u_start, r_start = np.cumsum(u_count) - u_count, np.cumsum(r_count) - r_count
     row_source = source[row_line] * n_orders + row_alpha
     index = np.zeros((n * n, r_count.max()), dtype=np.intp)
-    weight = np.zeros(index.shape, dtype=np.result_type(kernel, float))
+    weight = np.zeros(index.shape, dtype=complex)
     cond = 1.0
     for n_r, n_u in sorted(set(zip(r_count.tolist(), u_count.tolist())) - {(0, 0)}):
         same = np.flatnonzero((r_count == n_r) & (u_count == n_u))

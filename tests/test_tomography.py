@@ -561,16 +561,20 @@ def _scipy_windowed_block(grid, spec, j_max):
 
 
 @pytest.mark.parametrize("d_cd, j_max, n_periods", [(1e-4, 5, 16), (1e-3, 4, 4), (0.0, 3, 1)])
-def test_centrifugal_blocks_match_a_scipy_lu_solve(d_cd, j_max, n_periods):
+def test_centrifugal_blocks_match_a_scipy_lu_solve(d_cd, j_max, n_periods, monkeypatch):
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=d_cd)
     blk = make_test_state("random-mixed", 0, 0, j_max, seed=14)
     grid = _simulate(blk, spec, n_periods=n_periods)
     want = _scipy_windowed_block(grid, spec, j_max)
-    tomography._probe_operator.cache_clear()
+    builds, build = [], tomography._build_probe_operator
+    monkeypatch.setattr(
+        tomography, "_build_probe_operator", lambda *key: builds.append(key) or build(*key)
+    )
+    monkeypatch.setattr(tomography, "_operators", {})
     for _ in range(2):  # cold, then from the memoized operator
         got = reconstruct_block(grid, spec, j_max).block.elements
         assert np.max(np.abs(got - want)) <= 1e-13
-    assert tomography._probe_operator.cache_info().hits == 1
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("j_max", [10, 14, 18])
@@ -633,10 +637,27 @@ def test_zero_distortion_operator_splits_into_the_rigid_groups():
     cd = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=0.0), 6, 4, plan.n_t)
     assert np.array_equal(cd.probes, rigid.probes) and np.array_equal(cd.index, rigid.index)
     assert np.max(np.abs(cd.weight - rigid.weight)) <= 1e-15
-    # real weights, and no group wider than bin 0's rows alpha = 0, 2 .. 12
-    assert rigid.weight.dtype == float and rigid.weight.shape == (49, 7)
+    # no group wider than bin 0's rows alpha = 0, 2 .. 12
+    assert rigid.weight.shape == (49, 7)
     distorted = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=1e-4), 6, 4, plan.n_t)
-    assert distorted.weight.dtype == complex and distorted.weight.shape[1] > 7
+    assert distorted.weight.shape[1] > 7
+
+
+def test_operator_memo_is_bounded_by_count_and_bytes(monkeypatch):
+    monkeypatch.setattr(tomography, "_operators", {})
+    shapes = [(RIGID, j, 1, SamplingPlan.derive(RIGID, j).n_t) for j in (2, 3, 4, 5, 6)]
+    ops = [tomography._probe_operator(*shape) for shape in shapes]
+    assert list(tomography._operators) == shapes[1:]  # four grid shapes, the oldest dropped
+    assert tomography._probe_operator(*shapes[1]) is ops[1]
+    assert list(tomography._operators) == shapes[2:] + shapes[1:2]
+    # over the byte budget the oldest go first, and the one just used stays
+    budget = sum(op.index.nbytes + op.weight.nbytes for op in (ops[1], ops[4]))
+    monkeypatch.setattr(tomography, "_OPERATOR_BYTES", budget)
+    assert tomography._probe_operator(*shapes[4]) is ops[4]
+    assert list(tomography._operators) == shapes[1:2] + shapes[4:]
+    monkeypatch.setattr(tomography, "_OPERATOR_BYTES", 0)
+    tomography._probe_operator(*shapes[0])
+    assert list(tomography._operators) == shapes[:1]
 
 
 def test_centrifugal_with_zero_distortion_reproduces_rigid():
