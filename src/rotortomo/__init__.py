@@ -4,11 +4,11 @@ A linear or symmetric-top rotor prepared in a fixed (k, m) channel shows its
 full density-matrix block rho(J1, J2) in the time evolution of the polar
 angular distribution Pr(x = cos theta, t).  This package provides the angular
 machinery (normalized associated Legendre functions, Wigner d rows,
-Clebsch-Gordan coefficients, product decompositions), a forward simulator for
-Pr(x, t), and the inverse engine that recovers the block by Fourier-probing
-the distribution's beat frequencies at every Legendre order and fitting the
-moments by least squares -- plus a file-format layer and a CLI workbench on
-top.
+Clebsch-Gordan coefficients, per-level product-decomposition tables), a
+forward simulator for Pr(x, t), and the inverse engine that recovers the
+block by Fourier-probing the distribution's beat frequencies at every
+Legendre order and fitting the moments by least squares -- plus a
+file-format layer and a CLI workbench on top.
 """
 
 from .angular import (
@@ -19,7 +19,6 @@ from .angular import (
     coefficient_table,
     eigenfunction_rows,
     gauss_legendre_grid,
-    product_decomp,
     wigner_d,
 )
 from .fileio import (
@@ -70,7 +69,6 @@ __all__ = [
     "coefficient_table",
     "eigenfunction_rows",
     "gauss_legendre_grid",
-    "product_decomp",
     "wigner_d",
     "ExperimentConfig",
     "FileFormatError",

@@ -20,16 +20,18 @@ Conventions used throughout the package:
   log-factorial accumulation so that j up to J_CAP does not overflow.
   Selection-rule violations return 0.0 rather than raising.
 
-* ``product_decomp(J1, J2, k, m)`` expands a product of two normalized
-  rotor eigenfunctions f_J (P~(J, m) for k = 0, sqrt((2J+1)/2) d^J_{km}
-  otherwise) in the m = 0 normalized Legendre basis:
+* ``CoefficientTable`` (shared per channel by ``coefficient_table(k, m)``)
+  expands a product of two normalized rotor eigenfunctions f_J
+  (P~(J, m) for k = 0, sqrt((2J+1)/2) d^J_{km} otherwise) in the m = 0
+  normalized Legendre basis:
 
       f_J1(x) f_J2(x) = sum_L c_L P~(L, 0, x),  L = |J1-J2| .. J1+J2.
 
   For k = 0 only L of the same parity as J1+J2 contribute (the products
   have definite x-parity); for k != 0 they do not, and both parities of L
   carry weight.  The coefficients are *defined* by Gauss-Legendre
-  projection; they agree with the closed form
+  projection, one matrix product per upper level J1 (``slab``); they agree
+  with the closed form
 
       c_L = (-1)^(k-m) sqrt((2J1+1)(2J2+1) / (2(2L+1)))
             * C(J1,J2,L|k,-k,0) * C(J1,J2,L|m,-m,0)
@@ -256,33 +258,13 @@ def eigenfunction_rows(j_max: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
     return norms[:, None] * rows
 
 
-def product_decomp(J1: int, J2: int, k: int, m: int) -> list[tuple[int, float]]:
-    """Expand f_J1 * f_J2 in the normalized m = 0 Legendre basis.
-
-    Returns [(L, c_L)] for L = |J1-J2| .. J1+J2 -- every second L for k = 0,
-    where the product has the parity of J1+J2, and every L otherwise.  The
-    product of two eigenfunctions with a common (k, m) is a polynomial of
-    degree J1 + J2, so a Gauss-Legendre rule of order J1 + J2 + 1 projects
-    exactly.
-    """
-    m_min = max(abs(k), abs(m))
-    _check_j("J1", J1, low=m_min)
-    _check_j("J2", J2, low=m_min)
-    order = J1 + J2 + 1
-    grid = gauss_legendre_grid(order)
-    f = eigenfunction_rows(max(J1, J2), k, m, grid.nodes)
-    j0 = m_min if k != 0 else abs(m)
-    prod_w = f[J1 - j0] * f[J2 - j0] * grid.weights
-    p0 = _legendre_rows(J1 + J2, 0, grid.nodes)
-    step = 2 if k == 0 else 1
-    out = []
-    for L in range(abs(J1 - J2), J1 + J2 + 1, step):
-        out.append((L, float(p0[L] @ prod_w)))
-    return out
-
-
 class CoefficientTable:
-    """Memoized product-decomposition coefficients for one (k, m) channel.
+    """Product-decomposition coefficients for one (k, m) channel, built per level.
+
+    :meth:`slab` projects every product f_J1 f_J2 with J2 <= J1 onto the
+    Legendre orders in one matrix product, memoized per J1; every read
+    below goes through it, so a pair's coefficients do not depend on which
+    block or which call asks for them.
 
     ``coefficient(j_sum, delta_j, L)`` returns the coefficient of P~(L, 0)
     in the expansion of f_J1 f_J2 with J1 = (j_sum+delta_j)/2 and
@@ -295,16 +277,52 @@ class CoefficientTable:
         self.k = k
         self.m = m
         self.m_min = max(abs(k), abs(m))
-        self._cache: dict[tuple[int, int], dict[int, float]] = {}
+        self._slabs: dict[int, np.ndarray] = {}
+
+    def slab(self, j1: int) -> np.ndarray:
+        """C[J2 - m_min, L] of f_j1 f_J2 for J2 = m_min .. j1 and L = 0 .. 2 j1.
+
+        One product (f_j1 f w) @ P~(L, 0)^T on the Gauss-Legendre rule of
+        order 2 j1 + 1, exact for the degree <= 4 j1 integrands.  Entries
+        outside |j1 - J2| <= L <= j1 + J2, and for k = 0 those with L of the
+        other parity than j1 + J2, are exact zeros.  Read-only, memoized.
+        """
+        out = self._slabs.get(j1)
+        if out is None:
+            _check_j("J1", j1, low=self.m_min)
+            grid = gauss_legendre_grid(2 * j1 + 1)
+            f = eigenfunction_rows(j1, self.k, self.m, grid.nodes)
+            out = (f[-1] * grid.weights * f) @ _legendre_rows(2 * j1, 0, grid.nodes).T
+            j2 = np.arange(self.m_min, j1 + 1)[:, None]
+            L = np.arange(2 * j1 + 1)
+            keep = (j1 - j2 <= L) & (L <= j1 + j2)
+            if self.k == 0:
+                keep &= (L + j1 + j2) % 2 == 0
+            out[~keep] = 0.0
+            out.setflags(write=False)
+            self._slabs[j1] = out
+        return out
+
+    def tensor(self, j_max: int) -> np.ndarray:
+        """C[J1 - m_min, J2 - m_min, L] for J1, J2 = m_min .. j_max, L = 0 .. 2 j_max.
+
+        The slabs stacked into one array, symmetric in (J1, J2).
+        """
+        n = j_max - self.m_min + 1
+        out = np.zeros((n, n, 2 * j_max + 1))
+        for i in range(n):
+            s = self.slab(self.m_min + i)
+            out[i, : i + 1, : s.shape[1]] = s
+            out[: i + 1, i, : s.shape[1]] = s
+        return out
 
     def decomposition(self, j1: int, j2: int) -> dict[int, float]:
-        """{L: c_L} of f_j1 * f_j2, memoized per ordered pair (see product_decomp)."""
-        key = (j1, j2)
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = dict(product_decomp(j1, j2, self.k, self.m))
-            self._cache[key] = entry
-        return entry
+        """{L: c_L} of f_j1 * f_j2 for L = |j1-j2| .. j1+j2 (every second L for k = 0)."""
+        hi, lo = max(j1, j2), min(j1, j2)
+        _check_j("J2", lo, low=self.m_min)
+        row = self.slab(hi)[lo - self.m_min]
+        step = 2 if self.k == 0 else 1
+        return {L: float(row[L]) for L in range(hi - lo, hi + lo + 1, step)}
 
     def coefficient(self, j_sum: int, delta_j: int, L: int) -> float:
         dj = abs(delta_j)
@@ -316,7 +334,7 @@ class CoefficientTable:
         j2 = (j_sum - dj) // 2
         if j2 < self.m_min:
             return 0.0
-        return self.decomposition(j1, j2)[L]
+        return float(self.slab(j1)[j2 - self.m_min, L])
 
     def entries(self, j_sum_max: int):
         """Yield (j_sum, delta_j, L, coefficient) rows up to j_sum_max."""

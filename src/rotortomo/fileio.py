@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .angular import N_X_CAP, QuadratureGrid, gauss_legendre_grid
 from .rotor import DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
@@ -308,16 +307,25 @@ def _get_float(sub: dict, where: str, key: str, default: float) -> float:
     return float(val)
 
 
-# libyaml's parser where PyYAML was built with it: the same safe constructors
-# and YAMLError subclasses as SafeLoader, at several times the speed
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def _yaml_loader():
+    """libyaml's parser where PyYAML was built with it, else the Python one.
+
+    Both have the same safe constructors and YAMLError subclasses; libyaml is
+    several times faster.  PyYAML is imported here, on the first config
+    read, so ``import rotortomo`` does not pay for it.
+    """
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a YAML run config."""
+    import yaml
+
     path = Path(path)
     try:
-        cfg = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        cfg = yaml.load(path.read_text(), Loader=_yaml_loader())
     except yaml.YAMLError as exc:
         raise FileFormatError(f"{path}: not valid YAML ({exc})") from exc
     if not isinstance(cfg, dict):

@@ -417,11 +417,7 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     j1, j2 = np.repeat(js, n), np.tile(js, n)
     energies = np.array([energy(spec, int(J)) for J in js])
     omega = energies[j1 - m_min] - energies[j2 - m_min]
-    table = spec.coefficient_table()
-    coeffs = np.zeros((n * n, n_orders))
-    for p, (a, b) in enumerate(zip(j1.tolist(), j2.tolist())):
-        decomp = table.decomposition(max(a, b), min(a, b))
-        coeffs[p, list(decomp)] = list(decomp.values())
+    coeffs = spec.coefficient_table().tensor(j_max).reshape(n * n, n_orders)
 
     # lines: unknowns whose frequencies share one exact bin, by increasing frequency;
     # the frequencies come in +- pairs, so h lines lie below the zero line and h above

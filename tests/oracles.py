@@ -3,8 +3,9 @@
 Everything here deliberately takes a different route than the package code:
 exact rational arithmetic for coupling coefficients, scipy's lpmv for
 Legendre values, the explicit half-angle sum for Wigner d, brute-force pair
-scanning for frequency degeneracies, and LAPACK inversion of a closed-form
-matrix for diagonal pattern rows.
+scanning for frequency degeneracies, LAPACK inversion of a closed-form
+matrix for diagonal pattern rows, and a Gauss-Legendre rule of its own for
+each product decomposition.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import lpmv
+
+from rotortomo.angular import eigenfunction_rows
 
 
 def cg_exact(j1: int, j2: int, j3: int, m1: int, m2: int) -> float:
@@ -88,6 +91,24 @@ def c_l_closed(k: int, m: int, j1: int, j2: int, L: int) -> float:
     """Coefficient of P~_L in f_{j1} f_{j2}, in closed form through cg_exact."""
     pref = math.sqrt((2 * j1 + 1) * (2 * j2 + 1) / (2.0 * (2 * L + 1)))
     return ((-1) ** (k - m)) * pref * cg_exact(j1, j2, L, k, -k) * cg_exact(j1, j2, L, m, -m)
+
+
+def product_decomp_per_pair(k: int, m: int, j1: int, j2: int) -> dict[int, float]:
+    """{L: c_L} of f_{j1} f_{j2}, projected on a Gauss-Legendre rule of its own.
+
+    One rule of order j1 + j2 + 1 per pair, from numpy's leggauss, exact for
+    the pair's integrands f_{j1} f_{j2} P~_L.  The rows come from the
+    package's eigenfunction_rows (the k = m = 0 rows are P~_L): tests pin
+    them against lpmv and the half-angle sum, which loses digits past J ~ 20,
+    too early to serve as rows here.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(j1 + j2 + 1)
+    m_min = max(abs(k), abs(m))
+    f = eigenfunction_rows(max(j1, j2), k, m, nodes)
+    prod_w = f[j1 - m_min] * f[j2 - m_min] * weights
+    p0 = eigenfunction_rows(j1 + j2, 0, 0, nodes)
+    step = 2 if k == 0 else 1
+    return {L: float(p0[L] @ prod_w) for L in range(abs(j1 - j2), j1 + j2 + 1, step)}
 
 
 def degeneracy_scan(

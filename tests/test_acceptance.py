@@ -15,9 +15,9 @@ import oracles
 from rotortomo.angular import (
     assoc_legendre_norm,
     clebsch_gordan,
+    coefficient_table,
     eigenfunction_rows,
     gauss_legendre_grid,
-    product_decomp,
     wigner_d,
 )
 from rotortomo.rotor import (
@@ -215,7 +215,7 @@ def test_criterion_6_special_function_suite(capsys):
         rows = eigenfunction_rows(max(j1, j2), k, m, xs)
         direct = rows[j1 - lo] * rows[j2 - lo]
         expand = np.zeros_like(xs)
-        for L, c in product_decomp(j1, j2, k, m):
+        for L, c in coefficient_table(k, m).decomposition(j1, j2).items():
             expand += c * assoc_legendre_norm(L, 0, xs)
         worst = max(worst, float(np.max(np.abs(expand - direct))))
     defects["product completeness"] = worst

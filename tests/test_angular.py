@@ -7,13 +7,13 @@ import pytest
 
 import oracles
 from rotortomo.angular import (
+    J_CAP,
     CoefficientTable,
     assoc_legendre_norm,
     clebsch_gordan,
     coefficient_table,
     eigenfunction_rows,
     gauss_legendre_grid,
-    product_decomp,
     wigner_d,
 )
 
@@ -183,7 +183,7 @@ def _reconstruct_product(k, m, j1, j2, coeffs, x):
 
 @pytest.mark.parametrize("k,m,j1,j2", [(0, 0, 3, 1), (0, 2, 5, 3), (1, 1, 4, 2), (2, 1, 5, 3), (0, -2, 4, 2), (-1, 1, 3, 3)])
 def test_product_decomp_is_pointwise_complete(k, m, j1, j2):
-    coeffs = dict(product_decomp(j1, j2, k, m))
+    coeffs = coefficient_table(k, m).decomposition(j1, j2)
     rows = eigenfunction_rows(max(j1, j2), k, m, X)
     lo = max(abs(k), abs(m))
     direct = rows[j1 - lo] * rows[j2 - lo]
@@ -192,15 +192,18 @@ def test_product_decomp_is_pointwise_complete(k, m, j1, j2):
 
 def test_product_decomp_matches_closed_form():
     for k, m, j1, j2 in [(0, 0, 4, 2), (0, 1, 5, 2), (1, 1, 3, 1), (2, 0, 4, 4), (1, -1, 4, 2)]:
-        coeffs = dict(product_decomp(j1, j2, k, m))
+        coeffs = coefficient_table(k, m).decomposition(j1, j2)
+        per_pair = oracles.product_decomp_per_pair(k, m, j1, j2)
+        assert set(coeffs) == set(per_pair)
         for L in range(abs(j1 - j2), j1 + j2 + 1):
             want = oracles.c_l_closed(k, m, j1, j2, L)
             assert abs(coeffs.get(L, 0.0) - want) < 1e-12
+            assert abs(coeffs.get(L, 0.0) - per_pair.get(L, 0.0)) < 1e-14
 
 
 def test_product_decomp_k0_parity_suppression():
     # with k = 0 only L of the same parity as J1 + J2 survive
-    coeffs = dict(product_decomp(4, 2, 0, 1))
+    coeffs = coefficient_table(0, 1).decomposition(4, 2)
     assert set(coeffs) <= {2, 4, 6}
     for L in (3, 5):
         assert abs(oracles.c_l_closed(0, 1, 4, 2, L)) < 1e-15
@@ -208,7 +211,7 @@ def test_product_decomp_k0_parity_suppression():
 
 def test_product_decomp_nonzero_k_keeps_both_parities():
     # frozen example: f_1^2 in the k = 1, m = 1 channel
-    coeffs = dict(product_decomp(1, 1, 1, 1))
+    coeffs = coefficient_table(1, 1).decomposition(1, 1)
     assert abs(coeffs[0] - 1 / math.sqrt(2)) < 1e-14
     assert abs(coeffs[1] - math.sqrt(3 / 8)) < 1e-14
     assert abs(coeffs[2] - 1 / math.sqrt(40)) < 1e-14
@@ -220,10 +223,57 @@ def test_coefficient_table_agrees_with_product_decomp():
         lo = max(abs(k), abs(m))
         for j1 in range(lo, lo + 4):
             for j2 in range(lo, j1 + 1):
-                coeffs = dict(product_decomp(j1, j2, k, m))
+                coeffs = oracles.product_decomp_per_pair(k, m, j1, j2)
                 for L in range(j1 - j2, j1 + j2 + 1):
                     got = table.coefficient(j1 + j2, j1 - j2, L)
                     assert abs(got - coeffs.get(L, 0.0)) < 1e-14
+
+
+@pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1)])
+def test_slabs_match_the_closed_form_as_closely_as_the_per_pair_rule(k, m):
+    # both projections read the same eigenfunction rows, whose rounding sets
+    # the error; the slab only sums each product on another rule, so it may
+    # miss by at most a tenth more than the per-pair rule does
+    table = CoefficientTable(k, m)
+    for j1 in (14, 30):
+        slab = table.slab(j1)
+        slab_err = pair_err = 0.0
+        for j2 in range(table.m_min, j1 + 1):
+            per_pair = oracles.product_decomp_per_pair(k, m, j1, j2)
+            for L in range(j1 - j2, j1 + j2 + 1):
+                want = oracles.c_l_closed(k, m, j1, j2, L)
+                slab_err = max(slab_err, abs(slab[j2 - table.m_min, L] - want))
+                pair_err = max(pair_err, abs(per_pair.get(L, 0.0) - want))
+        assert slab_err < 1e-12
+        assert slab_err <= 1.1 * pair_err, (j1, slab_err, pair_err)
+
+
+@pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1)])
+def test_slab_zeros_are_the_selection_rules(k, m):
+    table = CoefficientTable(k, m)
+    for j1 in range(table.m_min, 21):
+        slab = table.slab(j1)
+        assert slab.shape == (j1 - table.m_min + 1, 2 * j1 + 1)
+        assert not slab.flags.writeable
+        j2 = np.arange(table.m_min, j1 + 1)[:, None]
+        L = np.arange(2 * j1 + 1)
+        allowed = (j1 - j2 <= L) & (L <= j1 + j2) & ((k != 0) | ((L + j1 + j2) % 2 == 0))
+        assert np.array_equal(slab != 0, allowed), j1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: t.decomposition(J_CAP + 1, 3),
+        lambda t: t.decomposition(4, 1),
+        lambda t: t.slab(J_CAP + 1),
+        lambda t: t.slab(1),
+    ],
+    ids=["decomposition-above-cap", "decomposition-below-floor", "slab-above-cap", "slab-below-floor"],
+)
+def test_coefficient_levels_outside_the_range_are_named_errors(call):
+    with pytest.raises(ValueError, match=r"outside supported range \[2, 200\]"):
+        call(CoefficientTable(0, 2))
 
 
 def test_coefficient_table_range_gates():

@@ -226,6 +226,17 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_package_loads_no_yaml():
+    # PyYAML is imported on the first config read, not with the package
+    src = str(Path(rotortomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, rotortomo; print(sorted(m for m in sys.modules if 'yaml' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------- config
 
 
@@ -257,13 +268,13 @@ def test_config_reads_alike_with_the_libyaml_and_the_python_loader(tmp_path, mon
 
     from rotortomo import fileio
 
-    assert fileio._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert fileio._yaml_loader() is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     path, bad = tmp_path / "c.yaml", tmp_path / "bad.yaml"
     path.write_text(FULL_CONFIG)
     bad.write_text("spec: {kind: rigid-linear\nj_max: [3\n")
     configs = []
-    for loader in (fileio._YAML_LOADER, yaml.SafeLoader):
-        monkeypatch.setattr(fileio, "_YAML_LOADER", loader)
+    for loader in (fileio._yaml_loader(), yaml.SafeLoader):
+        monkeypatch.setattr(fileio, "_yaml_loader", lambda: loader)
         configs.append(load_config(path))
         with pytest.raises(FileFormatError, match=re.escape(f"{bad}: not valid YAML")):
             load_config(bad)

@@ -7,8 +7,14 @@ import pytest
 import scipy.linalg
 
 import oracles
-from rotortomo import tomography
-from rotortomo.angular import J_CAP, N_X_CAP, coefficient_table, gauss_legendre_grid
+from rotortomo import angular, rotor, tomography
+from rotortomo.angular import (
+    J_CAP,
+    N_X_CAP,
+    CoefficientTable,
+    coefficient_table,
+    gauss_legendre_grid,
+)
 from rotortomo.rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -608,6 +614,38 @@ def test_one_reconstruct_makes_one_moment_call(monkeypatch):
         calls.clear()
         reconstruct_block(_simulate(blk, spec, n_periods), spec, 5)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,j_max",
+    [(_spec(m=2), 8), (_spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=-1), 6)],
+    ids=["rigid-m2", "symtop"],
+)
+def test_operator_reads_the_scalar_coefficients_bit_for_bit(spec, j_max, monkeypatch):
+    tensors, tensor = [], CoefficientTable.tensor
+    monkeypatch.setattr(
+        CoefficientTable, "tensor", lambda self, j: tensors.append(tensor(self, j)) or tensors[-1]
+    )
+    tomography._build_probe_operator(spec, j_max, 1, SamplingPlan.derive(spec, j_max).n_t)
+    (got,) = tensors
+    table, js, alphas = spec.coefficient_table(), range(spec.m_min, j_max + 1), range(2 * j_max + 1)
+    want = [[[table.coefficient(a + b, a - b, L) for L in alphas] for b in js] for a in js]
+    assert np.array_equal(got, want)
+
+
+def test_a_cold_reconstruct_builds_each_coefficient_level_once(monkeypatch):
+    spec = _spec(m=1)
+    blk = make_test_state("random-mixed", 0, 1, 10, seed=3)
+    grid = _simulate(blk, spec)
+    tables, calls, rows = {}, [], angular.eigenfunction_rows
+    monkeypatch.setattr(
+        rotor, "coefficient_table", lambda k, m: tables.setdefault((k, m), CoefficientTable(k, m))
+    )
+    monkeypatch.setattr(tomography, "_operators", {})
+    monkeypatch.setattr(angular, "eigenfunction_rows", lambda *a: calls.append(a[0]) or rows(*a))
+    result = reconstruct_block(grid, spec, 10)
+    assert sorted(calls) == list(range(1, 11))  # one slab per level, not one rule per pair
+    assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-12
 
 
 @pytest.mark.parametrize(
