@@ -27,17 +27,16 @@ Conventions used throughout the package:
 
       f_J1(x) f_J2(x) = sum_L c_L P~(L, 0, x),  L = |J1-J2| .. J1+J2.
 
-  For k = 0 only L of the same parity as J1+J2 contribute (the products
-  have definite x-parity); for k != 0 they do not, and both parities of L
-  carry weight.  The coefficients are *defined* by Gauss-Legendre
-  projection, one matrix product per upper level J1 (``slab``); they agree
-  with the closed form
+  For k = 0 or m = 0 only L of the same parity as J1+J2 contribute; for
+  k != 0 and m != 0 both parities of L carry weight.  The coefficients
+  are *defined* by Gauss-Legendre projection, one matrix product per
+  upper level J1 (``slab``); they agree with the closed form
 
       c_L = (-1)^(k-m) sqrt((2J1+1)(2J2+1) / (2(2L+1)))
             * C(J1,J2,L|k,-k,0) * C(J1,J2,L|m,-m,0)
 
-  which the test suite cross-checks, and whose first Clebsch-Gordan factor
-  C(J1,J2,L|k,-k,0) is what kills the odd-L terms when k = 0.
+  which the test suite cross-checks, and whose Clebsch-Gordan factors
+  kill the odd-L terms when k = 0 or m = 0.
 
 All functions are pure; the memo caches are append-only dictionaries, safe
 to share between threads under the interpreter lock (worst case a value is
@@ -270,13 +269,16 @@ class CoefficientTable:
     in the expansion of f_J1 f_J2 with J1 = (j_sum+delta_j)/2 and
     J2 = (j_sum-delta_j)/2, or 0.0 whenever the indices violate the range
     |delta_j| <= L <= j_sum, J2 >= max(|k|,|m|), integrality of the pair,
-    or -- for k = 0 only -- the parity L == j_sum (mod 2).
+    or -- where ``parity`` holds -- the parity L == j_sum (mod 2).
     """
 
     def __init__(self, k: int, m: int):
         self.k = k
         self.m = m
         self.m_min = max(abs(k), abs(m))
+        # c_L carries C(J1 J2 L | k -k 0) C(J1 J2 L | m -m 0), and C(J1 J2 L | 0 0 0)
+        # vanishes for odd J1 + J2 + L: with k = 0 or m = 0 only L of that parity survive
+        self.parity = k == 0 or m == 0
         self._slabs: dict[int, np.ndarray] = {}
 
     def slab(self, j1: int) -> np.ndarray:
@@ -284,8 +286,9 @@ class CoefficientTable:
 
         One product (f_j1 f w) @ P~(L, 0)^T on the Gauss-Legendre rule of
         order 2 j1 + 1, exact for the degree <= 4 j1 integrands.  Entries
-        outside |j1 - J2| <= L <= j1 + J2, and for k = 0 those with L of the
-        other parity than j1 + J2, are exact zeros.  Read-only, memoized.
+        outside |j1 - J2| <= L <= j1 + J2, and where ``parity`` holds those
+        with L of the other parity than j1 + J2, are exact zeros.  Read-only,
+        memoized.
         """
         out = self._slabs.get(j1)
         if out is None:
@@ -296,7 +299,7 @@ class CoefficientTable:
             j2 = np.arange(self.m_min, j1 + 1)[:, None]
             L = np.arange(2 * j1 + 1)
             keep = (j1 - j2 <= L) & (L <= j1 + j2)
-            if self.k == 0:
+            if self.parity:
                 keep &= (L + j1 + j2) % 2 == 0
             out[~keep] = 0.0
             out.setflags(write=False)
@@ -317,16 +320,16 @@ class CoefficientTable:
         return out
 
     def decomposition(self, j1: int, j2: int) -> dict[int, float]:
-        """{L: c_L} of f_j1 * f_j2 for L = |j1-j2| .. j1+j2 (every second L for k = 0)."""
+        """{L: c_L} of f_j1 * f_j2 for L = |j1-j2| .. j1+j2 (every second L under ``parity``)."""
         hi, lo = max(j1, j2), min(j1, j2)
         _check_j("J2", lo, low=self.m_min)
         row = self.slab(hi)[lo - self.m_min]
-        step = 2 if self.k == 0 else 1
+        step = 2 if self.parity else 1
         return {L: float(row[L]) for L in range(hi - lo, hi + lo + 1, step)}
 
     def coefficient(self, j_sum: int, delta_j: int, L: int) -> float:
         dj = abs(delta_j)
-        if (j_sum + dj) % 2 or (self.k == 0 and (j_sum + L) % 2):
+        if (j_sum + dj) % 2 or (self.parity and (j_sum + L) % 2):
             return 0.0
         if L < dj or L > j_sum:
             return 0.0
@@ -338,7 +341,7 @@ class CoefficientTable:
 
     def entries(self, j_sum_max: int):
         """Yield (j_sum, delta_j, L, coefficient) rows up to j_sum_max."""
-        l_step = 2 if self.k == 0 else 1
+        l_step = 2 if self.parity else 1
         for j_sum in range(2 * self.m_min, j_sum_max + 1):
             for dj in range(j_sum % 2, j_sum + 1, 2):
                 if (j_sum - dj) // 2 < self.m_min:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import QuadratureGrid, coefficient_table, eigenfunction_rows
+from .angular import J_CAP, QuadratureGrid, coefficient_table, eigenfunction_rows
 
 
 class RotorKind(enum.Enum):
@@ -368,9 +368,10 @@ def make_test_state(
 
     Random states use ``numpy.random.default_rng(seed)``.  The kicked state
     applies exp(i * kick_strength * cos^2 theta) to the ground level of the
-    channel; the unitary is built in a working space of twice the requested
-    size and then truncated and renormalized, so the returned block is exactly
-    unit trace while the truncation loss stays checkable by enlarging j_max.
+    channel; the unitary is built in a working space up to J = 2 j_max + 4,
+    capped at the coefficient table's ``J_CAP``, and then truncated and
+    renormalized, so the returned block is exactly unit trace while the
+    truncation loss stays checkable by enlarging j_max.
     """
     j_min = max(abs(k), abs(m))
     if j_max < j_min:
@@ -390,7 +391,7 @@ def make_test_state(
         weights /= weights.sum()
         mat = sum(w * random_pure() for w in weights)
     elif state_kind == "cos2-kicked":
-        j_work = 2 * j_max + 4
+        j_work = min(2 * j_max + 4, J_CAP)
         table = coefficient_table(k, m)
         n_work = j_work - j_min + 1
         x2 = np.zeros((n_work, n_work))

@@ -6,13 +6,15 @@ J2) contributes rho_p f_J1(x) f_J2(x) exp(-i w_p t) on its line w_p = E(J1)
 Fourier-probing at a line frequency f gives the moment
 I(alpha, f) = sum_p c_alpha(p) K(f - w_p) rho_p, with c_alpha the product
 decomposition coefficient and K the finite-window Fourier kernel.  A
-reconstruction fits these moments, at every line of the block and every
-order the line carries, by least squares: one fixed linear map from data to
-block for every rotor kind (:func:`_probe_operator`).  Rigid and
-symmetric-top lines sit on exact Fourier bins, where K is a Kronecker delta
-and the fit splits into one small group per line (and per parity of
-S = J1 + J2 when k = 0); centrifugal distortion moves the lines off the
-bins, and the kernel couples them.
+reconstruction fits the Legendre moments of the data over the time window
+by least squares, through the fit's normal equations: one Hermitian Gram
+matrix (C C^T) o K per group of unknowns, and on the right the moments at
+each pair's own line.  That is one fixed linear map from data to block for
+every rotor kind (:func:`_probe_operator`).  Rigid and symmetric-top lines
+sit on exact Fourier bins, where K is a Kronecker delta and the fit splits
+into one small group per line (and per parity of S = J1 + J2 when k = 0 or
+m = 0); centrifugal distortion moves the lines off the bins, and the kernel
+couples them.
 
 The block is the support: population above j_max is assumed absent.  The
 degeneracy chains, enumerated in one place (:attr:`SamplingPlan.chains`),
@@ -284,8 +286,8 @@ class PatternFunction:
     """Projection function extracting one diagonal element directly.
 
     The zero-frequency moments I(alpha, 0) carry only the populations; the
-    block's bin-0 probes fit them by least squares, and ``coeffs`` is the
-    j1-th row of that fit's pseudo-inverse, keyed by Legendre order alpha:
+    block's bin-0 group fits them by least squares, and ``coeffs`` is the
+    j1-th row of that fit's map G^-1 C, keyed by Legendre order alpha:
     rho(j1, j1) = sum_alpha coeffs[alpha] * I(alpha, 0).  Equivalently the
     data-domain function F(x) = sum_alpha coeffs[alpha] * P~_alpha(x),
     time-averaged against Pr(x, t), yields the element in one pass.
@@ -309,7 +311,7 @@ class PatternFunction:
 
 
 def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
-    """Row j1 of the bin-0 pseudo-inverse of a (k, m) block up to j_cap."""
+    """Row j1 of the bin-0 least-squares map of a (k, m) block up to j_cap."""
     m_min = max(abs(k), abs(m))
     if not m_min <= j1 <= j_cap:
         raise ValueError(f"j1 = {j1} outside the reconstructible range {m_min}..{j_cap}")
@@ -317,8 +319,9 @@ def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
     plan = SamplingPlan.derive(spec, j_cap)
     op = _probe_operator(spec, j_cap, plan.n_periods, plan.n_t)
     p = (j1 - m_min) * (j_cap - m_min + 2)  # the unknown (j1, j1)
-    # bin 0 is the first probe, so its rows index the moment table by order alone
-    coeffs = {int(i): float(w.real) for i, w in zip(op.index[p], op.weight[p]) if w}
+    # its group holds bin 0's pairs, whose moments are the table's first row
+    row = op.weight[p] @ op.coeffs[op.index[p]]
+    coeffs = {alpha: float(c.real) for alpha, c in enumerate(row.tolist()) if c}
     return PatternFunction(j1=j1, k=k, m=m, j_cap=j_cap, coeffs=coeffs)
 
 
@@ -347,32 +350,28 @@ class ProbeOperator:
     ``probes`` holds the (alpha, beta) labels of one level pair on each line
     of non-negative frequency, in order; :func:`moment_integral` gives their
     moments M at every order.  Stacking M over its conjugate (the negative
-    lines, for real data) and flattening it, the ordered pair p of the block,
-    row-major in (J1, J2), is sum_i weight[p, i] * table[index[p, i]].
+    lines, for real data) gives a table whose row ``source[p]`` holds the
+    moments at the line of the ordered pair p of the block, row-major in
+    (J1, J2).  The normal equations' right-hand side is
+    b_p = sum_alpha coeffs[p, alpha] * table[source[p], alpha], and element
+    p is sum_i weight[p, i] * b[index[p, i]]: ``index`` lists p's group and
+    ``weight`` is p's row of the inverse of that group's Gram matrix.
+    ``n_rows`` counts the (line, alpha) moments that carry a coefficient,
+    and ``cond`` is the worst group's sqrt(lambda_max / lambda_min).
     """
 
     probes: np.ndarray
+    source: np.ndarray
+    coeffs: np.ndarray
     index: np.ndarray
     weight: np.ndarray
     n_rows: int
     cond: float
 
-
-def _components(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
-    """Connected components of the bipartite graph with edges (rows, cols).
-
-    Each column and each row is labeled with the smallest column index in
-    its component.
-    """
-    label = np.arange(n_cols)
-    while True:
-        row_label = np.full(n_rows, n_cols)
-        np.minimum.at(row_label, rows, label[cols])
-        new = label.copy()
-        np.minimum.at(new, cols, row_label[rows])
-        if np.array_equal(new, label):
-            return label, row_label
-        label = new
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the operator's arrays, as the memo's 64 MiB bound counts them."""
+        return sum(a.nbytes for a in (self.probes, self.source, self.coeffs, self.index, self.weight))
 
 
 _OPERATOR_BYTES = 64 * 2**20
@@ -385,31 +384,33 @@ def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> Pr
     op = _operators[key] = _operators.pop(key, None) or _build_probe_operator(*key)
     # the oldest go first, and the one just used stays however large it is
     while len(_operators) > 4 or len(_operators) > 1 and _OPERATOR_BYTES < sum(
-        o.index.nbytes + o.weight.nbytes for o in _operators.values()
+        o.nbytes for o in _operators.values()
     ):
         del _operators[next(iter(_operators))]
     return op
 
 
 def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> ProbeOperator:
-    """Least-squares probe operator of a j_max block over one grid shape.
+    """Normal equations of the least-squares fit of a j_max block over one grid shape.
 
     Unknowns are the ordered pairs p of the block, on lines w_p = E(J1) -
-    E(J2).  Each distinct line frequency f is probed at every order alpha at
-    which one of its own pairs has a coefficient c_alpha, and the probe rows
-    read D[(alpha, f), p] = c_alpha(p) * K(f - w_p), with K the window
-    kernel over n_t samples of n_periods periods pi/omega.  D splits into
-    groups that share no row and no unknown: lines on exact bins (rigid and
-    symmetric-top spectra), where K is 0 or 1, give one group per line,
-    off-bin lines one dense group, and either splits by the parity of S
-    where the coefficients keep it (k = 0).  Each group's pseudo-inverse
-    comes from its SVD, one call per group shape, and ``cond`` is the worst
-    group's ratio of largest to smallest singular value.
+    E(J2).  The fit matches the Legendre moments y[t, alpha] = sum_p
+    c_alpha(p) exp(-i w_p t) rho_p over n_t samples of n_periods periods
+    pi/omega; its normal equations read G rho = b, with the Gram matrix
+    G[p, q] = (C C^T)[p, q] * K(w_p - w_q), K the window kernel, and b_p =
+    sum_alpha c_alpha(p) M(w_p, alpha) from the moments at p's own line.
+    G splits into independent groups: when every line sits within 1e-8
+    bins of an exact bin (rigid and symmetric-top spectra), K vanishes
+    between bins, so each bin is a group, and the plan's n_t > n_periods *
+    tau_max keeps bins from aliasing; off the bins all lines form one
+    group.  Either splits by the parity of S = J1 + J2 where the
+    coefficients keep it, for C C^T vanishes between the parities.  Each
+    group's Gram is built and inverted in one stack per group size.
 
-    Index and weight arrays are padded to the widest group's w rows: 24 n^2 w
-    bytes, n = j_max - m_min + 1.  A group on one bin has w <= 2 j_max + 1; a
-    dense centrifugal one has w ~ n^3 / 6, so ~4 n^5 bytes: 0.69 MiB at
-    j_max = 10, 16.7 MiB at 20, 114 MiB at 30.
+    The operator stores n^2 * (n_orders + w) numbers, n = j_max - m_min + 1,
+    n_orders = 2 j_max + 1 and w the largest group: a group on one bin has
+    w <= n, a dense centrifugal one w ~ n^2 / 2, so ~24 n^4 bytes: 0.2 MiB
+    at j_max = 10, 11 MiB at 30.
     """
     m_min, n_orders = spec.m_min, 2 * j_max + 1
     js = np.arange(m_min, j_max + 1)
@@ -417,51 +418,43 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     j1, j2 = np.repeat(js, n), np.tile(js, n)
     energies = np.array([energy(spec, int(J)) for J in js])
     omega = energies[j1 - m_min] - energies[j2 - m_min]
-    coeffs = spec.coefficient_table().tensor(j_max).reshape(n * n, n_orders)
+    table = spec.coefficient_table()
+    coeffs = table.tensor(j_max).reshape(n * n, n_orders)
 
     # lines: unknowns whose frequencies share one exact bin, by increasing frequency;
     # the frequencies come in +- pairs, so h lines lie below the zero line and h above
     bins = omega * n_periods / (2.0 * spec.omega)
     _, first, line = np.unique(np.round(bins, 8), return_index=True, return_inverse=True)
-    freq, h, lines = omega[first], len(first) // 2, np.arange(len(first))
-    source = np.where(lines >= h, lines - h, 2 * h + 1 - lines)  # row of the moment table
+    h, lines = len(first) // 2, np.arange(len(first))
+    source = np.where(lines >= h, lines - h, 2 * h + 1 - lines)[line]  # row of the moment table
+    carried = np.zeros((len(first), n_orders), dtype=bool)
+    np.logical_or.at(carried, line, coeffs != 0)
+
+    # groups: one per exact bin when every line sits on one (_window_kernel's test),
+    # else one; either split by the parity of S where the coefficients keep it
+    on_bins = np.all(np.abs(bins - np.round(bins)) < 1e-8)
+    label = 2 * np.round(bins).astype(np.intp) * on_bins + (j1 + j2) % 2 * table.parity
+    members = np.argsort(label, kind="stable")  # each group's unknowns in increasing order
+    _, start, size = np.unique(label[members], return_index=True, return_counts=True)
     dt = n_periods * (np.pi / spec.omega) / n_t
-    kernel = _window_kernel(freq[:, None] - omega[None, :], dt, n_t)
-
-    # rows (alpha, line), grouped by line; edges where D is non-zero
-    carries = coeffs != 0
-    on_line = np.zeros((len(first), n_orders), dtype=bool)
-    np.logical_or.at(on_line, line, carries)
-    row_line, row_alpha = np.nonzero(on_line)
-    row_id = np.cumsum(on_line).reshape(on_line.shape) - 1  # row of (line, alpha)
-    k_line, k_unknown = np.nonzero(kernel)
-    edge, alpha = np.nonzero(on_line[k_line] & carries[k_unknown])
-    edge_row, edge_unknown = row_id[k_line[edge], alpha], k_unknown[edge]
-    u_label, r_label = _components(edge_row, edge_unknown, len(row_line), n * n)
-
-    # groups, labeled by their first unknown: sizes and members in label order
-    u_count, r_count = np.bincount(u_label, minlength=n * n), np.bincount(r_label, minlength=n * n)
-    u_members, r_members = np.argsort(u_label, kind="stable"), np.argsort(r_label, kind="stable")
-    u_start, r_start = np.cumsum(u_count) - u_count, np.cumsum(r_count) - r_count
-    row_source = source[row_line] * n_orders + row_alpha
-    index = np.zeros((n * n, r_count.max()), dtype=np.intp)
+    index = np.zeros((n * n, size.max()), dtype=np.intp)
     weight = np.zeros(index.shape, dtype=complex)
     cond = 1.0
-    for n_r, n_u in sorted(set(zip(r_count.tolist(), u_count.tolist())) - {(0, 0)}):
-        same = np.flatnonzero((r_count == n_r) & (u_count == n_u))
-        rows = r_members[r_start[same, None] + np.arange(n_r)]
-        unknowns = u_members[u_start[same, None] + np.arange(n_u)]
-        mat = (coeffs[unknowns[:, None, :], row_alpha[rows][:, :, None]]
-               * kernel[row_line[rows][:, :, None], unknowns[:, None, :]])
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        cond = max(cond, float(np.max(s[:, 0] / s[:, -1])))
-        pinv = (vh.conj() / s[:, :, None]).transpose(0, 2, 1) @ u.conj().transpose(0, 2, 1)
-        index[unknowns, :n_r] = row_source[rows][:, None, :]
-        weight[unknowns, :n_r] = pinv
+    for w in sorted(set(size.tolist())):
+        group = members[start[size == w, None] + np.arange(w)]  # (groups, w)
+        c, f = coeffs[group], omega[group]
+        gram = c @ c.transpose(0, 2, 1) * _window_kernel(f[:, :, None] - f[:, None, :], dt, n_t)
+        lam, vec = np.linalg.eigh(gram)
+        cond = max(cond, math.sqrt(float(np.max(lam[:, -1] / lam[:, 0]))))
+        index[group, :w] = group[:, None, :]
+        weight[group, :w] = (vec / lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)
     probes = np.stack((j1 + j2, j1 - j2), axis=1)[first[h:]]
-    for arr in (probes, index, weight):
+    for arr in (probes, source, coeffs, index, weight):
         arr.setflags(write=False)
-    return ProbeOperator(probes=probes, index=index, weight=weight, n_rows=len(row_line), cond=cond)
+    return ProbeOperator(
+        probes=probes, source=source, coeffs=coeffs, index=index, weight=weight,
+        n_rows=int(carried.sum()), cond=cond,
+    )
 
 
 @dataclass(frozen=True)
@@ -623,9 +616,10 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x)
     op = _probe_operator(spec, j_max, plan.n_periods, plan.n_t)
     moments = moment_integral(grid, op.probes[:, 0], op.probes[:, 1], spec, plan.alpha_max).orders
-    table = np.concatenate((moments, moments.conj())).ravel()
+    table = np.concatenate((moments, moments.conj()))
+    b = np.einsum("pa,pa->p", op.coeffs, table[op.source])
     n = j_max - plan.m_min + 1
-    elements = np.sum(op.weight * table[op.index], axis=1).reshape(n, n)
+    elements = np.einsum("pi,pi->p", op.weight, b[op.index]).reshape(n, n)
 
     block = DensityBlock(spec.k, spec.m, j_max, (elements + elements.conj().T) / 2.0)
     resim = simulate_pr(block, spec, grid.x_grid, grid.n_t, grid.n_periods)

@@ -4,19 +4,22 @@ Everything here deliberately takes a different route than the package code:
 exact rational arithmetic for coupling coefficients, scipy's lpmv for
 Legendre values, the explicit half-angle sum for Wigner d, brute-force pair
 scanning for frequency degeneracies, LAPACK inversion of a closed-form
-matrix for diagonal pattern rows, and a Gauss-Legendre rule of its own for
-each product decomposition.
+matrix for diagonal pattern rows, a Gauss-Legendre rule of its own for
+each product decomposition, and a dense least-squares solve of the whole
+time-domain design for a block.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import lpmv
 
 from rotortomo.angular import eigenfunction_rows
+from rotortomo.rotor import energy
 
 
 def cg_exact(j1: int, j2: int, j3: int, m1: int, m2: int) -> float:
@@ -87,6 +90,7 @@ def wigner_d_explicit(j: int, k: int, m: int, x) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def c_l_closed(k: int, m: int, j1: int, j2: int, L: int) -> float:
     """Coefficient of P~_L in f_{j1} f_{j2}, in closed form through cg_exact."""
     pref = math.sqrt((2 * j1 + 1) * (2 * j2 + 1) / (2.0 * (2 * L + 1)))
@@ -100,14 +104,15 @@ def product_decomp_per_pair(k: int, m: int, j1: int, j2: int) -> dict[int, float
     the pair's integrands f_{j1} f_{j2} P~_L.  The rows come from the
     package's eigenfunction_rows (the k = m = 0 rows are P~_L): tests pin
     them against lpmv and the half-angle sum, which loses digits past J ~ 20,
-    too early to serve as rows here.
+    too early to serve as rows here.  Where k = 0 or m = 0 only L of the
+    parity of j1 + j2 are listed: C(j1, j2, L | 0, 0, 0) vanishes for the others.
     """
     nodes, weights = np.polynomial.legendre.leggauss(j1 + j2 + 1)
     m_min = max(abs(k), abs(m))
     f = eigenfunction_rows(max(j1, j2), k, m, nodes)
     prod_w = f[j1 - m_min] * f[j2 - m_min] * weights
     p0 = eigenfunction_rows(j1 + j2, 0, 0, nodes)
-    step = 2 if k == 0 else 1
+    step = 2 if k == 0 or m == 0 else 1
     return {L: float(p0[L] @ prod_w) for L in range(abs(j1 - j2), j1 + j2 + 1, step)}
 
 
@@ -152,3 +157,25 @@ def pattern_row(k: int, m: int, j_cap: int, j1: int) -> dict[int, float]:
     inv = np.linalg.inv(diag_moment_matrix(k, m, j_cap))
     row = inv[j1 - m_min]
     return {m_min + b: float(row[b]) for b in range(row.size)}
+
+
+def time_domain_block(grid, spec, j_max: int) -> np.ndarray:
+    """Symmetrised least-squares block of the full time-domain design, by numpy's lstsq.
+
+    Rows are (t, alpha) for alpha = 0 .. 2 j_max and hold the Legendre
+    moments y[t, alpha] = integral P~_alpha(x) Pr(x, t) dx, with P~ from
+    lpmv; the unknowns are the ordered pairs p = (J1, J2), row-major, with
+    design entries c_alpha(p) exp(-i w_p t) from the closed-form
+    coefficients and w_p = E(J1) - E(J2).
+    """
+    js = range(spec.m_min, j_max + 1)
+    pairs = [(a, b) for a in js for b in js]
+    alphas = range(2 * j_max + 1)
+    coeffs = np.array([[c_l_closed(spec.k, spec.m, a, b, L) for a, b in pairs] for L in alphas])
+    omega = np.array([energy(spec, a) - energy(spec, b) for a, b in pairs])
+    phases = np.exp(-1j * np.multiply.outer(grid.times, omega))  # (t, p)
+    design = (phases[:, None, :] * coeffs[None, :, :]).reshape(-1, len(pairs))
+    moments = grid.x_integrals(np.array([norm_legendre(L, 0, grid.x_grid.nodes) for L in alphas]))
+    rho = np.linalg.lstsq(design, moments.ravel().astype(complex), rcond=None)[0]
+    rho = rho.reshape(len(js), len(js))
+    return (rho + rho.conj().T) / 2.0

@@ -248,16 +248,17 @@ def test_slabs_match_the_closed_form_as_closely_as_the_per_pair_rule(k, m):
         assert slab_err <= 1.1 * pair_err, (j1, slab_err, pair_err)
 
 
-@pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1)])
+@pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1), (2, 0), (-3, 0)])
 def test_slab_zeros_are_the_selection_rules(k, m):
     table = CoefficientTable(k, m)
+    parity = k == 0 or m == 0  # C(J1, J2, L | 0, 0, 0) = 0 for odd J1 + J2 + L
     for j1 in range(table.m_min, 21):
         slab = table.slab(j1)
         assert slab.shape == (j1 - table.m_min + 1, 2 * j1 + 1)
         assert not slab.flags.writeable
         j2 = np.arange(table.m_min, j1 + 1)[:, None]
         L = np.arange(2 * j1 + 1)
-        allowed = (j1 - j2 <= L) & (L <= j1 + j2) & ((k != 0) | ((L + j1 + j2) % 2 == 0))
+        allowed = (j1 - j2 <= L) & (L <= j1 + j2) & ((not parity) | ((L + j1 + j2) % 2 == 0))
         assert np.array_equal(slab != 0, allowed), j1
 
 

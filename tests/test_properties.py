@@ -1,11 +1,16 @@
-"""Property test: exact-data grids round-trip within their kind's tolerance or name a limit."""
+"""Property test: exact-data grids round-trip within their kind's tolerance or name a limit.
+
+A shot-noised copy of each grid must reconstruct to the least-squares fit of
+the whole time-domain design, solved densely by :func:`oracles.time_domain_block`.
+"""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rotortomo.angular import gauss_legendre_grid
-from rotortomo.rotor import RotorKind, RotorSpec, make_test_state, simulate_pr
+from rotortomo.rotor import RotorKind, RotorSpec, add_shot_noise, make_test_state, simulate_pr
 from rotortomo.tomography import SamplingError, SamplingPlan, reconstruct_block
 
 TOLERANCE = {RotorKind.RIGID: 1e-10, RotorKind.SYMTOP: 1e-10, RotorKind.CENTRIFUGAL: 1e-8}
@@ -44,3 +49,6 @@ def test_exact_grids_round_trip_or_raise_a_sampling_error(case):
     except SamplingError:
         return
     assert np.max(np.abs(result.block.elements - block.elements)) <= TOLERANCE[spec.kind]
+    noisy = add_shot_noise(grid, 10**4, seed=0)
+    got = reconstruct_block(noisy, spec, block.j_max).block.elements
+    assert np.max(np.abs(got - oracles.time_domain_block(noisy, spec, block.j_max))) <= 1e-12

@@ -296,6 +296,13 @@ def test_kicked_state_builds_coherences():
     assert np.max(np.abs(off)) > 0.05
 
 
+def test_kicked_state_at_the_largest_blocks_is_unit_trace():
+    # the working space 2 j_max + 4 would pass J_CAP = 200; it stops there
+    blk = make_test_state("cos2-kicked", 0, 0, 99, kick_strength=1.2)
+    assert blk.trace() == pytest.approx(1.0, abs=1e-12)
+    assert blk.hermiticity_defect() < 1e-12
+
+
 @pytest.mark.parametrize("m, j_max, kick", [(0, 6, 1.2), (1, 8, 1.7), (2, 5, 0.8)])
 def test_kicked_state_matches_the_kick_applied_by_quadrature(m, j_max, kick):
     # c_J = integral f_J(x) exp(i kick x^2) f_m(x) dx, truncated to the block and renormalized

@@ -1,6 +1,11 @@
 """Degeneracy chains, moments, and the full inverse engine."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -675,7 +680,7 @@ def test_zero_distortion_operator_splits_into_the_rigid_groups():
     cd = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=0.0), 6, 4, plan.n_t)
     assert np.array_equal(cd.probes, rigid.probes) and np.array_equal(cd.index, rigid.index)
     assert np.max(np.abs(cd.weight - rigid.weight)) <= 1e-15
-    # no group wider than bin 0's rows alpha = 0, 2 .. 12
+    # no group wider than bin 0's 7 diagonal pairs
     assert rigid.weight.shape == (49, 7)
     distorted = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=1e-4), 6, 4, plan.n_t)
     assert distorted.weight.shape[1] > 7
@@ -689,13 +694,65 @@ def test_operator_memo_is_bounded_by_count_and_bytes(monkeypatch):
     assert tomography._probe_operator(*shapes[1]) is ops[1]
     assert list(tomography._operators) == shapes[2:] + shapes[1:2]
     # over the byte budget the oldest go first, and the one just used stays
-    budget = sum(op.index.nbytes + op.weight.nbytes for op in (ops[1], ops[4]))
+    budget = sum(op.nbytes for op in (ops[1], ops[4]))
     monkeypatch.setattr(tomography, "_OPERATOR_BYTES", budget)
     assert tomography._probe_operator(*shapes[4]) is ops[4]
     assert list(tomography._operators) == shapes[1:2] + shapes[4:]
     monkeypatch.setattr(tomography, "_OPERATOR_BYTES", 0)
     tomography._probe_operator(*shapes[0])
     assert list(tomography._operators) == shapes[:1]
+
+
+def test_lines_within_the_bin_tolerance_share_one_group():
+    # d_cd = 1e-11 moves every line less than 1e-8 bins off its exact bin, which the
+    # window kernel treats as on it, while the moment table still tells the lines apart
+    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-11)
+    blk = make_test_state("random-mixed", 0, 0, 6, seed=3)
+    result = reconstruct_block(_simulate(blk, spec), spec, 6)
+    assert np.max(np.abs(result.block.elements - blk.elements)) <= 1e-8
+
+
+def test_operators_of_large_blocks_stay_small():
+    # a dense centrifugal group stores its Gram inverse, not one weight per (unknown, row)
+    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)
+    op = tomography._build_probe_operator(spec, 30, 16, SamplingPlan.derive(spec, 30, 16).n_t)
+    assert op.nbytes <= 16 * 2**20
+    # no build array spans every (line, unknown) pair
+    RIGID.coefficient_table().tensor(60)
+    tracemalloc.start()
+    try:
+        tomography._build_probe_operator(RIGID, 60, 1, SamplingPlan.derive(RIGID, 60).n_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+def test_a_cold_reconstruct_imports_no_module():
+    # numpy.ma, for one, loads on a first bare np.unique call and costs about 1 MiB
+    code = """
+import sys
+import rotortomo as rt
+cases = [(rt.RotorSpec("rigid-linear", 1.0, m=1), 6, 1),
+         (rt.RotorSpec("centrifugal-linear", 1.0, d_cd=1e-4), 4, 4),
+         (rt.RotorSpec("symmetric-top", 1.0, 0.3, k=2), 4, 1)]
+grids = []
+for spec, j_max, n_periods in cases:
+    plan = rt.SamplingPlan.derive(spec, j_max, n_periods)
+    block = rt.make_test_state("random-mixed", spec.k, spec.m, j_max, seed=1)
+    grid = rt.simulate_pr(block, spec, rt.gauss_legendre_grid(plan.n_x), plan.n_t, n_periods)
+    grids.append((rt.add_shot_noise(grid, 1000, 1), spec, j_max))
+before = set(sys.modules)
+for grid, spec, j_max in grids:
+    rt.reconstruct_block(grid, spec, j_max)
+print(sorted(set(sys.modules) - before))
+"""
+    src = str(Path(tomography.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_centrifugal_with_zero_distortion_reproduces_rigid():
