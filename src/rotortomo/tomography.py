@@ -17,7 +17,7 @@ m = 0); centrifugal distortion moves the lines off the bins, and the kernel
 couples them.
 
 The block is the support: population above j_max is assumed absent.  The
-degeneracy chains, enumerated in one place (:attr:`SamplingPlan.chains`),
+degeneracy chains, enumerated once per operator (:attr:`ProbeOperator.chains`),
 name the pairs outside the block that share an element's line; they are
 reported as flags.
 
@@ -29,8 +29,8 @@ frequency are probed: for real data the others are their conjugates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,10 +92,9 @@ class ChainMember:
 class DegeneracyChain:
     """All pairs sharing one probe's frequency, by decreasing |DJ|.
 
-    ``members`` lie within the chain's horizon (an S cap, or in a plan the
-    block); ``neglected`` lists pairs that satisfy every frequency/parity
-    condition but lie beyond it, i.e. the contributions taken as zero
-    instead of fitted.
+    ``members`` lie within the chain's horizon, an S cap; ``neglected``
+    lists pairs that satisfy every frequency/parity condition but lie
+    beyond it, i.e. the contributions taken as zero instead of fitted.
     """
 
     target: int
@@ -328,24 +327,18 @@ def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
 def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
     """(1/N_t) sum_n exp(i * delta_omega * n * dt), the finite-window Fourier kernel.
 
-    Frequencies that land on an exact sampling bin (the rigid case) are
-    snapped to 0 or 1 so the distortion-free limit reproduces Kronecker
-    deltas to machine precision rather than through a 0/0 sine ratio.
+    With x = delta_omega * dt / 2 pi this is exp(i pi x (N_t - 1)) sinc(N_t x)
+    / sinc(x), exact at x = 0; a plan's n_t > n_periods * tau_max keeps every
+    offset between two lines of a block below one sample rate, |x| < 1, so
+    sinc(x) never vanishes.
     """
-    s = delta_omega * dt * n_t / (2.0 * np.pi)
-    r = np.round(s)
-    on_bin = np.abs(s - r) < 1e-8
-    kernel = np.where(on_bin & (r % n_t == 0), 1.0, 0.0).astype(complex)
-    phi = delta_omega[~on_bin] * dt
-    kernel[~on_bin] = (
-        np.exp(1j * phi * (n_t - 1) / 2.0) * np.sin(n_t * phi / 2.0) / (n_t * np.sin(phi / 2.0))
-    )
-    return kernel
+    x = delta_omega * dt / (2.0 * np.pi)
+    return np.exp(1j * np.pi * x * (n_t - 1)) * np.sinc(n_t * x) / np.sinc(x)
 
 
 @dataclass(frozen=True)
 class ProbeOperator:
-    """The fixed linear map from one grid's moments to its block.
+    """The fixed linear map from one grid's moments to its block, with its chains.
 
     ``probes`` holds the (alpha, beta) labels of one level pair on each line
     of non-negative frequency, in order; :func:`moment_integral` gives their
@@ -358,6 +351,13 @@ class ProbeOperator:
     ``weight`` is p's row of the inverse of that group's Gram matrix.
     ``n_rows`` counts the (line, alpha) moments that carry a coefficient,
     and ``cond`` is the worst group's sqrt(lambda_max / lambda_min).
+
+    ``chains`` maps each off-diagonal pair (J1, J2), J1 > J2, to the (S, DJ)
+    pairs of the block on its degeneracy chain, and ``flags`` the pairs
+    that have partners outside the block to those partners, which the
+    support assumption sets to zero.  ``nbytes`` counts the arrays alone:
+    the chains and flags add about a tenth to them (0.84 MiB of Python
+    objects, by tracemalloc, against 8.67 MiB of arrays at rigid j_max = 60).
     """
 
     probes: np.ndarray
@@ -367,6 +367,8 @@ class ProbeOperator:
     weight: np.ndarray
     n_rows: int
     cond: float
+    chains: dict[tuple[int, int], list[tuple[int, int]]]
+    flags: dict[tuple[int, int], list[tuple[int, int]]]
 
     @property
     def nbytes(self) -> int:
@@ -399,13 +401,14 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     pi/omega; its normal equations read G rho = b, with the Gram matrix
     G[p, q] = (C C^T)[p, q] * K(w_p - w_q), K the window kernel, and b_p =
     sum_alpha c_alpha(p) M(w_p, alpha) from the moments at p's own line.
-    G splits into independent groups: when every line sits within 1e-8
-    bins of an exact bin (rigid and symmetric-top spectra), K vanishes
-    between bins, so each bin is a group, and the plan's n_t > n_periods *
-    tau_max keeps bins from aliasing; off the bins all lines form one
-    group.  Either splits by the parity of S = J1 + J2 where the
-    coefficients keep it, for C C^T vanishes between the parities.  Each
-    group's Gram is built and inverted in one stack per group size.
+    G splits into independent groups: an undistorted spectrum (rigid,
+    symmetric-top, or d_cd = 0) puts every line on an exact bin, where K
+    vanishes between bins, so each bin is a group, and the plan's n_t >
+    n_periods * tau_max keeps bins from aliasing; any distortion, however
+    small, takes the lines off the bins, and all of them form one group.
+    Either splits by the parity of S = J1 + J2 where the coefficients keep
+    it, for C C^T vanishes between the parities.  Each group's Gram is
+    built and inverted in one stack per group size.
 
     The operator stores n^2 * (n_orders + w) numbers, n = j_max - m_min + 1,
     n_orders = 2 j_max + 1 and w the largest group: a group on one bin has
@@ -421,19 +424,21 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     table = spec.coefficient_table()
     coeffs = table.tensor(j_max).reshape(n * n, n_orders)
 
-    # lines: unknowns whose frequencies share one exact bin, by increasing frequency;
-    # the frequencies come in +- pairs, so h lines lie below the zero line and h above
+    # lines: unknowns of one frequency, by increasing frequency; the frequencies come
+    # in +- pairs, so h lines lie below the zero line and h above.  An undistorted
+    # spectrum puts every line on an exact bin, up to the rounding of the energies
+    on_bins = spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0
     bins = omega * n_periods / (2.0 * spec.omega)
-    _, first, line = np.unique(np.round(bins, 8), return_index=True, return_inverse=True)
+    bins = np.round(bins) if on_bins else bins
+    _, first, line = np.unique(bins, return_index=True, return_inverse=True)
     h, lines = len(first) // 2, np.arange(len(first))
     source = np.where(lines >= h, lines - h, 2 * h + 1 - lines)[line]  # row of the moment table
     carried = np.zeros((len(first), n_orders), dtype=bool)
     np.logical_or.at(carried, line, coeffs != 0)
 
-    # groups: one per exact bin when every line sits on one (_window_kernel's test),
-    # else one; either split by the parity of S where the coefficients keep it
-    on_bins = np.all(np.abs(bins - np.round(bins)) < 1e-8)
-    label = 2 * np.round(bins).astype(np.intp) * on_bins + (j1 + j2) % 2 * table.parity
+    # groups: one per exact bin when every line sits on one, else one;
+    # either split by the parity of S where the coefficients keep it
+    label = 2 * bins.astype(np.intp) * on_bins + (j1 + j2) % 2 * table.parity
     members = np.argsort(label, kind="stable")  # each group's unknowns in increasing order
     _, start, size = np.unique(label[members], return_index=True, return_counts=True)
     dt = n_periods * (np.pi / spec.omega) / n_t
@@ -451,19 +456,42 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     probes = np.stack((j1 + j2, j1 - j2), axis=1)[first[h:]]
     for arr in (probes, source, coeffs, index, weight):
         arr.setflags(write=False)
+    chains, flags = _chains(spec, j_max, n_periods)
     return ProbeOperator(
         probes=probes, source=source, coeffs=coeffs, index=index, weight=weight,
-        n_rows=int(carried.sum()), cond=cond,
+        n_rows=int(carried.sum()), cond=cond, chains=chains, flags=flags,
     )
+
+
+def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
+    """The chains and flags of a :class:`ProbeOperator`, one chain per pair J1 > J2.
+
+    Exact for rigid and symmetric-top spectra, within 2 omega / n_periods of
+    the probe frequency for centrifugal ones; the rigid chain's horizon S <
+    beta (alpha + 1) bounds both scans.
+    """
+    m_min, tolerance, chains, flags = spec.m_min, 2.0 * spec.omega / n_periods, {}, {}
+    for j2 in range(m_min, j_max + 1):
+        for j1 in range(j2 + 1, j_max + 1):
+            alpha, beta = j1 + j2, j1 - j2
+            if spec.kind is RotorKind.CENTRIFUGAL:
+                chain = degeneracy_set_cd(alpha, beta, m_min, beta * (alpha + 1), spec, tolerance)
+            else:
+                chain = degeneracy_set(alpha, beta, m_min, beta * (alpha + 1), parity=spec.k == 0)
+            pair = (j1, j2)
+            chains[pair] = [mem.pair for mem in chain.members if mem.j1 <= j_max]
+            beyond = [mem.pair for mem in chain.members if mem.j1 > j_max]
+            if beyond:
+                flags[pair] = beyond
+    return chains, flags
 
 
 @dataclass(frozen=True)
 class SamplingPlan:
     """Grid sizes that make every probe of a reconstruction exact.
 
-    :meth:`derive` memoizes one plan per (spec, j_max, n_periods, n_t,
-    n_x), so its lazy :attr:`chains` are enumerated once per grid shape.
-    Plans compare by their sizes alone (``spec`` is not compared).
+    A plain value: :meth:`derive` validates and fills the sizes on every
+    call, and the chains live in the grid shape's :class:`ProbeOperator`.
 
     The block is the support: no population above j_max is assumed, so no
     probe goes deeper than the block.  tau_max is the largest frequency in
@@ -480,8 +508,6 @@ class SamplingPlan:
     alpha_max: int
     n_t: int
     n_x: int
-    freq_tolerance: float
-    spec: RotorSpec = field(compare=False, repr=False)
 
     @classmethod
     def derive(
@@ -494,15 +520,8 @@ class SamplingPlan:
     ) -> "SamplingPlan":
         """Fill n_t / n_x (0 = auto) and validate explicit values.
 
-        Plans are memoized: equal arguments return the same plan, so its
-        lazy chains are enumerated once per grid shape.
         Raises :class:`SamplingError` naming the violated requirement.
         """
-        return cls._build(spec, j_max, n_periods, n_t, n_x)
-
-    @staticmethod
-    @lru_cache(maxsize=64)
-    def _build(spec: RotorSpec, j_max: int, n_periods: int, n_t: int, n_x: int) -> "SamplingPlan":
         m_min = spec.m_min
         if j_max < m_min:
             raise ValueError(f"j_max = {j_max} below channel minimum {m_min}")
@@ -537,46 +556,8 @@ class SamplingPlan:
             raise SamplingError(
                 f"n_x = {n_x} exceeds the supported {N_X_CAP} nodes: need n_x <= {N_X_CAP}"
             )
-        return SamplingPlan(
-            j_max=j_max,
-            m_min=m_min,
-            n_periods=n_periods,
-            tau_max=tau_max,
-            alpha_max=alpha_max,
-            n_t=n_t,
-            n_x=n_x,
-            freq_tolerance=2.0 * spec.omega / n_periods,
-            spec=spec,
-        )
-
-    @cached_property
-    def chains(self) -> dict[tuple[int, int], DegeneracyChain]:
-        """Degeneracy chain of each off-diagonal block pair (J1, J2), J1 > J2.
-
-        Exact for rigid and symmetric-top spectra, within ``freq_tolerance``
-        = 2 omega / n_periods of the probe frequency for centrifugal ones.
-        ``members`` are the pairs inside the block; ``neglected`` are the
-        partners outside it, which the support assumption sets to zero.
-        Enumerated on first read.
-        """
-        spec, m_min = self.spec, self.m_min
-        chains = {}
-        for j2 in range(m_min, self.j_max + 1):
-            for j1 in range(j2 + 1, self.j_max + 1):
-                alpha, beta = j1 + j2, j1 - j2
-                s_cap = beta * (alpha + 1)  # the rigid chain's horizon: S < target
-                if spec.kind is RotorKind.CENTRIFUGAL:
-                    chain = degeneracy_set_cd(
-                        alpha, beta, m_min, s_cap, spec, self.freq_tolerance
-                    )
-                else:
-                    chain = degeneracy_set(alpha, beta, m_min, s_cap, parity=spec.k == 0)
-                chains[(j1, j2)] = DegeneracyChain(
-                    target=chain.target,
-                    members=[mem for mem in chain.members if mem.j1 <= self.j_max],
-                    neglected=[mem for mem in chain.members if mem.j1 > self.j_max],
-                )
-        return chains
+        return cls(j_max=j_max, m_min=m_min, n_periods=n_periods, tau_max=tau_max,
+                   alpha_max=alpha_max, n_t=n_t, n_x=n_x)
 
 
 @dataclass
@@ -636,11 +617,7 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
         block=block,
         method="probe-least-squares",
         residual_inf=residual,
-        chains={pair: chain.pairs() for pair, chain in plan.chains.items()},
-        flags={
-            pair: [mem.pair for mem in chain.neglected]
-            for pair, chain in plan.chains.items()
-            if chain.neglected
-        },
+        chains={pair: list(pairs) for pair, pairs in op.chains.items()},
+        flags={pair: list(pairs) for pair, pairs in op.flags.items()},
         diagnostics=diagnostics,
     )

@@ -348,14 +348,15 @@ def test_pattern_function_range_check():
 def test_offdiag_round_trip_rigid():
     blk = make_test_state("random-mixed", 0, 0, 5, seed=4)
     grid = _simulate(blk, RIGID)
-    plan = SamplingPlan.derive(RIGID, 5)
     result = reconstruct_block(grid, RIGID, 5)
+    op = tomography._probe_operator(RIGID, 5, 1, grid.n_t)
     # the chains are the block pairs, nothing deeper
     pairs = {(j1, j2) for j1 in range(6) for j2 in range(j1)}
-    assert set(result.chains) == set(plan.chains) == pairs
-    for j1, j2 in plan.chains:
+    assert set(result.chains) == set(op.chains) == pairs
+    assert result.chains == op.chains
+    for j1, j2 in result.chains:
         assert result.block.element(j1, j2) == pytest.approx(blk.element(j1, j2), abs=1e-11)
-    assert all(mem.j1 <= 5 for chain in plan.chains.values() for mem in chain.members)
+    assert all((s + dj) // 2 <= 5 for chain in result.chains.values() for s, dj in chain)
 
 
 def test_offdiag_reports_deep_members_beyond_block():
@@ -374,19 +375,17 @@ def test_offdiag_flags_truncated_chains():
     # a j_max = 7 block keeps (9,3) = levels (6,3) inside the (5,0) chain
     blk = make_test_state("random-mixed", 0, 0, 7, seed=5)
     grid = _simulate(blk, RIGID)
-    plan = SamplingPlan.derive(RIGID, 7)
-    assert plan.chains[(5, 0)].pairs() == [(5, 5), (9, 3)]
-    assert [mem.pair for mem in plan.chains[(5, 0)].neglected] == [(29, 1)]
     # partners outside the block hold no population here, so values stay exact
     result = reconstruct_block(grid, RIGID, 7)
+    assert result.chains[(5, 0)] == [(5, 5), (9, 3)]
     assert result.flags[(5, 0)] == [(29, 1)]
-    for j1, j2 in plan.chains:
+    for j1, j2 in result.chains:
         assert result.block.element(j1, j2) == pytest.approx(blk.element(j1, j2), abs=1e-11)
 
 
 def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
-    # the plan enumerates each upper-triangle pair's chain once per grid
-    # shape; the solve, and every later reconstruction of that shape, reuse them
+    # the operator enumerates each upper-triangle pair's chain once per grid
+    # shape; every later reconstruction of that shape reuses them
     calls = []
     enumerate_chain = tomography.degeneracy_set
 
@@ -398,13 +397,24 @@ def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
     for spec, j_max in [(RIGID, 5), (_spec(m=1), 6), (_spec(RotorKind.SYMTOP, k=1, m=1), 4)]:
         blk = make_test_state("random-mixed", spec.k, spec.m, j_max, seed=3)
         grid = _simulate(blk, spec)
-        SamplingPlan._build.cache_clear()
+        monkeypatch.setattr(tomography, "_operators", {})
         calls.clear()
         for _ in range(2):
             result = reconstruct_block(grid, spec, j_max)
         n_levels = j_max - spec.m_min + 1
         assert len(calls) == n_levels * (n_levels - 1) // 2
         assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
+
+
+def test_results_share_no_mutable_state_with_the_operator_memo():
+    blk = make_test_state("random-pure", 0, 0, 5, seed=2)
+    grid = _simulate(blk, RIGID)
+    result = reconstruct_block(grid, RIGID, 5)
+    result.flags[(5, 0)].append((1, 1))
+    result.chains[(5, 0)].append((1, 1))
+    again = reconstruct_block(grid, RIGID, 5)
+    assert again.flags[(5, 0)] == [(9, 3), (29, 1)]
+    assert again.chains[(5, 0)] == [(5, 5)]
 
 
 def test_one_reconstruct_builds_the_analysis_rows_once():
@@ -443,7 +453,7 @@ def test_default_n_x_is_two_j_max_plus_one(spec):
         assert (plan.n_x, plan.alpha_max) == (2 * j_max + 1, 2 * j_max)
 
 
-def test_plan_enumerates_chains_on_first_read(monkeypatch):
+def test_plan_scans_no_chain_and_the_operator_scans_them_once(monkeypatch):
     calls = []
     monkeypatch.setattr(tomography, "degeneracy_set", lambda *a, **kw: calls.append(a))
     monkeypatch.setattr(tomography, "degeneracy_set_cd", lambda *a, **kw: calls.append(a))
@@ -452,18 +462,20 @@ def test_plan_enumerates_chains_on_first_read(monkeypatch):
     assert calls == []  # sizes alone need no chain scan
     monkeypatch.undo()
     plan = SamplingPlan.derive(RIGID, 6)
-    assert plan.chains is plan.chains
     assert plan == SamplingPlan.derive(RIGID, 6)
+    op = tomography._probe_operator(RIGID, 6, 1, plan.n_t)
+    assert tomography._probe_operator(RIGID, 6, 1, plan.n_t).chains is op.chains
 
 
-def test_plan_is_memoized_per_spec_and_grid_shape():
-    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)
-    plan = SamplingPlan.derive(spec, 5, n_periods=16)
-    assert SamplingPlan.derive(spec, 5, n_periods=16) is plan
-    # plans compare by sizes only, so the memo must tell the specs apart
-    other = SamplingPlan.derive(_spec(RotorKind.CENTRIFUGAL, d_cd=2e-4), 5, n_periods=16)
-    assert other == plan and other is not plan
-    assert other.spec.d_cd == 2e-4
+def test_operators_of_specs_that_differ_only_in_d_cd_are_distinct(monkeypatch):
+    # plans hold sizes alone, so they are equal; the operator memo tells the specs apart
+    monkeypatch.setattr(tomography, "_operators", {})
+    specs = [_spec(RotorKind.CENTRIFUGAL, d_cd=d_cd) for d_cd in (1e-4, 2e-4)]
+    plan, other = (SamplingPlan.derive(spec, 5, n_periods=16) for spec in specs)
+    assert other == plan
+    op, op2 = (tomography._probe_operator(spec, 5, 16, plan.n_t) for spec in specs)
+    assert op is not op2 and op.chains is not op2.chains
+    assert op.flags == {(3, 0): [(11, 1)], (5, 0): [(9, 3)]} and op2.flags == {}
 
 
 def test_plan_respects_explicit_grids_and_rejects_small_ones():
@@ -488,10 +500,9 @@ def test_plan_rejects_chain_probes_beyond_the_legendre_cap(spec, j_max):
     # the block, and it probes no deeper than 2 j_max
     plan = SamplingPlan.derive(spec, j_max)
     assert plan.alpha_max == 2 * j_max <= J_CAP
-    members = [mem for chain in plan.chains.values() for mem in chain.members]
-    neglected = [mem for chain in plan.chains.values() for mem in chain.neglected]
-    assert max(mem.j_sum for mem in members) <= plan.alpha_max
-    assert max(mem.j_sum for mem in neglected) > J_CAP
+    op = tomography._probe_operator(spec, j_max, 1, plan.n_t)
+    assert max(s for chain in op.chains.values() for s, _ in chain) <= plan.alpha_max
+    assert max(s for flagged in op.flags.values() for s, _ in flagged) > J_CAP
 
 
 @pytest.mark.parametrize("spec", [RIGID, _spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=1)],
@@ -704,12 +715,12 @@ def test_operator_memo_is_bounded_by_count_and_bytes(monkeypatch):
 
 
 def test_lines_within_the_bin_tolerance_share_one_group():
-    # d_cd = 1e-11 moves every line less than 1e-8 bins off its exact bin, which the
-    # window kernel treats as on it, while the moment table still tells the lines apart
+    # d_cd = 1e-11 moves every line less than 1e-8 bins off its exact bin; any
+    # distortion puts all lines into one group, each at its own frequency
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-11)
     blk = make_test_state("random-mixed", 0, 0, 6, seed=3)
     result = reconstruct_block(_simulate(blk, spec), spec, 6)
-    assert np.max(np.abs(result.block.elements - blk.elements)) <= 1e-8
+    assert np.max(np.abs(result.block.elements - blk.elements)) <= 1e-13
 
 
 def test_operators_of_large_blocks_stay_small():
