@@ -15,6 +15,7 @@ with f_J the normalized eigenfunctions from :mod:`rotortomo.angular`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -91,10 +92,16 @@ class RotorSpec:
         return coefficient_table(self.k, self.m)
 
 
-def energy(spec: RotorSpec, J: int) -> float:
-    """Eigenenergy of level J in the spec's (k, m) channel."""
-    if J < spec.m_min:
-        raise ValueError(f"J = {J} below channel minimum {spec.m_min}")
+def energy(spec: RotorSpec, J):
+    """Eigenenergy of level J in the spec's (k, m) channel.
+
+    ``J`` is an integer, or an integer array for the energies of many levels
+    in one call; each entry gets the bits a scalar call would give.  A level
+    below the channel minimum raises ValueError naming the lowest one.
+    """
+    lowest = np.min(J, initial=spec.m_min) if isinstance(J, np.ndarray) else J
+    if lowest < spec.m_min:
+        raise ValueError(f"J = {lowest} below channel minimum {spec.m_min}")
     n = J * (J + 1)
     if spec.kind is RotorKind.RIGID:
         return spec.omega * n
@@ -288,18 +295,29 @@ class MeasurementGrid:
         return self.x_integrals(self.x_grid.nodes**2)
 
 
-@lru_cache(maxsize=32)
-def _contraction_paths(n_t: int, n_j: int, n_x: int) -> tuple[list, list]:
-    """The einsum paths ``optimize=True`` finds for :func:`simulate_pr`'s two sums.
+def phase_table(freqs, dt: float, n_t: int) -> np.ndarray:
+    """exp(i f k dt) for k = 0 .. n_t - 1 (rows) and each f in ``freqs`` (columns).
 
-    The search reads only operand shapes, so it runs once per (n_t, n_j, n_x)
-    on zero-stride stand-ins instead of on every call.
+    With K = ceil(sqrt(n_t)) and k = q K + r, the table is the product of
+    exp(i f q K dt) and exp(i f r dt): two small exponential tables of
+    ceil(n_t / K) and K rows, and one complex multiply per entry, where
+    exponentiating every entry would cost one complex exp each.  Entries
+    agree with ``np.exp(1j * f * (k * dt))`` to a few ulp of max(1, |f k dt|).
     """
-    phases, rho = np.broadcast_to(0j, (n_t, n_j)), np.broadcast_to(0j, (n_j, n_j))
-    evolved, f = np.broadcast_to(0j, (n_t, n_j, n_j)), np.broadcast_to(0.0, (n_j, n_x))
-    evolve = np.einsum_path("ta,ab,tb->tab", phases, rho, phases, optimize=True)[0]
-    project = np.einsum_path("tab,ax,bx->tx", evolved, f, f, optimize=True)[0]
-    return evolve, project
+    freqs = np.asarray(freqs, dtype=float)
+    K = math.isqrt(max(n_t - 1, 0)) + 1
+    q, r = np.arange(-(-n_t // K)) * K * dt, np.arange(K) * dt
+    coarse = np.exp(1j * np.multiply.outer(q, freqs))
+    fine = np.exp(1j * np.multiply.outer(r, freqs))
+    return (coarse[:, None, :] * fine).reshape(len(q) * K, len(freqs))[:n_t]
+
+
+@lru_cache(maxsize=16)
+def _basis_rows(j_max: int, k: int, m: int, nodes: bytes) -> np.ndarray:
+    """Read-only rows f_J(x) for J = max(|k|, |m|) .. j_max at the x nodes."""
+    rows = eigenfunction_rows(j_max, k, m, np.frombuffer(nodes))
+    rows.setflags(write=False)
+    return rows
 
 
 def simulate_pr(
@@ -313,9 +331,16 @@ def simulate_pr(
 
     The x grid must have order >= 2*j_max + 1 so every x integral taken
     against the simulated data (normalization, basis projections up to the
-    block bandwidth) is quadrature-exact.  The result of the coherent sum is
-    real for Hermitian blocks; the imaginary residue is checked against
-    1e-12 and discarded.
+    block bandwidth) is quadrature-exact.
+
+    The level pairs a < b carry the time dependence: with e = exp(-i w_ab t),
+    rho_ab e + rho_ba conj(e) = 2 Re(h e) + 2i Im(d e), where h and d are
+    the (a, b) elements of the block's Hermitian and anti-Hermitian parts.
+    So one real matrix product of the pair phases' (Re e, Im e) against a
+    table of h, d and f_a(x) f_b(x) gives Re Pr and Im Pr together, and the
+    diagonal adds a constant term.  The result is real for Hermitian
+    blocks; its imaginary residue, from the anti-Hermitian part alone, is
+    checked against 1e-12 and discarded.
     """
     if (block.k, block.m) != (spec.k, spec.m):
         raise ValueError(
@@ -333,22 +358,29 @@ def simulate_pr(
 
     period = reference_period(spec)
     dt = n_periods * period / n_t
-    times = np.arange(n_t) * dt
-    energies = np.array([energy(spec, J) for J in block.j_values])
-    f = spec.basis_matrix(block.j_max, x_grid.nodes)  # (n_j, n_x)
-    phases = np.exp(-1j * np.outer(times, energies))  # (n_t, n_j)
-    evolve, project = _contraction_paths(n_t, len(energies), x_grid.order)
-    # Pr[t, x] = sum_ab phases[t,a] rho[a,b] conj(phases[t,b]) f[a,x] f[b,x]
-    evolved = np.einsum("ta,ab,tb->tab", phases, block.elements, phases.conj(), optimize=evolve)
-    values = np.einsum("tab,ax,bx->tx", evolved, f, f, optimize=project)
-    imag_max = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    rho, n_x = block.elements, x_grid.order
+    f = _basis_rows(block.j_max, spec.k, spec.m, np.asarray(x_grid.nodes, dtype=float).tobytes())
+    a, b = np.triu_indices(len(f), 1)
+    levels = phase_table(-energy(spec, block.j_values), dt, n_t)  # (n_t, n_j)
+    pairs = np.take(levels, a, axis=1)
+    pairs *= np.take(levels.conj(), b, axis=1)  # exp(-i w_ab t), (n_t, pairs)
+    upper, lower = rho[a, b], rho[b, a].conj()
+    h, d = upper + lower, upper - lower  # twice the Hermitian and anti-Hermitian parts
+    # (pair, Re e or Im e, Re Pr or Im Pr): Re(h e) and Im(d e) in (Re e, Im e)
+    weights = np.array([[h.real, d.imag], [-h.imag, d.real]]).transpose(2, 0, 1)
+    coef = (weights[..., None] * (f[a] * f[b])[:, None, None, :]).reshape(2 * len(a), 2 * n_x)
+    values = pairs.view(float) @ coef  # (n_t, 2 n_x): Re Pr, then Im Pr
+    diagonal = np.diagonal(rho) @ (f * f)
+    values[:, :n_x] += diagonal.real
+    values[:, n_x:] += diagonal.imag
+    imag_max = float(np.max(np.abs(values[:, n_x:]))) if values.size else 0.0
     if imag_max >= 1e-12:
         raise ValueError(f"simulated distribution has imaginary residue {imag_max:.3e}")
     return MeasurementGrid(
         x_grid=x_grid,
         period=period,
         n_periods=n_periods,
-        values=values.real,
+        values=values[:, :n_x],
         omega=spec.omega,
         kind=spec.kind,
         k=spec.k,

@@ -44,6 +44,7 @@ from .rotor import (
     check_distortion_range,
     energy,
     monotone_j_limit,
+    phase_table,
     simulate_pr,
 )
 
@@ -185,7 +186,7 @@ def degeneracy_set_cd(
     return DegeneracyChain(target=beta * (alpha + 1), members=found, neglected=[])
 
 
-def probe_frequency(spec: RotorSpec, alpha: int, beta: int) -> float:
+def probe_frequency(spec: RotorSpec, alpha, beta):
     """Frequency probed by the (alpha, beta) moment.
 
     For rigid and symmetric-top spectra this is omega * beta * (alpha + 1).
@@ -193,20 +194,29 @@ def probe_frequency(spec: RotorSpec, alpha: int, beta: int) -> float:
     E(J1) - E(J2) of the target pair J1 = (alpha+beta)/2, J2 = (alpha-beta)/2
     -- the quadratic distortion term depends on J1(J1+1) + J2(J2+1), not on
     beta*(alpha+1) alone, so no formula in (alpha, beta) alone reproduces it.
+    A probe with beta = 0 sits at 0.  ``alpha`` and ``beta`` are integers,
+    giving a float, or integer arrays of one shape, giving every probe's
+    frequency in one step: the centrifugal levels come from one
+    :func:`energy` call.
     """
-    if beta == 0:
-        return 0.0
-    if (alpha - beta) % 2:
-        raise ValueError(f"beta = {beta} must share the parity of alpha = {alpha}")
-    if spec.kind is RotorKind.CENTRIFUGAL:
-        j1, j2 = (alpha + beta) // 2, (alpha - beta) // 2
-        lo = min(j1, j2)
-        if lo < spec.m_min:
+    a, b = np.asarray(alpha), np.asarray(beta)
+    live = b != 0
+    odd = live & ((a - b) % 2 != 0)
+    if odd.any():
+        raise ValueError(f"beta = {b[odd][0]} must share the parity of alpha = {a[odd][0]}")
+    if spec.kind is not RotorKind.CENTRIFUGAL:
+        omega = spec.omega * b * (a + 1)
+    else:
+        j1, j2 = (a + b)[live] // 2, (a - b)[live] // 2
+        low = np.minimum(j1, j2) < spec.m_min
+        if low.any():
             raise ValueError(
-                f"probe pair ({j1},{j2}) has no level below J = {spec.m_min}"
+                f"probe pair ({j1[low][0]},{j2[low][0]}) has no level below J = {spec.m_min}"
             )
-        return bohr_frequency(spec, j1, j2)
-    return spec.omega * beta * (alpha + 1)
+        levels = energy(spec, np.concatenate((j1, j2)))
+        omega = np.zeros(a.shape)
+        omega[live] = levels[: len(j1)] - levels[len(j1):]
+    return float(omega) if omega.ndim == 0 else omega
 
 
 @lru_cache(maxsize=32)
@@ -229,15 +239,16 @@ def moment_integral(
     arrays of one shape; for arrays every field of the result is an array
     of that shape.
 
-    All probes of a call share one projection: a single matrix product gives
+    One :func:`probe_frequency` call gives every probe's frequency, and all
+    probes of a call share one projection: a single matrix product gives
     y[t, alpha] = integral P~_alpha(x) Pr(x, t) dx for alpha up to the
-    deeper of the deepest probe and ``alpha_max``, and one phase-matrix
-    product against y then gives every probe's moment at every one of those
-    orders (``orders``), at the frequencies of :func:`probe_frequency`;
-    ``value`` reads each probe's own order from it.  The grid must span
-    whole periods pi/omega of the spec.  A reconstruction passes its plan's
-    ``alpha_max`` and reads ``orders``: its probes are one per line, and its
-    operator fits every order of each line.
+    deeper of the deepest probe and ``alpha_max``, and one real product of
+    the :func:`phase_table` against y then gives every probe's moment at
+    every one of those orders (``orders``); ``value`` reads each probe's own
+    order from it.  The grid must span whole periods pi/omega of the spec.
+    A reconstruction passes its plan's ``alpha_max`` and reads ``orders``:
+    its probes are one per line, and its operator fits every order of each
+    line.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
@@ -254,9 +265,7 @@ def moment_integral(
         raise ValueError(
             f"grid period={grid.period!r} does not match pi/omega={period!r} of the spec"
         )
-    omega = np.array(
-        [probe_frequency(spec, int(p), int(q)) for p, q in zip(a.flat, b.flat)]
-    ).reshape(a.shape)
+    omega = probe_frequency(spec, a.ravel(), b.ravel()).reshape(a.shape)
     alpha_max = max(int(a.max(initial=0)), alpha_max)
     if 2 * grid.n_x - 1 < alpha_max:
         raise SamplingError(
@@ -272,8 +281,14 @@ def moment_integral(
             f"(alpha={a.flat[worst]}, beta={b.flat[worst]}): need n_t >= {needed}"
         )
     nodes = np.asarray(grid.x_grid.nodes, dtype=float).tobytes()
-    y = grid.x_integrals(_analysis_rows(alpha_max, nodes))  # (n_t, alpha_max + 1)
-    orders = np.exp(1j * np.multiply.outer(omega, grid.times)) @ y / grid.n_t
+    # at least two orders, so y is always a matrix-matrix product and rounds
+    # the same way whether one probe or many ask for it
+    rows = _analysis_rows(max(alpha_max, 1), nodes)
+    y = grid.x_integrals(rows)[:, : alpha_max + 1]  # (n_t, alpha_max + 1)
+    phases = phase_table(omega.ravel(), grid.dt, grid.n_t)  # (n_t, probes)
+    # (cos, sin) columns of every probe against y: (alpha_max + 1, probes) complex
+    moments = (y.T @ phases.view(float)).view(complex) / grid.n_t
+    orders = moments.T.reshape(a.shape + (alpha_max + 1,))
     value = np.take_along_axis(orders, a[..., None], axis=-1)[..., 0]
     if a.ndim == 0:
         return MomentValue(int(a), int(b), float(omega), complex(value), orders)
@@ -419,7 +434,7 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     js = np.arange(m_min, j_max + 1)
     n = len(js)
     j1, j2 = np.repeat(js, n), np.tile(js, n)
-    energies = np.array([energy(spec, int(J)) for J in js])
+    energies = energy(spec, js)
     omega = energies[j1 - m_min] - energies[j2 - m_min]
     table = spec.coefficient_table()
     coeffs = table.tensor(j_max).reshape(n * n, n_orders)

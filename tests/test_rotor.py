@@ -176,14 +176,14 @@ def test_simulate_matches_direct_summation(kind, k, m, j_max):
     assert np.max(np.abs(grid.values - ref)) < 1e-12
 
 
-def test_simulate_contracts_in_the_order_einsum_would_search_for():
+def test_simulate_matches_the_einsum_contraction():
     spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0, m=1)
     blk = make_test_state("random-mixed", 0, 1, 4, seed=2)
     x_grid = gauss_legendre_grid(9)
-    rotor._contraction_paths.cache_clear()
+    rotor._basis_rows.cache_clear()
     grids = [simulate_pr(blk, spec, x_grid, n_t=21) for _ in range(2)]
-    info = rotor._contraction_paths.cache_info()
-    assert (info.misses, info.hits) == (1, 1)  # one path search per operand shape
+    info = rotor._basis_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # the basis rows are built once per shape
 
     times = grids[0].times
     phases = np.exp(-1j * np.outer(times, [energy(spec, J) for J in blk.j_values]))
@@ -191,7 +191,83 @@ def test_simulate_contracts_in_the_order_einsum_would_search_for():
     evolved = np.einsum("ta,ab,tb->tab", phases, blk.elements, phases.conj(), optimize=True)
     want = np.einsum("tab,ax,bx->tx", evolved, f, f, optimize=True).real
     for grid in grids:
-        assert np.array_equal(grid.values, want)
+        assert np.max(np.abs(grid.values - want)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind,k,m,j_max,n_periods",
+    [
+        (RotorKind.RIGID, 0, 0, 14, 1),
+        (RotorKind.SYMTOP, 1, 1, 12, 2),
+        (RotorKind.CENTRIFUGAL, 0, 0, 10, 16),
+    ],
+)
+def test_simulate_is_accurate_to_the_rounding_of_its_phases(kind, k, m, j_max, n_periods):
+    # against the sum in extended precision: a phase E t carries an error of
+    # about eps |E t|, so that is the scale of the bound
+    spec = RotorSpec(kind=kind, omega=1.3, omega2=0.3 if k else 0.0,
+                     d_cd=1e-4 if kind is RotorKind.CENTRIFUGAL else 0.0, k=k, m=m)
+    blk = make_test_state("random-mixed", k, m, j_max, seed=2)
+    x_grid = gauss_legendre_grid(2 * j_max + 1)
+    n_t = n_periods * (j_max * (j_max + 1) + 1)
+    grid = simulate_pr(blk, spec, x_grid, n_t=n_t, n_periods=n_periods)
+    times = np.arange(n_t, dtype=np.longdouble) * np.longdouble(grid.dt)
+    levels = np.array([energy(spec, int(J)) for J in blk.j_values], dtype=np.longdouble)
+    phases = np.exp(-1j * np.multiply.outer(times, levels))
+    f = spec.basis_matrix(j_max, x_grid.nodes).astype(np.longdouble)
+    evolved = phases[:, :, None] * blk.elements.astype(np.clongdouble) * phases[:, None, :].conj()
+    want = np.einsum("tab,ax,bx->tx", evolved, f, f).real
+    bound = np.finfo(float).eps * float(levels.max() * times[-1]) * float(np.max(np.abs(want)))
+    assert np.max(np.abs(grid.values - want)) <= bound
+
+
+def test_simulate_rejects_an_anti_hermitian_part_and_simulates_the_hermitian_one():
+    spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0, m=1)
+    good = make_test_state("random-mixed", 0, 1, 5, seed=3)
+    mat = good.elements.copy()
+    mat[0, 2] += 1e-10  # anti-Hermitian defect 1e-10, inside DensityBlock's 1e-9 gate
+    skewed = DensityBlock(k=0, m=1, j_max=5, elements=mat)
+    x_grid = gauss_legendre_grid(11)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        simulate_pr(skewed, spec, x_grid, n_t=31)
+    hermitian = DensityBlock(k=0, m=1, j_max=5, elements=(mat + mat.conj().T) / 2.0)
+    grid = simulate_pr(hermitian, spec, x_grid, n_t=31)
+    ref = simulate_pr(good, spec, x_grid, n_t=31)
+    assert np.max(np.abs(grid.values - ref.values)) < 1e-9
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 7, 211, 1984])
+@pytest.mark.parametrize(
+    "freqs",
+    [[0.0], [-210.0, -3.5, 0.0, 2.0, 6.0, 210.0], [-1.0e3, 17.25, 4.4e3], []],
+    ids=["zero", "mixed-signs", "large", "empty"],
+)
+def test_phase_table_matches_the_complex_exponential(n_t, freqs):
+    freqs = np.array(freqs)
+    dt = 0.3 * np.pi / 211
+    got = rotor.phase_table(freqs, dt, n_t)
+    arg = np.multiply.outer(np.arange(n_t) * dt, freqs)
+    assert got.shape == (n_t, len(freqs))
+    bound = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arg))
+    assert (np.abs(got - np.exp(1j * arg)) <= bound).all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RotorSpec(kind=RotorKind.RIGID, omega=1.7, m=2),
+        RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=3e-4),
+        RotorSpec(kind=RotorKind.SYMTOP, omega=1.1, omega2=0.37, k=-2, m=1),
+    ],
+    ids=["rigid", "centrifugal", "symtop"],
+)
+def test_energy_of_a_level_array_equals_the_scalar_calls(spec):
+    levels = np.arange(spec.m_min, 41)
+    many = energy(spec, levels)
+    assert many.shape == levels.shape
+    assert many.tobytes() == np.array([energy(spec, int(J)) for J in levels]).tobytes()
+    with pytest.raises(ValueError, match=f"J = {spec.m_min - 2} below"):
+        energy(spec, np.array([spec.m_min + 3, spec.m_min - 1, spec.m_min - 2]))
 
 
 def test_simulate_diagonal_block_is_stationary():

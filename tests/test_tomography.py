@@ -739,6 +739,30 @@ def test_operators_of_large_blocks_stay_small():
     assert peak <= 32 * 2**20
 
 
+def test_warm_simulate_and_reconstruct_keep_no_table_of_the_grid_shape():
+    # a warm rigid j_max = 14 op on its 211 x 29 grid: peaks that a phase
+    # matrix per (sample, pair) or per (sample, line) would exceed, and
+    # nothing of either kept from one call to the next
+    blk = make_test_state("random-mixed", 0, 0, 14, seed=1)
+    grid = _simulate(blk, RIGID)
+    reconstruct_block(grid, RIGID, 14)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            grid = _simulate(blk, RIGID)
+            simulate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            result = reconstruct_block(grid, RIGID, 14)
+            reconstruct_peak = tracemalloc.get_traced_memory()[1]
+            assert simulate_peak <= 1.0 * 2**20 and reconstruct_peak <= 1.15 * 2**20
+            del grid, result
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 2**10
+
+
 def test_a_cold_reconstruct_imports_no_module():
     # numpy.ma, for one, loads on a first bare np.unique call and costs about 1 MiB
     code = """
