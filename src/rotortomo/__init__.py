@@ -37,7 +37,6 @@ from .rotor import (
     RotorKind,
     RotorSpec,
     add_shot_noise,
-    bohr_frequency,
     energy,
     make_test_state,
     reference_period,
@@ -46,15 +45,11 @@ from .rotor import (
     simulate_pr,
 )
 from .tomography import (
-    ChainMember,
-    DegeneracyChain,
     MomentValue,
     PatternFunction,
     ReconstructionResult,
     SamplingError,
     SamplingPlan,
-    degeneracy_set,
-    degeneracy_set_cd,
     moment_integral,
     pattern_function,
     probe_frequency,
@@ -83,22 +78,17 @@ __all__ = [
     "RotorKind",
     "RotorSpec",
     "add_shot_noise",
-    "bohr_frequency",
     "energy",
     "make_test_state",
     "reference_period",
     "revival_period",
     "rotor_kind",
     "simulate_pr",
-    "ChainMember",
-    "DegeneracyChain",
     "MomentValue",
     "PatternFunction",
     "ReconstructionResult",
     "SamplingError",
     "SamplingPlan",
-    "degeneracy_set",
-    "degeneracy_set_cd",
     "moment_integral",
     "pattern_function",
     "probe_frequency",

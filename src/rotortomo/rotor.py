@@ -110,11 +110,6 @@ def energy(spec: RotorSpec, J):
     return spec.omega * n - spec.omega2 * spec.k * spec.k
 
 
-def bohr_frequency(spec: RotorSpec, j_upper: int, j_lower: int) -> float:
-    """Interference frequency E(j_upper) - E(j_lower)."""
-    return energy(spec, j_upper) - energy(spec, j_lower)
-
-
 def revival_period(spec: RotorSpec) -> float:
     """Exact full-revival period pi/omega; undefined with centrifugal distortion."""
     if spec.kind is RotorKind.CENTRIFUGAL and spec.d_cd != 0.0:

@@ -17,9 +17,10 @@ m = 0); centrifugal distortion moves the lines off the bins, and the kernel
 couples them.
 
 The block is the support: population above j_max is assumed absent.  The
-degeneracy chains, enumerated once per operator (:attr:`ProbeOperator.chains`),
-name the pairs outside the block that share an element's line; they are
-reported as flags.
+degeneracy chains (:attr:`ProbeOperator.chains`) name the pairs that share
+an element's line; those outside the block are reported as flags.  One
+match of every candidate pair's line against the elements' lines, in the
+operator's own bins (:func:`_chains`), gives them for every rotor kind.
 
 Pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha, beta) sits on
 the line of the pair with S = alpha, DJ = beta.  Only lines of non-negative
@@ -40,7 +41,6 @@ from .rotor import (
     MeasurementGrid,
     RotorKind,
     RotorSpec,
-    bohr_frequency,
     check_distortion_range,
     energy,
     monotone_j_limit,
@@ -67,123 +67,6 @@ class MomentValue:
     omega: float
     value: complex
     orders: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChainMember:
-    """A level pair in sum/difference labels: S = J1 + J2, DJ = J1 - J2."""
-
-    j_sum: int
-    delta_j: int
-
-    @property
-    def j1(self) -> int:
-        return (self.j_sum + self.delta_j) // 2
-
-    @property
-    def j2(self) -> int:
-        return (self.j_sum - self.delta_j) // 2
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.j_sum, self.delta_j)
-
-
-@dataclass
-class DegeneracyChain:
-    """All pairs sharing one probe's frequency, by decreasing |DJ|.
-
-    ``members`` lie within the chain's horizon, an S cap; ``neglected``
-    lists pairs that satisfy every frequency/parity condition but lie
-    beyond it, i.e. the contributions taken as zero instead of fitted.
-    """
-
-    target: int
-    members: list[ChainMember]
-    neglected: list[ChainMember]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [mem.pair for mem in self.members]
-
-
-def degeneracy_set(
-    alpha: int, beta: int, m_km: int, s_cap: int, parity: bool = True
-) -> DegeneracyChain:
-    """Enumerate the pairs degenerate with the probe (alpha, beta) of a rigid spectrum.
-
-    A pair (S, DJ) shares the probe frequency iff DJ*(S+1) = beta*(alpha+1)
-    with the sign of beta, and contributes to the alpha-projection only if
-    its decomposition coefficient at order alpha survives: |DJ| <= |beta|,
-    both levels exist (J2 = (S-|DJ|)/2 >= m_km), and -- with ``parity``
-    set, the k = 0 selection rule -- S and DJ share alpha's parity.  Blocks
-    with k != 0 have no such rule and must pass ``parity=False``, which
-    keeps every integer pair on the frequency.  Divisor enumeration of the
-    target integer walks |DJ| downward, so members come out in strictly
-    decreasing |DJ| with the probe's own pair first.  Pairs with S above
-    ``s_cap`` are returned as ``neglected``; every member has S < |target|.
-    """
-    if beta == 0:
-        raise ValueError("beta must be non-zero; the diagonal is handled separately")
-    if (alpha - beta) % 2:
-        raise ValueError(f"beta = {beta} must share the parity of alpha = {alpha}")
-    target = beta * (alpha + 1)
-    sign = 1 if beta > 0 else -1
-    members: list[ChainMember] = []
-    neglected: list[ChainMember] = []
-    for dj in range(abs(beta), 0, -1):
-        if parity and (alpha - dj) % 2:
-            continue
-        if abs(target) % dj:
-            continue
-        j_sum = abs(target) // dj - 1
-        if (j_sum - dj) % 2 or dj > j_sum:
-            continue
-        if parity and (j_sum - alpha) % 2:
-            continue
-        if (j_sum - dj) // 2 < m_km:
-            continue
-        mem = ChainMember(j_sum=j_sum, delta_j=sign * dj)
-        (members if j_sum <= s_cap else neglected).append(mem)
-    return DegeneracyChain(target=target, members=members, neglected=neglected)
-
-
-def degeneracy_set_cd(
-    alpha: int,
-    beta: int,
-    m_km: int,
-    s_cap: int,
-    spec: RotorSpec,
-    freq_tolerance: float,
-) -> DegeneracyChain:
-    """Near-degenerate pairs of a centrifugally distorted spectrum.
-
-    Same admissibility conditions as :func:`degeneracy_set`, but pairs are
-    kept when their exact level-difference frequency lies strictly closer
-    than ``freq_tolerance`` to the probe pair's, instead of matching the
-    rigid integer condition.  Strictly, because a line exactly one bin
-    (2 omega / n_periods) away sits on a zero of the window kernel.  The
-    scan stops at S = ``s_cap`` and at the J where the distorted spectrum
-    stops increasing.  With d_cd = 0 the output reduces to the rigid chain.
-    """
-    if beta == 0:
-        raise ValueError("beta must be non-zero; the diagonal is handled separately")
-    if freq_tolerance < 0:
-        raise ValueError(f"freq_tolerance must be non-negative, got {freq_tolerance}")
-    # both signs of beta compare positive upper-minus-lower frequencies
-    omega0 = abs(probe_frequency(spec, alpha, beta))
-    sign = 1 if beta > 0 else -1
-    j1_cap = min(s_cap, monotone_j_limit(spec))
-    found: list[ChainMember] = []
-    for dj in range(abs(beta), 0, -1):
-        if (alpha - dj) % 2:
-            continue
-        for j2 in range(m_km, (s_cap - dj) // 2 + 1):
-            j1 = j2 + dj
-            if j1 > j1_cap or j1 + j2 < alpha or (j1 + j2 - alpha) % 2:
-                continue
-            if abs(bohr_frequency(spec, j1, j2) - omega0) < freq_tolerance:
-                found.append(ChainMember(j_sum=j1 + j2, delta_j=sign * dj))
-    return DegeneracyChain(target=beta * (alpha + 1), members=found, neglected=[])
 
 
 def probe_frequency(spec: RotorSpec, alpha, beta):
@@ -351,6 +234,19 @@ def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
     return np.exp(1j * np.pi * x * (n_t - 1)) * np.sinc(n_t * x) / np.sinc(x)
 
 
+def _line_bins(spec: RotorSpec, omega: np.ndarray, n_periods: int) -> tuple[np.ndarray, bool]:
+    """Line frequencies in bins of 2 omega / n_periods, and whether they sit on exact bins.
+
+    An undistorted spectrum (rigid, symmetric-top, or d_cd = 0) puts every
+    line on an exact bin; its bins are rounded, so the rounding of the
+    energies cannot split a line.  Any distortion takes the lines off the
+    bins, and their bins stay fractional.
+    """
+    on_bins = spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0
+    bins = omega * n_periods / (2.0 * spec.omega)
+    return (np.round(bins) if on_bins else bins), on_bins
+
+
 @dataclass(frozen=True)
 class ProbeOperator:
     """The fixed linear map from one grid's moments to its block, with its chains.
@@ -368,11 +264,12 @@ class ProbeOperator:
     and ``cond`` is the worst group's sqrt(lambda_max / lambda_min).
 
     ``chains`` maps each off-diagonal pair (J1, J2), J1 > J2, to the (S, DJ)
-    pairs of the block on its degeneracy chain, and ``flags`` the pairs
-    that have partners outside the block to those partners, which the
-    support assumption sets to zero.  ``nbytes`` counts the arrays alone:
-    the chains and flags add about a tenth to them (0.84 MiB of Python
-    objects, by tracemalloc, against 8.67 MiB of arrays at rigid j_max = 60).
+    pairs of the block on its line, and ``flags`` the pairs that have
+    partners outside the block to those partners, which the support
+    assumption sets to zero (:func:`_chains`).  ``nbytes`` counts the arrays
+    alone: the chains and flags add about a tenth to them (0.80 MiB of
+    Python objects, by tracemalloc, against 8.67 MiB of arrays at rigid
+    j_max = 60).
     """
 
     probes: np.ndarray
@@ -440,11 +337,8 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     coeffs = table.tensor(j_max).reshape(n * n, n_orders)
 
     # lines: unknowns of one frequency, by increasing frequency; the frequencies come
-    # in +- pairs, so h lines lie below the zero line and h above.  An undistorted
-    # spectrum puts every line on an exact bin, up to the rounding of the energies
-    on_bins = spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0
-    bins = omega * n_periods / (2.0 * spec.omega)
-    bins = np.round(bins) if on_bins else bins
+    # in +- pairs, so h lines lie below the zero line and h above
+    bins, on_bins = _line_bins(spec, omega, n_periods)
     _, first, line = np.unique(bins, return_index=True, return_inverse=True)
     h, lines = len(first) // 2, np.arange(len(first))
     source = np.where(lines >= h, lines - h, 2 * h + 1 - lines)[line]  # row of the moment table
@@ -481,23 +375,51 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
 def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
     """The chains and flags of a :class:`ProbeOperator`, one chain per pair J1 > J2.
 
-    Exact for rigid and symmetric-top spectra, within 2 omega / n_periods of
-    the probe frequency for centrifugal ones; the rigid chain's horizon S <
-    beta (alpha + 1) bounds both scans.
+    The pair (S', DJ') is on the line of the element (J1, J2), alpha = J1 +
+    J2 and beta = J1 - J2, when its line lies strictly within one bin of the
+    element's (:func:`_line_bins`; a line one bin away sits on a zero of the
+    window kernel), and it enters the element's order-alpha moment: 1 <= DJ'
+    <= beta, alpha <= S' <= beta (alpha + 1), J2' >= m_min, J1' no deeper
+    than :func:`monotone_j_limit`, and S' of alpha's parity where the
+    coefficient table keeps parity.  One sort of the candidate lines and two
+    searches match every element at once.  Members run by decreasing DJ',
+    then increasing S'; those with J1' <= j_max form the element's chain,
+    the rest its flags.
     """
-    m_min, tolerance, chains, flags = spec.m_min, 2.0 * spec.omega / n_periods, {}, {}
-    for j2 in range(m_min, j_max + 1):
-        for j1 in range(j2 + 1, j_max + 1):
-            alpha, beta = j1 + j2, j1 - j2
-            if spec.kind is RotorKind.CENTRIFUGAL:
-                chain = degeneracy_set_cd(alpha, beta, m_min, beta * (alpha + 1), spec, tolerance)
-            else:
-                chain = degeneracy_set(alpha, beta, m_min, beta * (alpha + 1), parity=spec.k == 0)
-            pair = (j1, j2)
-            chains[pair] = [mem.pair for mem in chain.members if mem.j1 <= j_max]
-            beyond = [mem.pair for mem in chain.members if mem.j1 > j_max]
-            if beyond:
-                flags[pair] = beyond
+    m_min, d_max = spec.m_min, j_max - spec.m_min
+    s_top = d_max * (j_max + m_min + 1)  # the block's largest beta (alpha + 1)
+    levels = np.arange(m_min, min(monotone_j_limit(spec), max(j_max, (s_top + d_max) // 2)) + 1)
+    energies = energy(spec, levels)
+    # candidates (J2' + DJ', J2') within the horizon and the turning point
+    dj, j2 = np.broadcast_arrays(np.arange(1, d_max + 1)[:, None], levels)
+    keep = (j2 + dj <= levels[-1]) & (2 * j2 + dj <= s_top)
+    dj, j2 = dj[keep], j2[keep]
+    bins, _ = _line_bins(spec, energies[j2 + dj - m_min] - energies[j2 - m_min], n_periods)
+    e2, e1 = np.triu_indices(d_max + 1, 1)  # the elements, J2 outer and J1 inner
+    alpha, beta = e1 + e2 + 2 * m_min, e1 - e2
+    found, _ = _line_bins(spec, energies[e1] - energies[e2], n_periods)
+
+    # each element's candidates within one bin are a run order[lo:lo + count]
+    order = np.argsort(bins)
+    lo = np.searchsorted(bins[order], found - 1.0, side="right")
+    count = np.searchsorted(bins[order], found + 1.0, side="left") - lo
+    elem = np.repeat(np.arange(len(found)), count)
+    cand = order[np.arange(len(elem)) - np.repeat(np.cumsum(count) - count - lo, count)]
+    s, d, a, b = 2 * j2[cand] + dj[cand], dj[cand], alpha[elem], beta[elem]
+    ok = (d <= b) & (s >= a) & (s <= b * (a + 1))
+    if spec.coefficient_table().parity:
+        ok &= (s - a) % 2 == 0
+    elem, s, d = elem[ok], s[ok], d[ok]
+    beyond = (s + d) // 2 > j_max
+    sort = np.lexsort((s, -d, beyond, elem))
+    pairs = list(zip(s[sort].tolist(), d[sort].tolist()))
+    # each element's chain, then its flags
+    edges = np.searchsorted((2 * elem + beyond)[sort], np.arange(2 * len(found) + 1)).tolist()
+    chains, flags = {}, {}
+    for i, pair in enumerate(zip((e1 + m_min).tolist(), (e2 + m_min).tolist())):
+        chains[pair] = pairs[edges[2 * i]:edges[2 * i + 1]]
+        if edges[2 * i + 2] > edges[2 * i + 1]:
+            flags[pair] = pairs[edges[2 * i + 1]:edges[2 * i + 2]]
     return chains, flags
 
 

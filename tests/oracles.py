@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route than the package code:
 exact rational arithmetic for coupling coefficients, scipy's lpmv for
 Legendre values, the explicit half-angle sum for Wigner d, brute-force pair
-scanning for frequency degeneracies, LAPACK inversion of a closed-form
+scanning for frequency degeneracies (exact rigid lines and, by
+scalar energy differences, distorted ones), LAPACK inversion of a closed-form
 matrix for diagonal pattern rows, a Gauss-Legendre rule of its own for
 each product decomposition, and a dense least-squares solve of the whole
 time-domain design for a block.
@@ -138,6 +139,34 @@ def degeneracy_scan(
             if dj * (s + 1) == tau:
                 out.append((s, sgn * dj))
     return sorted(out, key=lambda p: -abs(p[1]))
+
+
+def line_scan(
+    spec, alpha: int, beta: int, n_periods: int, parity: bool = True
+) -> list[tuple[int, int]]:
+    """(S, dJ) pairs on the (alpha, beta) pair's line, by brute-force pair scan.
+
+    A pair is on the line when its level difference E(J1) - E(J2), from
+    scalar energy calls, lies strictly closer than 2 omega / n_periods to the
+    target pair's.  Mirrors the collision conditions: 0 < dJ <= beta, alpha
+    <= S <= beta(alpha+1), J2 >= m_min, no level past the turning point of a
+    distorted spectrum (d E / d[J(J+1)] > 0, i.e. 2 d_cd J1(J1+1) < omega),
+    and (with ``parity``) S == alpha mod 2.  Ordered by decreasing dJ, then
+    increasing S.
+    """
+    cap = beta * (alpha + 1)
+    target = energy(spec, (alpha + beta) // 2) - energy(spec, (alpha - beta) // 2)
+    out = []
+    for dj in range(beta, 0, -1):
+        for j2 in range(spec.m_min, (cap - dj) // 2 + 1):
+            j1 = j2 + dj
+            if j1 + j2 < alpha or parity and (j1 + j2 - alpha) % 2:
+                continue
+            if 2 * spec.d_cd * j1 * (j1 + 1) >= spec.omega:
+                break
+            if abs(energy(spec, j1) - energy(spec, j2) - target) < 2 * spec.omega / n_periods:
+                out.append((j1 + j2, dj))
+    return out
 
 
 def diag_moment_matrix(k: int, m: int, j_cap: int) -> np.ndarray:

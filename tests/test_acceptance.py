@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rotortomo import tomography
 from rotortomo.angular import (
     assoc_legendre_norm,
     clebsch_gordan,
@@ -30,7 +31,6 @@ from rotortomo.rotor import (
 )
 from rotortomo.tomography import (
     SamplingPlan,
-    degeneracy_set,
     moment_integral,
     pattern_function,
     reconstruct_block,
@@ -48,10 +48,19 @@ def _simulate_auto(block, spec, n_periods=1):
 
 
 def test_criterion_1_degeneracy_fidelity(capsys):
+    # an element's chain and flags together are every partner on its line,
+    # whatever the block's j_max; the scan reaches S = 40
     t0 = time.perf_counter()
+    members = {}
+    for m_min in (0, 1, 2):
+        chains, flags = tomography._chains(RotorSpec(kind=RotorKind.RIGID, omega=1.0, m=m_min), 20, 1)
+        members[m_min] = {
+            pair: [(s, dj) for s, dj in chain + flags.get(pair, []) if s <= 40]
+            for pair, chain in chains.items()
+        }
     exact = (
-        degeneracy_set(5, 5, 0, 40).pairs() == [(5, 5), (9, 3), (29, 1)]
-        and degeneracy_set(3, 3, 0, 40).pairs() == [(3, 3), (11, 1)]
+        members[0][(5, 0)] == [(5, 5), (9, 3), (29, 1)]
+        and members[0][(3, 0)] == [(3, 3), (11, 1)]
     )
     mismatches = 0
     checked = 0
@@ -61,7 +70,7 @@ def test_criterion_1_degeneracy_fidelity(capsys):
                 if (alpha - beta) % 2 or (alpha - beta) // 2 < m_min:
                     continue
                 checked += 1
-                got = degeneracy_set(alpha, beta, m_min, 40).pairs()
+                got = members[m_min][((alpha + beta) // 2, (alpha - beta) // 2)]
                 if got != oracles.degeneracy_scan(alpha, beta, m_min, 40):
                     mismatches += 1
     elapsed = time.perf_counter() - t0

@@ -357,10 +357,9 @@ def test_cli_simulate_runs_no_chain_scan(workdir, capsys, monkeypatch):
     from rotortomo import tomography
 
     def scan(*args, **kwargs):
-        raise AssertionError("simulate enumerated a degeneracy chain")
+        raise AssertionError("simulate enumerated the degeneracy chains")
 
-    monkeypatch.setattr(tomography, "degeneracy_set", scan)
-    monkeypatch.setattr(tomography, "degeneracy_set_cd", scan)
+    monkeypatch.setattr(tomography, "_chains", scan)
     cfg = _write_config(
         workdir / "run.yaml",
         "spec: {kind: centrifugal-linear, omega: 1.0, d_cd: 1.0e-4}\n"

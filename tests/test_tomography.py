@@ -32,8 +32,6 @@ from rotortomo.rotor import (
 from rotortomo.tomography import (
     SamplingError,
     SamplingPlan,
-    degeneracy_set,
-    degeneracy_set_cd,
     moment_integral,
     pattern_function,
     probe_frequency,
@@ -55,92 +53,116 @@ def _simulate(block, spec, n_periods=1):
 # ------------------------------------------------------------------- chains
 
 
+def _members(spec, j_max, n_periods=1):
+    """Every element's partners on its line: its chain, then its flags."""
+    chains, flags = tomography._chains(spec, j_max, n_periods)
+    return {pair: chain + flags.get(pair, []) for pair, chain in chains.items()}
+
+
 def test_worked_degeneracy_chains():
-    assert degeneracy_set(5, 5, 0, 40).pairs() == [(5, 5), (9, 3), (29, 1)]
-    assert degeneracy_set(3, 3, 0, 40).pairs() == [(3, 3), (11, 1)]
-    assert degeneracy_set(1, 1, 0, 40).pairs() == [(1, 1)]
-
-
-def test_chain_negative_beta_mirrors_positive():
-    chain = degeneracy_set(5, -5, 0, 40)
-    assert chain.pairs() == [(5, -5), (9, -3), (29, -1)]
+    members = _members(RIGID, 5)
+    assert members[(5, 0)] == [(5, 5), (9, 3), (29, 1)]
+    assert members[(3, 0)] == [(3, 3), (11, 1)]
+    assert members[(1, 0)] == [(1, 1)]
 
 
 def test_chain_splits_members_at_the_cap():
-    chain = degeneracy_set(5, 5, 0, 20)
-    assert chain.pairs() == [(5, 5), (9, 3)]
-    assert [mem.pair for mem in chain.neglected] == [(29, 1)]
-
-
-def test_chain_member_level_labels():
-    mem = degeneracy_set(5, 5, 0, 40).members[1]  # (9, 3)
-    assert (mem.j1, mem.j2) == (6, 3)
+    # (9, 3) is the level pair (6, 3) and (29, 1) the pair (15, 14): a member
+    # joins the chain once the block holds its upper level, and is a flag before
+    for j_max, chain, flag in [
+        (5, [(5, 5)], [(9, 3), (29, 1)]),
+        (6, [(5, 5), (9, 3)], [(29, 1)]),
+        (14, [(5, 5), (9, 3)], [(29, 1)]),
+    ]:
+        chains, flags = tomography._chains(RIGID, j_max, 1)
+        assert (chains[(5, 0)], flags[(5, 0)]) == (chain, flag)
+    chains, flags = tomography._chains(RIGID, 15, 1)
+    assert chains[(5, 0)] == [(5, 5), (9, 3), (29, 1)] and (5, 0) not in flags
 
 
 def test_chains_match_exhaustive_scan():
     for m_min in (0, 1, 2):
-        for alpha in range(2 * m_min, 13):
-            for beta in range(1, alpha + 1):
-                if (alpha - beta) % 2 or (alpha - beta) // 2 < m_min:
-                    continue
-                got = degeneracy_set(alpha, beta, m_min, 40).pairs()
-                want = oracles.degeneracy_scan(alpha, beta, m_min, 40)
-                assert got == want, (alpha, beta, m_min)
+        members = _members(_spec(m=m_min), 12)
+        for (j1, j2), got in members.items():
+            if j1 + j2 > 12:
+                continue
+            want = oracles.degeneracy_scan(j1 + j2, j1 - j2, m_min, 40)
+            assert [p for p in got if p[0] <= 40] == want, (j1, j2, m_min)
 
 
 def test_chains_without_parity_filter_match_scan():
-    # non-zero k lifts the S == alpha (mod 2) restriction
-    for alpha, beta, m_min in [(2, 2, 1), (4, 2, 1), (5, 3, 1), (6, 2, 2)]:
-        got = degeneracy_set(alpha, beta, m_min, 40, parity=False).pairs()
-        want = oracles.degeneracy_scan(alpha, beta, m_min, 40, parity=False)
-        assert got == want
-    # frozen instances: without the parity filter the (4, 2) probe gains the
-    # odd-S member (9, 1); and a target whose lower level sits below the
-    # channel floor drops out of its own chain entirely
-    assert degeneracy_set(4, 2, 1, 40, parity=False).pairs() == [(4, 2), (9, 1)]
-    assert degeneracy_set(4, 2, 1, 40, parity=True).pairs() == [(4, 2)]
-    assert degeneracy_set(2, 2, 1, 40, parity=False).pairs() == [(5, 1)]
+    # k != 0 and m != 0 lift the S == alpha (mod 2) restriction
+    for k, m in [(1, 1), (2, 1), (-1, 2)]:
+        spec = _spec(RotorKind.SYMTOP, k=k, m=m)
+        for (j1, j2), got in _members(spec, 8).items():
+            want = oracles.degeneracy_scan(j1 + j2, j1 - j2, spec.m_min, 40, parity=False)
+            assert [p for p in got if p[0] <= 40] == want, (k, m, j1, j2)
+    # frozen instances: without the parity filter the (3, 1) element gains the
+    # odd-S member (9, 1), the level pair (5, 4)
+    assert _members(_spec(RotorKind.SYMTOP, k=1, m=1), 5)[(3, 1)] == [(4, 2), (9, 1)]
+    assert _members(_spec(m=1), 5)[(3, 1)] == [(4, 2)]
+
+
+def test_chains_follow_the_coefficient_tables_parity():
+    # a k != 0, m = 0 table keeps parity: a partner of the other parity than
+    # alpha has a zero coefficient at alpha, and no chain or flag names one
+    for k in (1, -1, 2, 3):
+        spec = _spec(RotorKind.SYMTOP, k=k)
+        table = spec.coefficient_table()
+        assert table.parity
+        dropped = 0
+        for (j1, j2), got in _members(spec, 12).items():
+            alpha, beta = j1 + j2, j1 - j2
+            assert all((s - alpha) % 2 == 0 for s, _ in got)
+            # two periods: a bin is omega, half the spacing of exact lines
+            every = oracles.line_scan(spec, alpha, beta, 2, parity=False)
+            assert [p for p in every if (p[0] - alpha) % 2 == 0] == got
+            for s, dj in every:
+                if (s - alpha) % 2:
+                    dropped += 1
+                    assert table.coefficient(s, dj, alpha) == 0.0
+        assert dropped > 0
 
 
 def test_chain_ordering_is_strictly_decreasing_in_dj():
-    for alpha in range(1, 15):
-        for beta in range(1, alpha + 1):
-            if (alpha - beta) % 2:
-                continue
-            djs = [abs(dj) for _, dj in degeneracy_set(alpha, beta, 0, 60).pairs()]
-            assert djs == sorted(set(djs), reverse=True)
-            assert degeneracy_set(alpha, beta, 0, 60).pairs()[0] == (alpha, beta)
+    for (j1, j2), members in _members(RIGID, 14).items():
+        djs = [dj for _, dj in members]
+        assert djs == sorted(set(djs), reverse=True)
+        assert members[0] == (j1 + j2, j1 - j2)
+
+
+@pytest.mark.parametrize("d_cd", [0.0, 1e-10, 1e-4, 1e-3])
+@pytest.mark.parametrize("n_periods", [1, 4, 16, 64])
+def test_centrifugal_chains_match_line_scan(d_cd, n_periods):
+    for m in (0, 1):
+        spec = _spec(RotorKind.CENTRIFUGAL, d_cd=d_cd, m=m)
+        for (j1, j2), got in _members(spec, 6, n_periods).items():
+            assert got == oracles.line_scan(spec, j1 + j2, j1 - j2, n_periods), (j1, j2)
 
 
 def test_cd_chains_split_rigid_degeneracies():
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-3)
-    tol = 2.0 * spec.omega / 64
-    chain = degeneracy_set_cd(5, 5, 0, 30, spec, tol)
-    assert chain.pairs() == [(5, 5)]  # (9,3) and (29,1) are detuned past tol
-    wide = degeneracy_set_cd(5, 5, 0, 30, spec, math.inf)
-    assert set(wide.pairs()) >= {(5, 5), (9, 3)}
+    assert _members(spec, 5, 64)[(5, 0)] == [(5, 5)]  # (9,3) and (29,1) are detuned past a bin
+    assert {(5, 5), (9, 3)} <= set(_members(spec, 5, 1)[(5, 0)])
 
 
 def test_cd_chains_with_zero_distortion_match_rigid():
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=0.0)
-    for alpha, beta in [(5, 5), (3, 3), (4, 2), (7, 1)]:
-        got = degeneracy_set_cd(alpha, beta, 0, 40, spec, 1e-9).pairs()
-        assert got == degeneracy_set(alpha, beta, 0, 40).pairs()
-
-
-def test_cd_chain_negative_beta_mirrors_positive():
-    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=0.0)
-    chain = degeneracy_set_cd(5, -5, 0, 40, spec, 1e-9)
-    assert chain.pairs() == [(5, -5), (9, -3), (29, -1)]
-    assert chain.target == -30
+    for j_max, n_periods in [(5, 1), (8, 4), (10, 64)]:
+        assert tomography._chains(spec, j_max, n_periods) == tomography._chains(RIGID, j_max, n_periods)
 
 
 def test_cd_chains_drop_lines_one_bin_away():
-    # at one period the tolerance 2 omega equals the spacing of neighbouring
-    # |DJ| = 1 lines, where the window kernel is zero: (9,1) sits 2 omega
-    # below the (3,3) probe and is not degenerate with it
+    # at one period a bin is 2 omega, the spacing of neighbouring lines, where
+    # the window kernel is zero: (9,1) sits 2 omega below the (3,0) element
+    # and (10,2), the level pair (6,4), 2 omega above the (4,0) one, and
+    # neither is on its line.  Any distortion pulls (10,2) 964 d_cd inside
+    # the bin, and it is
     spec0 = _spec(RotorKind.CENTRIFUGAL, d_cd=0.0)
-    assert degeneracy_set_cd(3, 3, 0, 12, spec0, 2.0).pairs() == [(3, 3), (11, 1)]
+    assert _members(spec0, 6)[(3, 0)] == [(3, 3), (11, 1)]
+    assert _members(spec0, 6)[(4, 0)] == [(4, 4)]
+    tiny = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-10)
+    assert _members(tiny, 6)[(4, 0)] == [(4, 4), (10, 2)]
     blk = make_test_state("random-mixed", 0, 0, 6, seed=1)
     cd = reconstruct_block(_simulate(blk, spec0), spec0, 6)
     rigid = reconstruct_block(_simulate(blk, RIGID), RIGID, 6)
@@ -149,9 +171,15 @@ def test_cd_chains_drop_lines_one_bin_away():
 
 
 def test_cd_scan_respects_monotone_limit():
-    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-3)  # spectrum folds past J = 21
-    chain = degeneracy_set_cd(5, 5, 0, 200, spec, math.inf)
-    assert all(mem.j1 <= 21 for mem in chain.members)
+    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-3)  # spectrum turns over past J = 21
+    assert rotor.monotone_j_limit(spec) == 21
+    members = _members(spec, 10)
+    assert max((s + dj) // 2 for chain in members.values() for s, dj in chain) == 21
+    # the folded spectrum puts (38, 8), the level pair (23, 15), within a bin
+    # of the (8, 0) element's line, but past the turning point
+    e = [energy(spec, j) for j in (8, 0, 23, 15)]
+    assert abs((e[2] - e[3]) - (e[0] - e[1])) < 2.0
+    assert (38, 8) not in members[(8, 0)]
 
 
 # ------------------------------------------------------------------- moments
@@ -384,16 +412,16 @@ def test_offdiag_flags_truncated_chains():
 
 
 def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
-    # the operator enumerates each upper-triangle pair's chain once per grid
-    # shape; every later reconstruction of that shape reuses them
+    # the operator enumerates every upper-triangle pair's chain in one scan
+    # per grid shape; every later reconstruction of that shape reuses them
     calls = []
-    enumerate_chain = tomography.degeneracy_set
+    enumerate_chains = tomography._chains
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return enumerate_chain(*args, **kwargs)
+        return enumerate_chains(*args, **kwargs)
 
-    monkeypatch.setattr(tomography, "degeneracy_set", counted)
+    monkeypatch.setattr(tomography, "_chains", counted)
     for spec, j_max in [(RIGID, 5), (_spec(m=1), 6), (_spec(RotorKind.SYMTOP, k=1, m=1), 4)]:
         blk = make_test_state("random-mixed", spec.k, spec.m, j_max, seed=3)
         grid = _simulate(blk, spec)
@@ -401,8 +429,9 @@ def test_chains_are_enumerated_once_per_block_pair(monkeypatch):
         calls.clear()
         for _ in range(2):
             result = reconstruct_block(grid, spec, j_max)
+        assert len(calls) == 1
         n_levels = j_max - spec.m_min + 1
-        assert len(calls) == n_levels * (n_levels - 1) // 2
+        assert len(result.chains) == n_levels * (n_levels - 1) // 2
         assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-11
 
 
@@ -455,8 +484,7 @@ def test_default_n_x_is_two_j_max_plus_one(spec):
 
 def test_plan_scans_no_chain_and_the_operator_scans_them_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(tomography, "degeneracy_set", lambda *a, **kw: calls.append(a))
-    monkeypatch.setattr(tomography, "degeneracy_set_cd", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(tomography, "_chains", lambda *a, **kw: calls.append(a))
     for spec in (RIGID, _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)):
         SamplingPlan.derive(spec, 6, n_periods=16)
     assert calls == []  # sizes alone need no chain scan
