@@ -80,6 +80,19 @@ def test_chain_splits_members_at_the_cap():
     assert chains[(5, 0)] == [(5, 5), (9, 3), (29, 1)] and (5, 0) not in flags
 
 
+def test_chain_member_level_labels():
+    # a member (S', DJ') is the level pair ((S' + DJ') / 2, (S' - DJ') / 2):
+    # (9, 3) on the line of (5, 0) is the pair (6, 3), and a rigid rotor's
+    # members share their element's line exactly
+    assert _members(RIGID, 15)[(5, 0)][1] == (9, 3)
+    assert ((9 + 3) // 2, (9 - 3) // 2) == (6, 3)
+    for (j1, j2), members in _members(RIGID, 15).items():
+        for s, d in members:
+            assert (s + d) % 2 == 0, (j1, j2, s, d)
+            hi, lo = (s + d) // 2, (s - d) // 2
+            assert energy(RIGID, hi) - energy(RIGID, lo) == energy(RIGID, j1) - energy(RIGID, j2)
+
+
 def test_chains_match_exhaustive_scan():
     for m_min in (0, 1, 2):
         members = _members(_spec(m=m_min), 12)
