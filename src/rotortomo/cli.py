@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 a requested error threshold was exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -249,6 +250,7 @@ def cmd_roundtrip(args) -> int:
     return EXIT_OK if passed else EXIT_THRESHOLD
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotortomo",

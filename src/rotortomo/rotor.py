@@ -99,7 +99,7 @@ def energy(spec: RotorSpec, J):
     in one call; each entry gets the bits a scalar call would give.  A level
     below the channel minimum raises ValueError naming the lowest one.
     """
-    lowest = np.min(J, initial=spec.m_min) if isinstance(J, np.ndarray) else J
+    lowest = J.min(initial=spec.m_min) if isinstance(J, np.ndarray) else J
     if lowest < spec.m_min:
         raise ValueError(f"J = {lowest} below channel minimum {spec.m_min}")
     n = J * (J + 1)
@@ -301,10 +301,10 @@ def phase_table(freqs, dt: float, n_t: int) -> np.ndarray:
     """
     freqs = np.asarray(freqs, dtype=float)
     K = math.isqrt(max(n_t - 1, 0)) + 1
-    q, r = np.arange(-(-n_t // K)) * K * dt, np.arange(K) * dt
-    coarse = np.exp(1j * np.multiply.outer(q, freqs))
-    fine = np.exp(1j * np.multiply.outer(r, freqs))
-    return (coarse[:, None, :] * fine).reshape(len(q) * K, len(freqs))[:n_t]
+    n_q = -(-n_t // K)
+    steps = np.concatenate((np.arange(n_q) * K, np.arange(K))) * dt  # q K dt, then r dt
+    table = np.exp(1j * np.multiply.outer(steps, freqs))
+    return (table[:n_q, None, :] * table[n_q:]).reshape(n_q * K, len(freqs))[:n_t]
 
 
 @lru_cache(maxsize=16)
@@ -313,6 +313,15 @@ def _basis_rows(j_max: int, k: int, m: int, nodes: bytes) -> np.ndarray:
     rows = eigenfunction_rows(j_max, k, m, np.frombuffer(nodes))
     rows.setflags(write=False)
     return rows
+
+
+@lru_cache(maxsize=16)
+def _level_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only level indices (a, b) of every pair a < b among n levels."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def simulate_pr(
@@ -333,9 +342,11 @@ def simulate_pr(
     the (a, b) elements of the block's Hermitian and anti-Hermitian parts.
     So one real matrix product of the pair phases' (Re e, Im e) against a
     table of h, d and f_a(x) f_b(x) gives Re Pr and Im Pr together, and the
-    diagonal adds a constant term.  The result is real for Hermitian
-    blocks; its imaginary residue, from the anti-Hermitian part alone, is
-    checked against 1e-12 and discarded.
+    diagonal adds a constant term.  Im Pr comes from the anti-Hermitian
+    part alone (d and Im rho_aa), so its columns are computed only for a
+    block that has one; there the imaginary residue is checked against
+    1e-12 and discarded.  A block that is Hermitian to the bit, such as the
+    (E + E^H)/2 that reconstruction resimulates, gets the Re Pr columns only.
     """
     if (block.k, block.m) != (spec.k, spec.m):
         raise ValueError(
@@ -355,22 +366,28 @@ def simulate_pr(
     dt = n_periods * period / n_t
     rho, n_x = block.elements, x_grid.order
     f = _basis_rows(block.j_max, spec.k, spec.m, np.asarray(x_grid.nodes, dtype=float).tobytes())
-    a, b = np.triu_indices(len(f), 1)
+    a, b = _level_pairs(len(f))
     levels = phase_table(-energy(spec, block.j_values), dt, n_t)  # (n_t, n_j)
     pairs = np.take(levels, a, axis=1)
     pairs *= np.take(levels.conj(), b, axis=1)  # exp(-i w_ab t), (n_t, pairs)
     upper, lower = rho[a, b], rho[b, a].conj()
     h, d = upper + lower, upper - lower  # twice the Hermitian and anti-Hermitian parts
-    # (pair, Re e or Im e, Re Pr or Im Pr): Re(h e) and Im(d e) in (Re e, Im e)
-    weights = np.array([[h.real, d.imag], [-h.imag, d.real]]).transpose(2, 0, 1)
-    coef = (weights[..., None] * (f[a] * f[b])[:, None, None, :]).reshape(2 * len(a), 2 * n_x)
-    values = pairs.view(float) @ coef  # (n_t, 2 n_x): Re Pr, then Im Pr
     diagonal = np.diagonal(rho) @ (f * f)
+    # (pair, Re e or Im e, Re Pr or Im Pr): Re(h e) and Im(d e) in (Re e, Im e);
+    # Im Pr is left out when it is exactly zero
+    if d.any() or diagonal.imag.any():
+        weights = np.array([[h.real, d.imag], [-h.imag, d.real]]).transpose(2, 0, 1)
+    else:
+        weights = np.array([[h.real], [-h.imag]]).transpose(2, 0, 1)
+    n_out = weights.shape[2] * n_x
+    coef = (weights[..., None] * (f[a] * f[b])[:, None, None, :]).reshape(2 * len(a), n_out)
+    values = pairs.view(float) @ coef  # (n_t, n_out): Re Pr, then Im Pr if computed
     values[:, :n_x] += diagonal.real
-    values[:, n_x:] += diagonal.imag
-    imag_max = float(np.max(np.abs(values[:, n_x:]))) if values.size else 0.0
-    if imag_max >= 1e-12:
-        raise ValueError(f"simulated distribution has imaginary residue {imag_max:.3e}")
+    if n_out > n_x:
+        values[:, n_x:] += diagonal.imag
+        imag_max = float(np.max(np.abs(values[:, n_x:])))
+        if imag_max >= 1e-12:
+            raise ValueError(f"simulated distribution has imaginary residue {imag_max:.3e}")
     return MeasurementGrid(
         x_grid=x_grid,
         period=period,
@@ -398,7 +415,8 @@ def make_test_state(
     channel; the unitary is built in a working space up to J = 2 j_max + 4,
     capped at the coefficient table's ``J_CAP``, and then truncated and
     renormalized, so the returned block is exactly unit trace while the
-    truncation loss stays checkable by enlarging j_max.
+    truncation loss stays checkable by enlarging j_max.  Every block returned
+    equals its conjugate transpose exactly.
     """
     j_min = max(abs(k), abs(m))
     if j_max < j_min:
@@ -444,7 +462,8 @@ def make_test_state(
             f"unknown state kind {state_kind!r}; expected 'random-pure', "
             f"'random-mixed', or 'cos2-kicked'"
         )
-    return DensityBlock(k=k, m=m, j_max=j_max, elements=mat)
+    # Hermitian to the bit, which v v^H need not be once rounded
+    return DensityBlock(k=k, m=m, j_max=j_max, elements=(mat + mat.conj().T) / 2.0)
 
 
 def add_shot_noise(grid: MeasurementGrid, samples_per_time: int, seed: int) -> MeasurementGrid:

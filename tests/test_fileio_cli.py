@@ -353,6 +353,28 @@ def test_cli_simulate_reconstruct_cycle(workdir, capsys):
     assert "(4, 4)" in report and "residual sup norm" in report
 
 
+def test_cli_runs_simulate_then_reconstruct_through_one_parser(workdir, capsys):
+    from rotortomo import cli
+
+    cfg = _write_config(
+        workdir / "run.yaml",
+        "spec: {kind: rigid-linear, omega: 1.0, m: 1}\n"
+        "j_max: 3\n"
+        "paths: {state: state.json, data: data.csv, out: rec.json}\n",
+    )
+    truth = make_test_state("random-mixed", 0, 1, 3, seed=4)
+    save_block(truth, workdir / "state.json")
+    cli._build_parser.cache_clear()
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["reconstruct", "--config", cfg, "--out", "other.json"]) == 0
+    assert main(["reconstruct", "--config", cfg]) == 0  # no --out left over from the last call
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for name in ("other.json", "rec.json"):
+        rec = load_block(workdir / name)
+        assert np.max(np.abs(rec.elements - truth.elements)) < 1e-11
+
+
 def test_cli_simulate_runs_no_chain_scan(workdir, capsys, monkeypatch):
     from rotortomo import tomography
 

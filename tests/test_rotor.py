@@ -180,9 +180,12 @@ def test_simulate_matches_the_einsum_contraction():
     blk = make_test_state("random-mixed", 0, 1, 4, seed=2)
     x_grid = gauss_legendre_grid(9)
     rotor._basis_rows.cache_clear()
+    rotor._level_pairs.cache_clear()
     grids = [simulate_pr(blk, spec, x_grid, n_t=21) for _ in range(2)]
-    info = rotor._basis_rows.cache_info()
-    assert (info.misses, info.hits) == (1, 1)  # the basis rows are built once per shape
+    # the basis rows and the level-pair indices are built once per shape
+    for memo in (rotor._basis_rows, rotor._level_pairs):
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     times = grids[0].times
     phases = np.exp(-1j * np.outer(times, [energy(spec, J) for J in blk.j_values]))
@@ -226,13 +229,20 @@ def test_simulate_rejects_an_anti_hermitian_part_and_simulates_the_hermitian_one
     mat = good.elements.copy()
     mat[0, 2] += 1e-10  # anti-Hermitian defect 1e-10, inside DensityBlock's 1e-9 gate
     skewed = DensityBlock(k=0, m=1, j_max=5, elements=mat)
+    diag = good.elements.copy()
+    diag[0, 0] += 1e-10j  # a complex diagonal, also inside the gate
     x_grid = gauss_legendre_grid(11)
-    with pytest.raises(ValueError, match="imaginary residue"):
-        simulate_pr(skewed, spec, x_grid, n_t=31)
+    for bad in (skewed, DensityBlock(k=0, m=1, j_max=5, elements=diag)):
+        with pytest.raises(ValueError, match="imaginary residue"):
+            simulate_pr(bad, spec, x_grid, n_t=31)
     hermitian = DensityBlock(k=0, m=1, j_max=5, elements=(mat + mat.conj().T) / 2.0)
     grid = simulate_pr(hermitian, spec, x_grid, n_t=31)
     ref = simulate_pr(good, spec, x_grid, n_t=31)
     assert np.max(np.abs(grid.values - ref.values)) < 1e-9
+    nearly = good.elements.copy()
+    nearly[0, 2] += 1e-14  # its residue stays under 1e-12, so the full product runs and passes
+    grid = simulate_pr(DensityBlock(k=0, m=1, j_max=5, elements=nearly), spec, x_grid, n_t=31)
+    assert np.max(np.abs(grid.values - ref.values)) < 1e-13
 
 
 @pytest.mark.parametrize("n_t", [1, 2, 7, 211, 1984])
@@ -340,7 +350,7 @@ def test_reference_states_are_unit_trace_and_psd(kind):
     blk = make_test_state(kind, 1, 1, 5, seed=2, kick_strength=1.2)
     assert blk.trace() == pytest.approx(1.0, abs=1e-12)
     assert blk.min_eigenvalue() > -1e-12
-    assert blk.hermiticity_defect() < 1e-12
+    assert blk.hermiticity_defect() == 0.0  # so simulate_pr computes no Im Pr for it
 
 
 def test_reference_states_deterministic_and_distinct_by_seed():
