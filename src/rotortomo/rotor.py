@@ -345,8 +345,12 @@ def simulate_pr(
     diagonal adds a constant term.  Im Pr comes from the anti-Hermitian
     part alone (d and Im rho_aa), so its columns are computed only for a
     block that has one; there the imaginary residue is checked against
-    1e-12 and discarded.  A block that is Hermitian to the bit, such as the
-    (E + E^H)/2 that reconstruction resimulates, gets the Re Pr columns only.
+    1e-12 and discarded.  A block that is Hermitian to the bit, such as a
+    reconstruction's (E + E^H)/2, gets the Re Pr columns only.
+
+    The simulator evaluates f_J(x) directly and never reads the coefficient
+    tables of the inverse, so simulating a recovered block checks those
+    tables independently of the fit residual a reconstruction reports.
     """
     if (block.k, block.m) != (spec.k, spec.m):
         raise ValueError(

@@ -16,6 +16,11 @@ into one small group per line (and per parity of S = J1 + J2 when k = 0 or
 m = 0); centrifugal distortion moves the lines off the bins, and the kernel
 couples them.
 
+The residual of a reconstruction is the fit residual: the data against the
+block's model, read from the moment call's own phase table
+(:func:`_fit_residual`).  It uses the inverse's coefficient tables, so the
+independent check of those tables stays with the forward simulator.
+
 The block is the support: population above j_max is assumed absent.  The
 degeneracy chains (:attr:`ProbeOperator.chains`) name the pairs that share
 an element's line; those outside the block are reported as flags.  One
@@ -45,7 +50,6 @@ from .rotor import (
     energy,
     monotone_j_limit,
     phase_table,
-    simulate_pr,
 )
 
 
@@ -59,7 +63,9 @@ class MomentValue:
 
     Scalars for one probe; arrays of one shape for many (see
     :func:`moment_integral`).  ``orders`` holds each probe's moment at every
-    Legendre order 0 .. alpha_max of the call, along a trailing axis.
+    Legendre order 0 .. alpha_max of the call, along a trailing axis, and
+    ``phases`` the call's :func:`phase_table`, exp(+i omega t) with one row
+    per time sample and one column per probe, in the probes' flat order.
     """
 
     alpha: int
@@ -67,6 +73,7 @@ class MomentValue:
     omega: float
     value: complex
     orders: np.ndarray
+    phases: np.ndarray
 
 
 def probe_frequency(spec: RotorSpec, alpha, beta):
@@ -111,6 +118,13 @@ def _analysis_rows(alpha_max: int, nodes: bytes) -> np.ndarray:
     return rows
 
 
+def _grid_rows(grid: MeasurementGrid, alpha_max: int) -> np.ndarray:
+    """P~_alpha at the grid's x nodes for alpha = 0 .. max(alpha_max, 1), memoized."""
+    # at least two orders, so y is always a matrix-matrix product and rounds
+    # the same way whether one probe or many ask for it
+    return _analysis_rows(max(alpha_max, 1), np.asarray(grid.x_grid.nodes, dtype=float).tobytes())
+
+
 def moment_integral(
     grid: MeasurementGrid, alpha, beta, spec: RotorSpec, alpha_max: int = 0
 ) -> MomentValue:
@@ -128,10 +142,11 @@ def moment_integral(
     deeper of the deepest probe and ``alpha_max``, and one real product of
     the :func:`phase_table` against y then gives every probe's moment at
     every one of those orders (``orders``); ``value`` reads each probe's own
-    order from it.  The grid must span whole periods pi/omega of the spec.
-    A reconstruction passes its plan's ``alpha_max`` and reads ``orders``:
-    its probes are one per line, and its operator fits every order of each
-    line.
+    order from it, and ``phases`` hands back the table itself.  The grid
+    must span whole periods pi/omega of the spec.  A reconstruction passes
+    its plan's ``alpha_max`` and reads ``orders``: its probes are one per
+    line, and its operator fits every order of each line.  It evaluates its
+    fit on the grid from ``phases`` as well.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
@@ -163,19 +178,15 @@ def moment_integral(
             f"n_t = {grid.n_t} undersamples the probe frequency {fastest:.6g} "
             f"(alpha={a.flat[worst]}, beta={b.flat[worst]}): need n_t >= {needed}"
         )
-    nodes = np.asarray(grid.x_grid.nodes, dtype=float).tobytes()
-    # at least two orders, so y is always a matrix-matrix product and rounds
-    # the same way whether one probe or many ask for it
-    rows = _analysis_rows(max(alpha_max, 1), nodes)
-    y = grid.x_integrals(rows)[:, : alpha_max + 1]  # (n_t, alpha_max + 1)
+    y = grid.x_integrals(_grid_rows(grid, alpha_max))[:, : alpha_max + 1]  # (n_t, alpha_max + 1)
     phases = phase_table(omega.ravel(), grid.dt, grid.n_t)  # (n_t, probes)
     # (cos, sin) columns of every probe against y: (alpha_max + 1, probes) complex
     moments = (y.T @ phases.view(float)).view(complex) / grid.n_t
     orders = moments.T.reshape(a.shape + (alpha_max + 1,))
     value = np.take_along_axis(orders, a[..., None], axis=-1)[..., 0]
     if a.ndim == 0:
-        return MomentValue(int(a), int(b), float(omega), complex(value), orders)
-    return MomentValue(alpha=a, beta=b, omega=omega, value=value, orders=orders)
+        return MomentValue(int(a), int(b), float(omega), complex(value), orders, phases)
+    return MomentValue(alpha=a, beta=b, omega=omega, value=value, orders=orders, phases=phases)
 
 
 @dataclass(frozen=True)
@@ -398,6 +409,9 @@ def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
     e2, e1 = np.triu_indices(d_max + 1, 1)  # the elements, J2 outer and J1 inner
     alpha, beta = e1 + e2 + 2 * m_min, e1 - e2
     found, _ = _line_bins(spec, energies[e1] - energies[e2], n_periods)
+    # only candidates within a bin of the elements' lines can match
+    near = (bins >= found.min(initial=0.0) - 1.0) & (bins <= found.max(initial=0.0) + 1.0)
+    dj, j2, bins = dj[near], j2[near], bins[near]
 
     # each element's candidates within one bin are a run order[lo:lo + count]
     order = np.argsort(bins)
@@ -421,6 +435,36 @@ def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
         if edges[2 * i + 2] > edges[2 * i + 1]:
             flags[pair] = pairs[edges[2 * i + 1]:edges[2 * i + 2]]
     return chains, flags
+
+
+def _fit_residual(
+    grid: MeasurementGrid, op: ProbeOperator, rho: np.ndarray, phases: np.ndarray
+) -> float:
+    """max |Pr - model| over the grid, the model of the block rho read from its moments.
+
+    The model's Legendre moments are y[t, alpha] = sum_p c_alpha(p) rho_p
+    exp(-i w_p t).  Summing c_alpha(p) rho_p onto the moment-table rows
+    (``op.source``) gives Z[row, alpha]; a pair on the line +f_l sits on row
+    l, one on -f_l on its conjugate row lines + l, so with the probes'
+    ``phases`` exp(+i f_l t) the real moments are
+    cos(f_l t) (Re Z[l] + Re Z[lines + l]) + sin(f_l t) (Im Z[l] - Im Z[lines + l])
+    summed over l: one real product.  The model is a polynomial of degree
+    <= 2 j_max in x, so the P~ rows give it exactly at any x nodes.  It
+    reads the inverse's own coefficient tables, so it checks the fit, not
+    the tables: the independent check is a forward simulation
+    (:func:`rotortomo.rotor.simulate_pr`) of the block.
+    """
+    n_lines, n_orders = phases.shape[1], op.coeffs.shape[1]
+    terms = op.coeffs * rho.reshape(-1, 1)  # c_alpha(p) rho_p, (pairs, orders)
+    cells = (op.source[:, None] * n_orders + np.arange(n_orders)).ravel()
+    size = 2 * n_lines * n_orders
+    zr = np.bincount(cells, terms.real.ravel(), size).reshape(2, n_lines, n_orders)
+    zi = np.bincount(cells, terms.imag.ravel(), size).reshape(2, n_lines, n_orders)
+    # (Re e, Im e) of each line against its cos and sin weights, as phases.view(float) lays them
+    weight = np.stack((zr[0] + zr[1], zi[0] - zi[1]), axis=1).reshape(2 * n_lines, n_orders)
+    model = phases.view(float) @ weight @ _grid_rows(grid, n_orders - 1)[:n_orders]
+    model -= grid.values
+    return float(np.abs(model, out=model).max())
 
 
 @dataclass(frozen=True)
@@ -515,9 +559,9 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     the block's ordered pairs, the same least-squares map for every rotor
     kind.  Population above j_max is assumed absent: an element whose chain
     has partners outside the block is flagged with those pairs.  The
-    residual reported is the sup-norm mismatch between the data and a
-    resimulation from the reconstructed block on the same grid, and the
-    diagnostics give the operator's unknown and row counts and its worst
+    residual reported is the fit residual, the sup-norm mismatch between the
+    data and the block's model on the same grid (:func:`_fit_residual`), and
+    the diagnostics give the operator's unknown and row counts and its worst
     group's condition number.  A grid whose kind, channel, omega or period
     (pi/omega, checked by :func:`moment_integral`) differs from the spec's
     raises ValueError.
@@ -533,15 +577,14 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
         )
     plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x)
     op = _probe_operator(spec, j_max, plan.n_periods, plan.n_t)
-    moments = moment_integral(grid, op.probes[:, 0], op.probes[:, 1], spec, plan.alpha_max).orders
-    table = np.concatenate((moments, moments.conj()))
+    probed = moment_integral(grid, op.probes[:, 0], op.probes[:, 1], spec, plan.alpha_max)
+    table = np.concatenate((probed.orders, probed.orders.conj()))
     b = np.einsum("pa,pa->p", op.coeffs, table[op.source])
     n = j_max - plan.m_min + 1
     elements = np.einsum("pi,pi->p", op.weight, b[op.index]).reshape(n, n)
 
     block = DensityBlock(spec.k, spec.m, j_max, (elements + elements.conj().T) / 2.0)
-    resim = simulate_pr(block, spec, grid.x_grid, grid.n_t, grid.n_periods)
-    residual = float(np.max(np.abs(resim.values - grid.values)))
+    residual = _fit_residual(grid, op, block.elements, probed.phases)
     diagnostics = {
         "n_unknowns": n * n,
         "n_rows": op.n_rows,

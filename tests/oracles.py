@@ -6,8 +6,9 @@ Legendre values, the explicit half-angle sum for Wigner d, brute-force pair
 scanning for frequency degeneracies (exact rigid lines and, by
 scalar energy differences, distorted ones), LAPACK inversion of a closed-form
 matrix for diagonal pattern rows, a Gauss-Legendre rule of its own for
-each product decomposition, and a dense least-squares solve of the whole
-time-domain design for a block.
+each product decomposition, a dense least-squares solve of the whole
+time-domain design for a block, and a forward simulation of a recovered
+block for its residual against the data.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import lpmv
 
 from rotortomo.angular import eigenfunction_rows
-from rotortomo.rotor import energy
+from rotortomo.rotor import energy, simulate_pr
 
 
 def cg_exact(j1: int, j2: int, j3: int, m1: int, m2: int) -> float:
@@ -208,3 +209,14 @@ def time_domain_block(grid, spec, j_max: int) -> np.ndarray:
     rho = np.linalg.lstsq(design, moments.ravel().astype(complex), rcond=None)[0]
     rho = rho.reshape(len(js), len(js))
     return (rho + rho.conj().T) / 2.0
+
+
+def resimulated_residual(result, grid, spec) -> float:
+    """max |Pr - Pr~| over the grid, with Pr~ simulated forward from the recovered block.
+
+    The forward simulator evaluates the eigenfunction products f_J1 f_J2 at
+    the nodes, not the inverse's coefficient tables, so this checks those
+    tables along with the fit.
+    """
+    resim = simulate_pr(result.block, spec, grid.x_grid, grid.n_t, grid.n_periods)
+    return float(np.max(np.abs(resim.values - grid.values)))
