@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -250,6 +251,17 @@ def cmd_roundtrip(args) -> int:
     return EXIT_OK if passed else EXIT_THRESHOLD
 
 
+def _threshold(text: str) -> float:
+    """A --threshold value: a finite number >= 0, as the config's threshold."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -265,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threshold", type=float, help="override the config error gate")
+        p.add_argument("--threshold", type=_threshold, help="override the config error gate")
         p.set_defaults(func=func)
         return p
 

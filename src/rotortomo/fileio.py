@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,6 +83,8 @@ def load_block(path: str | Path) -> DensityBlock:
             raise FileFormatError(f"{path}: entries[{i}] J labels must be integers")
         if not all(isinstance(v, (int, float)) for v in (re_, im_)):
             raise FileFormatError(f"{path}: entries[{i}] values must be numbers")
+        if not all(abs(v) <= sys.float_info.max for v in (re_, im_)):
+            raise FileFormatError(f"{path}: entries[{i}] values must be finite")
         if not (j_min <= j1 <= j2 <= j_max):
             raise FileFormatError(
                 f"{path}: entries[{i}] pair ({j1}, {j2}) outside upper triangle "
@@ -162,8 +165,8 @@ def load_grid(path: str | Path) -> MeasurementGrid:
         raise FileFormatError(f"{path}: line 1: {exc}") from None
     k, m = int(header["k"]), int(header["m"])
     n_t, n_x, n_periods = int(header["n_t"]), int(header["n_x"]), int(header["n_periods"])
-    if omega <= 0:
-        raise FileFormatError(f"{path}: line 1: omega must be positive")
+    if not 0 < omega < math.inf:
+        raise FileFormatError(f"{path}: line 1: omega must be finite and positive, got {omega}")
     if n_t < 1 or n_x < 1 or n_periods < 1:
         raise FileFormatError(f"{path}: line 1: n_t, n_x, n_periods must be >= 1")
     if n_x > N_X_CAP:
@@ -214,6 +217,9 @@ def load_grid(path: str | Path) -> MeasurementGrid:
     data[:, :, 3] = np.reshape(pr, (n_t, n_x))
     for row, fields in parsed.items():
         data[divmod(row, n_x)] = fields
+    if not np.isfinite(data).all():
+        bad = np.argwhere(~np.isfinite(data))[0]
+        raise FileFormatError(f"{path}: line {2 + bad[0] * n_x + bad[1]}: non-finite field")
 
     nodes, weights = data[0, :, 1], data[0, :, 2]
     if (np.max(np.abs(nodes - x_grid.nodes)) > 1e-12
@@ -300,10 +306,17 @@ def _get_int(sub: dict, where: str, key: str, default: int, minimum: int = 0) ->
     return val
 
 
-def _get_float(sub: dict, where: str, key: str, default: float) -> float:
+def _get_float(
+    sub: dict, where: str, key: str, default: float, minimum: float = -math.inf
+) -> float:
     val = sub.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise FileFormatError(f"config: '{where}.{key}' must be a number, got {val!r}")
+    # false for nan and inf, and for integers too large for a float
+    if not abs(val) <= sys.float_info.max:
+        raise FileFormatError(f"config: '{where}.{key}' must be finite, got {val!r}")
+    if val < minimum:
+        raise FileFormatError(f"config: '{where}.{key}' must be >= {minimum}, got {val!r}")
     return float(val)
 
 
@@ -346,6 +359,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             k=_get_int(spec_cfg, "spec", "k", 0, minimum=-10**6),
             m=_get_int(spec_cfg, "spec", "m", 0, minimum=-10**6),
         )
+    except FileFormatError:
+        raise
     except ValueError as exc:
         raise FileFormatError(f"config: spec: {exc}") from exc
 
@@ -382,6 +397,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ),
         state_kind=state_kind,
         kick_strength=_get_float(state_cfg, "state", "kick_strength", 1.0),
-        threshold=_get_float(cfg, "config", "threshold", 0.0),
+        threshold=_get_float(cfg, "config", "threshold", 0.0, minimum=0.0),
         paths=dict(paths),
     )

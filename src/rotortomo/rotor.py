@@ -70,6 +70,9 @@ class RotorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", rotor_kind(self.kind))
+        for name in ("omega", "omega2", "d_cd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.kind is not RotorKind.SYMTOP and self.k != 0:
@@ -256,6 +259,15 @@ class MeasurementGrid:
             )
         if self.n_periods < 1:
             raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
+        for name in ("omega", "period"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not np.isfinite(self.values).all():
+            t, x = np.argwhere(~np.isfinite(self.values))[0]
+            raise ValueError(
+                f"values must be finite, got {self.values[t, x]} at (t, x) = ({t}, {x})"
+            )
 
     @property
     def n_t(self) -> int:
@@ -440,6 +452,8 @@ def make_test_state(
         weights /= weights.sum()
         mat = sum(w * random_pure() for w in weights)
     elif state_kind == "cos2-kicked":
+        if not math.isfinite(kick_strength):
+            raise ValueError(f"kick_strength must be finite, got {kick_strength}")
         j_work = min(2 * j_max + 4, J_CAP)
         table = coefficient_table(k, m)
         n_work = j_work - j_min + 1

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def moment_integral(
     if bad.any():
         raise ValueError(f"|beta| = {abs(b[bad][0])} exceeds alpha = {a[bad][0]}")
     period = np.pi / spec.omega
-    if abs(grid.period - period) > 1e-12 * period:
+    if not abs(grid.period - period) <= 1e-12 * period:
         raise ValueError(
             f"grid period={grid.period!r} does not match pi/omega={period!r} of the spec"
         )
@@ -227,8 +227,10 @@ def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
     plan = SamplingPlan.derive(spec, j_cap)
     op = _probe_operator(spec, j_cap, plan.n_periods, plan.n_t)
     p = (j1 - m_min) * (j_cap - m_min + 2)  # the unknown (j1, j1)
-    # its group holds bin 0's pairs, whose moments are the table's first row
-    row = op.weight[p] @ op.coeffs[op.index[p]]
+    # its group is bin 0's, every diagonal pair, whose moments are the table's first row
+    members, inverse = next(stack for stack in op.stacks if (stack[0] == p).any())
+    group, i = np.argwhere(members == p)[0]
+    row = inverse[group, i] @ op.coeffs[members[group]]
     coeffs = {alpha: float(c.real) for alpha, c in enumerate(row.tolist()) if c}
     return PatternFunction(j1=j1, k=k, m=m, j_cap=j_cap, coeffs=coeffs)
 
@@ -268,35 +270,37 @@ class ProbeOperator:
     lines, for real data) gives a table whose row ``source[p]`` holds the
     moments at the line of the ordered pair p of the block, row-major in
     (J1, J2).  The normal equations' right-hand side is
-    b_p = sum_alpha coeffs[p, alpha] * table[source[p], alpha], and element
-    p is sum_i weight[p, i] * b[index[p, i]]: ``index`` lists p's group and
-    ``weight`` is p's row of the inverse of that group's Gram matrix.
-    ``n_rows`` counts the (line, alpha) moments that carry a coefficient,
-    and ``cond`` is the worst group's sqrt(lambda_max / lambda_min).
+    b_p = sum_alpha coeffs[p, alpha] * table[source[p], alpha].  ``stacks``
+    holds one (members, inverse) pair per group size w: members (g, w) lists
+    the unknowns of each of the g groups of that size, and inverse (g, w, w)
+    each group's inverse Gram matrix, so its elements are inverse @
+    b[members].  ``n_rows`` counts the (line, alpha) moments that carry a
+    coefficient, and ``cond`` is the worst group's sqrt(lambda_max /
+    lambda_min).
 
     ``chains`` maps each off-diagonal pair (J1, J2), J1 > J2, to the (S, DJ)
     pairs of the block on its line, and ``flags`` the pairs that have
     partners outside the block to those partners, which the support
     assumption sets to zero (:func:`_chains`).  ``nbytes`` counts the arrays
-    alone: the chains and flags add about a tenth to them (0.80 MiB of
-    Python objects, by tracemalloc, against 8.67 MiB of arrays at rigid
+    alone: the chains and flags add about a fifth to them (0.69 MiB of
+    Python objects, by tracemalloc, against 3.65 MiB of arrays at rigid
     j_max = 60).
     """
 
     probes: np.ndarray
     source: np.ndarray
     coeffs: np.ndarray
-    index: np.ndarray
-    weight: np.ndarray
+    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
     n_rows: int
     cond: float
     chains: dict[tuple[int, int], list[tuple[int, int]]]
     flags: dict[tuple[int, int], list[tuple[int, int]]]
 
-    @property
+    @cached_property  # the memo sums it on every call, and the arrays are read-only
     def nbytes(self) -> int:
         """Bytes held by the operator's arrays, as the memo's 64 MiB bound counts them."""
-        return sum(a.nbytes for a in (self.probes, self.source, self.coeffs, self.index, self.weight))
+        stacks = (a for stack in self.stacks for a in stack)
+        return sum(a.nbytes for a in (self.probes, self.source, self.coeffs, *stacks))
 
 
 _OPERATOR_BYTES = 64 * 2**20
@@ -331,12 +335,15 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     small, takes the lines off the bins, and all of them form one group.
     Either splits by the parity of S = J1 + J2 where the coefficients keep
     it, for C C^T vanishes between the parities.  Each group's Gram is
-    built and inverted in one stack per group size.
+    built and inverted in one stack per group size, and the stacks are kept.
 
-    The operator stores n^2 * (n_orders + w) numbers, n = j_max - m_min + 1,
-    n_orders = 2 j_max + 1 and w the largest group: a group on one bin has
-    w <= n, a dense centrifugal one w ~ n^2 / 2, so ~24 n^4 bytes: 0.2 MiB
-    at j_max = 10, 11 MiB at 30.
+    The operator stores n^2 * n_orders coefficients, n = j_max - m_min + 1
+    and n_orders = 2 j_max + 1, plus w^2 inverse entries per group of w
+    unknowns.  A group on one bin has w <= n, so on exact bins the
+    coefficients dominate, ~16 n^3 bytes: 0.06 MiB at rigid j_max = 14,
+    1.13 MiB at 40 and 3.65 MiB at 60.  A dense centrifugal spectrum has
+    two parity groups of w ~ n^2 / 2, ~8 n^4 bytes: 7.51 MiB at j_max = 30
+    over 16 periods.
     """
     m_min, n_orders = spec.m_min, 2 * j_max + 1
     js = np.arange(m_min, j_max + 1)
@@ -362,23 +369,20 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     members = np.argsort(label, kind="stable")  # each group's unknowns in increasing order
     _, start, size = np.unique(label[members], return_index=True, return_counts=True)
     dt = n_periods * (np.pi / spec.omega) / n_t
-    index = np.zeros((n * n, size.max()), dtype=np.intp)
-    weight = np.zeros(index.shape, dtype=complex)
-    cond = 1.0
+    stacks, cond = [], 1.0
     for w in sorted(set(size.tolist())):
         group = members[start[size == w, None] + np.arange(w)]  # (groups, w)
         c, f = coeffs[group], omega[group]
         gram = c @ c.transpose(0, 2, 1) * _window_kernel(f[:, :, None] - f[:, None, :], dt, n_t)
         lam, vec = np.linalg.eigh(gram)
         cond = max(cond, math.sqrt(float(np.max(lam[:, -1] / lam[:, 0]))))
-        index[group, :w] = group[:, None, :]
-        weight[group, :w] = (vec / lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+        stacks.append((group, (vec / lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)))
     probes = np.stack((j1 + j2, j1 - j2), axis=1)[first[h:]]
-    for arr in (probes, source, coeffs, index, weight):
+    for arr in (probes, source, coeffs, *(a for stack in stacks for a in stack)):
         arr.setflags(write=False)
     chains, flags = _chains(spec, j_max, n_periods)
     return ProbeOperator(
-        probes=probes, source=source, coeffs=coeffs, index=index, weight=weight,
+        probes=probes, source=source, coeffs=coeffs, stacks=tuple(stacks),
         n_rows=int(carried.sum()), cond=cond, chains=chains, flags=flags,
     )
 
@@ -571,7 +575,7 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
             f"grid (kind={grid.kind.value}, k={grid.k}, m={grid.m}) does not match "
             f"spec (kind={spec.kind.value}, k={spec.k}, m={spec.m})"
         )
-    if abs(grid.omega - spec.omega) > 1e-12 * spec.omega:
+    if not abs(grid.omega - spec.omega) <= 1e-12 * spec.omega:
         raise ValueError(
             f"grid omega={grid.omega!r} does not match spec omega={spec.omega!r}"
         )
@@ -581,7 +585,10 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     table = np.concatenate((probed.orders, probed.orders.conj()))
     b = np.einsum("pa,pa->p", op.coeffs, table[op.source])
     n = j_max - plan.m_min + 1
-    elements = np.einsum("pi,pi->p", op.weight, b[op.index]).reshape(n, n)
+    elements = np.empty(n * n, dtype=complex)
+    for members, inverse in op.stacks:
+        elements.put(members, inverse @ b.take(members)[..., None])
+    elements = elements.reshape(n, n)
 
     block = DensityBlock(spec.k, spec.m, j_max, (elements + elements.conj().T) / 2.0)
     residual = _fit_residual(grid, op, block.elements, probed.phases)

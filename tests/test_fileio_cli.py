@@ -58,6 +58,7 @@ def test_block_json_sparse_entries_default_to_zero(tmp_path):
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [], "extra": 1}', "extra"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[2, 0, 1.0, 0.0]]}', "triangle"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 3, 1.0, 0.0]]}', "triangle"),
+        ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, NaN, 0.0]]}', "finite"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0]]}', "duplicate"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0]]}', "entries"),
         ('{"k": 0, "m": 2, "j_max": 1, "entries": []}', "channel minimum"),
@@ -540,6 +541,69 @@ def test_cli_validation_failures_exit_two(workdir, capsys):
     )
     assert main(["simulate", "--config", big]) == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+_RIGID_RUN = (
+    "spec: {kind: rigid-linear, omega: 1.0}\nj_max: 3\n"
+    "paths: {state: state.json, data: data.csv, out: rec.json, metrics: m.json}\n"
+)
+
+
+def _spec_run(field):
+    return f"spec: {{kind: rigid-linear, {field}}}\nj_max: 3\n"
+
+
+def _nan_header(lines):
+    lines[0] = re.sub(r"omega=[^,]+", "omega=nan", lines[0])
+
+
+def _nan_value(lines):
+    lines[4] = lines[4].rsplit(",", 1)[0] + ", nan"
+
+
+@pytest.mark.parametrize(
+    "command,config,edit,flags,needle",
+    [
+        ("reconstruct", _RIGID_RUN, _nan_header, [], "line 1: omega must be finite"),
+        ("reconstruct", _RIGID_RUN, _nan_value, [], "line 5: non-finite"),
+        ("reconstruct", _RIGID_RUN, None, ["--threshold", "-1"], "--threshold"),
+        ("roundtrip", _spec_run("omega: .nan"), None, [], "spec.omega"),
+        ("roundtrip", _spec_run("omega: .inf"), None, [], "spec.omega"),
+        ("roundtrip", _spec_run("omega2: .nan"), None, [], "spec.omega2"),
+        ("roundtrip", _spec_run("d_cd: .nan"), None, [], "spec.d_cd"),
+        (
+            "roundtrip",
+            _RIGID_RUN + "state: {kind: cos2-kicked, kick_strength: .nan}\n",
+            None, [], "state.kick_strength",
+        ),
+        ("roundtrip", _RIGID_RUN + "threshold: .nan\n", None, [], "threshold"),
+        ("roundtrip", _RIGID_RUN + "threshold: -1.0e-3\n", None, [], "threshold' must be >= 0"),
+        ("roundtrip", _RIGID_RUN, None, ["--threshold", "nan"], "--threshold"),
+    ],
+    ids=[
+        "csv-omega-nan", "csv-pr-nan", "flag-threshold-negative", "omega-nan", "omega-inf",
+        "omega2-nan", "d_cd-nan", "kick-nan", "threshold-nan", "threshold-negative",
+        "flag-threshold-nan",
+    ],
+)
+def test_cli_non_finite_or_negative_inputs_exit_two(
+    workdir, capsys, command, config, edit, flags, needle
+):
+    cfg = _write_config(workdir / "run.yaml", config)
+    if edit is not None:
+        save_block(make_test_state("random-mixed", 0, 0, 3, seed=0), workdir / "state.json")
+        assert main(["simulate", "--config", cfg]) == 0
+        lines = (workdir / "data.csv").read_text().splitlines()
+        edit(lines)
+        (workdir / "data.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    try:
+        code = main([command, "--config", cfg, *flags])
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and needle in err
+    assert "did not converge" not in err
 
 
 def test_cli_roundtrip_names_the_sampling_limit(workdir, capsys):

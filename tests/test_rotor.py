@@ -1,6 +1,7 @@
 """Rotor model, forward simulator, reference states, shot noise."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,40 @@ def test_rotor_kind_parses_names_and_rejects_unknown():
     assert rotor_kind(RotorKind.RIGID) is RotorKind.RIGID
     with pytest.raises(ValueError):
         rotor_kind("spherical-top")
+
+
+def _grid_with(**fields):
+    spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0)
+    blk = make_test_state("random-mixed", 0, 0, 2, seed=1)
+    grid = simulate_pr(blk, spec, gauss_legendre_grid(5), 7)
+    values = grid.values.copy()
+    values[3, 2] = fields.pop("value", values[3, 2])
+    return replace(grid, values=values, **fields)
+
+
+@pytest.mark.parametrize(
+    "make,needle",
+    [
+        (lambda: RotorSpec(kind=RotorKind.RIGID, omega=math.nan), "omega must be finite"),
+        (lambda: RotorSpec(kind=RotorKind.RIGID, omega=math.inf), "omega must be finite"),
+        (lambda: RotorSpec(kind=RotorKind.SYMTOP, omega=1.0, omega2=math.nan, k=1), "omega2"),
+        (lambda: RotorSpec(kind=RotorKind.RIGID, omega=1.0, d_cd=math.nan), "d_cd"),
+        (lambda: RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=math.inf), "d_cd"),
+        (lambda: _grid_with(omega=math.nan), "omega must be finite"),
+        (lambda: _grid_with(omega=-1.0), "omega must be finite and positive"),
+        (lambda: _grid_with(period=math.inf), "period"),
+        (lambda: _grid_with(value=math.nan), r"finite, got nan at \(t, x\) = \(3, 2\)"),
+        (lambda: _grid_with(value=-math.inf), "values must be finite"),
+        (lambda: make_test_state("cos2-kicked", 0, 0, 3, kick_strength=math.nan), "kick_strength"),
+    ],
+    ids=[
+        "omega-nan", "omega-inf", "omega2-nan", "d_cd-nan", "d_cd-inf", "grid-omega-nan",
+        "grid-omega-negative", "grid-period-inf", "grid-value-nan", "grid-value-inf", "kick-nan",
+    ],
+)
+def test_non_finite_inputs_raise_a_named_error(make, needle):
+    with pytest.raises(ValueError, match=needle):
+        make()
 
 
 def test_spec_validation():

@@ -792,12 +792,15 @@ def test_zero_distortion_operator_splits_into_the_rigid_groups():
     plan = SamplingPlan.derive(RIGID, 6, n_periods=4)
     rigid = tomography._probe_operator(RIGID, 6, 4, plan.n_t)
     cd = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=0.0), 6, 4, plan.n_t)
-    assert np.array_equal(cd.probes, rigid.probes) and np.array_equal(cd.index, rigid.index)
-    assert np.max(np.abs(cd.weight - rigid.weight)) <= 1e-15
-    # no group wider than bin 0's 7 diagonal pairs
-    assert rigid.weight.shape == (49, 7)
+    assert np.array_equal(cd.probes, rigid.probes) and len(cd.stacks) == len(rigid.stacks)
+    for (cd_members, cd_inverse), (members, inverse) in zip(cd.stacks, rigid.stacks):
+        assert np.array_equal(cd_members, members)
+        assert np.max(np.abs(cd_inverse - inverse)) <= 1e-15
+    # the widest group is bin 0's 7 diagonal pairs
+    members, inverse = rigid.stacks[-1]
+    assert np.array_equal(members, [np.arange(0, 49, 8)]) and inverse.shape == (1, 7, 7)
     distorted = tomography._probe_operator(_spec(RotorKind.CENTRIFUGAL, d_cd=1e-4), 6, 4, plan.n_t)
-    assert distorted.weight.shape[1] > 7
+    assert distorted.stacks[-1][0].shape[1] > 7
 
 
 def test_operator_memo_is_bounded_by_count_and_bytes(monkeypatch):
@@ -835,11 +838,13 @@ def test_operators_of_large_blocks_stay_small():
     RIGID.coefficient_table().tensor(60)
     tracemalloc.start()
     try:
-        tomography._build_probe_operator(RIGID, 60, 1, SamplingPlan.derive(RIGID, 60).n_t)
+        op = tomography._build_probe_operator(RIGID, 60, 1, SamplingPlan.derive(RIGID, 60).n_t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+    # each group keeps its own inverse, with no padding to the widest group
+    assert op.nbytes <= 5.20 * 2**20
 
 
 def test_warm_simulate_and_reconstruct_keep_no_table_of_the_grid_shape():
@@ -965,6 +970,16 @@ def test_reconstruct_block_rejects_a_grid_of_another_period():
     )
     with pytest.raises(ValueError, match="period"):
         reconstruct_block(skewed, RIGID, 3)
+
+
+@pytest.mark.parametrize("field", ["omega", "period"])
+def test_reconstruct_block_rejects_a_grid_whose_omega_or_period_became_nan(field):
+    # the grid checks its fields when built; one set to nan later still fails the
+    # comparison, the period's in moment_integral
+    grid = _simulate(make_test_state("random-mixed", 0, 0, 3, seed=0), RIGID)
+    setattr(grid, field, math.nan)
+    with pytest.raises(ValueError, match=f"grid {field}=nan does not match"):
+        reconstruct_block(grid, RIGID, 3)
 
 
 def test_reconstruct_block_psd_projection_on_noisy_data():
