@@ -276,24 +276,29 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_: str, func) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="YAML run config")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threshold", type=_threshold, help="override the config error gate")
         p.set_defaults(func=func)
         return p
+
+    seed = {"type": int, "help": "override the config seed"}
+    threshold = {"type": _threshold, "help": "override the config error gate"}
 
     p = add("simulate", "evolve a stored block and write Pr(x, t) CSV", cmd_simulate)
     p.add_argument("--state", help="input block JSON (default: paths.state)")
     p.add_argument("--data", help="output CSV (default: paths.data)")
+    p.add_argument("--seed", **seed)
 
     p = add("reconstruct", "invert a Pr(x, t) CSV into a block JSON + report", cmd_reconstruct)
     p.add_argument("--data", help="input CSV (default: paths.data)")
     p.add_argument("--out", help="output block JSON (default: paths.out)")
+    p.add_argument("--threshold", **threshold)
 
     p = add("coeffs", "tabulate non-zero c_L coefficients for the channel", cmd_coeffs)
     p.add_argument("--out", help="write the table to this file instead of stdout")
 
     p = add("roundtrip", "simulate a seeded state, reconstruct it, compare", cmd_roundtrip)
     p.add_argument("--out", help="metrics JSON (default: paths.metrics)")
+    p.add_argument("--seed", **seed)
+    p.add_argument("--threshold", **threshold)
 
     return parser
 

@@ -181,6 +181,7 @@ def load_grid(path: str | Path) -> MeasurementGrid:
 
     n_rows = n_t * n_x
     pr = []
+    linenos = []  # the file line of each data row
     parsed = {}  # row index -> [t, x, w, pr] of the lines read field by field
     for lineno, line in enumerate(raw[1:], start=2):
         row = len(pr)
@@ -189,6 +190,7 @@ def load_grid(path: str | Path) -> MeasurementGrid:
             if line.startswith(t) and line.startswith(xw, len(t)):
                 try:
                     pr.append(float(line[len(t) + len(xw):]))
+                    linenos.append(lineno)
                     continue
                 except ValueError:
                     pass  # read field by field below, which names the fault
@@ -205,6 +207,7 @@ def load_grid(path: str | Path) -> MeasurementGrid:
         except ValueError:
             raise FileFormatError(f"{path}: line {lineno}: non-numeric field in {line!r}")
         pr.append(parsed[row][3])
+        linenos.append(lineno)
     if len(pr) != n_rows:
         raise FileFormatError(
             f"{path}: found {len(pr)} data rows, header promises n_t*n_x = {n_rows}"
@@ -218,8 +221,8 @@ def load_grid(path: str | Path) -> MeasurementGrid:
     for row, fields in parsed.items():
         data[divmod(row, n_x)] = fields
     if not np.isfinite(data).all():
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise FileFormatError(f"{path}: line {2 + bad[0] * n_x + bad[1]}: non-finite field")
+        t, x = np.argwhere(~np.isfinite(data))[0, :2]
+        raise FileFormatError(f"{path}: line {linenos[t * n_x + x]}: non-finite field")
 
     nodes, weights = data[0, :, 1], data[0, :, 2]
     if (np.max(np.abs(nodes - x_grid.nodes)) > 1e-12
@@ -228,27 +231,20 @@ def load_grid(path: str | Path) -> MeasurementGrid:
             f"{path}: x nodes and weights are not the {n_x}-point Gauss-Legendre rule"
         )
     if np.any(data[:, :, 1] != nodes) or np.any(data[:, :, 2] != weights):
-        bad = np.argwhere((data[:, :, 1] != nodes) | (data[:, :, 2] != weights))[0]
+        t, x = np.argwhere((data[:, :, 1] != nodes) | (data[:, :, 2] != weights))[0]
         raise FileFormatError(
-            f"{path}: line {2 + bad[0] * n_x + bad[1]}: x grid differs from the "
+            f"{path}: line {linenos[t * n_x + x]}: x grid differs from the "
             f"first time slice"
         )
-    if np.any(np.abs(data[:, :, 0] - times[:, None]) > 1e-9 * period):
-        bad = int(np.argmax(np.abs(data[:, 0, 0] - times) > 1e-9 * period))
+    off = np.abs(data[:, :, 0] - times[:, None]) > 1e-9 * period
+    if off.any():
+        t, x = np.argwhere(off)[0]
         raise FileFormatError(
-            f"{path}: line {2 + bad * n_x}: time column is not uniform over "
-            f"{n_periods} period(s) of T = pi/omega"
+            f"{path}: line {linenos[t * n_x + x]}: time column is not uniform over "
+            f"{n_periods} period(s) of T = pi/omega, first at (t, x) = ({t}, {x})"
         )
-    return MeasurementGrid(
-        x_grid=x_grid,
-        period=period,
-        n_periods=n_periods,
-        values=data[:, :, 3],
-        omega=omega,
-        kind=kind,
-        k=k,
-        m=m,
-    )
+    return MeasurementGrid(x_grid=x_grid, n_periods=n_periods, values=data[:, :, 3],
+                           omega=omega, kind=kind, k=k, m=m)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,11 @@ class DensityBlock:
                 f"elements shape {self.elements.shape} does not match J range "
                 f"{self.j_min}..{self.j_max} (expected {(n, n)})"
             )
+        if not np.isfinite(self.elements).all():
+            a, b = np.argwhere(~np.isfinite(self.elements))[0]
+            raise ValueError(
+                f"elements must be finite, got {self.elements[a, b]} at (a, b) = ({a}, {b})"
+            )
         defect = self.hermiticity_defect()
         scale = max(1.0, float(np.max(np.abs(self.elements))))
         if defect > 1e-9 * scale:
@@ -237,13 +242,13 @@ class MeasurementGrid:
     """Sampled Pr(x, t) on a Gauss-Legendre x grid and a uniform time grid.
 
     Time samples are t_i = i * dt for i = 0 .. n_t - 1 with
-    dt = n_periods * period / n_t, i.e. uniform over [0, n_periods * T).
+    dt = n_periods * period / n_t, i.e. uniform over [0, n_periods * T),
+    where the period T = pi/omega is that of the grid's own ``omega``.
     ``values[i, j]`` is Pr(x_j, t_i).  The grid carries the rotor metadata
     needed to interpret it on its own (and to round-trip through CSV).
     """
 
     x_grid: QuadratureGrid
-    period: float
     n_periods: int
     values: np.ndarray
     omega: float
@@ -259,15 +264,17 @@ class MeasurementGrid:
             )
         if self.n_periods < 1:
             raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
-        for name in ("omega", "period"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if not np.isfinite(self.values).all():
             t, x = np.argwhere(~np.isfinite(self.values))[0]
             raise ValueError(
                 f"values must be finite, got {self.values[t, x]} at (t, x) = ({t}, {x})"
             )
+
+    @property
+    def period(self) -> float:
+        return math.pi / self.omega
 
     @property
     def n_t(self) -> int:
@@ -378,8 +385,7 @@ def simulate_pr(
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     check_distortion_range(spec, block.j_max)
 
-    period = reference_period(spec)
-    dt = n_periods * period / n_t
+    dt = n_periods * reference_period(spec) / n_t
     rho, n_x = block.elements, x_grid.order
     f = _basis_rows(block.j_max, spec.k, spec.m, np.asarray(x_grid.nodes, dtype=float).tobytes())
     a, b = _level_pairs(len(f))
@@ -404,16 +410,8 @@ def simulate_pr(
         imag_max = float(np.max(np.abs(values[:, n_x:])))
         if imag_max >= 1e-12:
             raise ValueError(f"simulated distribution has imaginary residue {imag_max:.3e}")
-    return MeasurementGrid(
-        x_grid=x_grid,
-        period=period,
-        n_periods=n_periods,
-        values=values[:, :n_x],
-        omega=spec.omega,
-        kind=spec.kind,
-        k=spec.k,
-        m=spec.m,
-    )
+    return MeasurementGrid(x_grid=x_grid, n_periods=n_periods, values=values[:, :n_x],
+                           omega=spec.omega, kind=spec.kind, k=spec.k, m=spec.m)
 
 
 def make_test_state(

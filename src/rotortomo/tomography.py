@@ -142,11 +142,12 @@ def moment_integral(
     deeper of the deepest probe and ``alpha_max``, and one real product of
     the :func:`phase_table` against y then gives every probe's moment at
     every one of those orders (``orders``); ``value`` reads each probe's own
-    order from it, and ``phases`` hands back the table itself.  The grid
-    must span whole periods pi/omega of the spec.  A reconstruction passes
-    its plan's ``alpha_max`` and reads ``orders``: its probes are one per
-    line, and its operator fits every order of each line.  It evaluates its
-    fit on the grid from ``phases`` as well.
+    order from it, and ``phases`` hands back the table itself.  This is the
+    one place the grid's omega is compared with the spec's (to 1e-12
+    relative), so the grid spans whole periods pi/omega of the spec.  A
+    reconstruction passes its plan's ``alpha_max`` and reads ``orders``: its
+    probes are one per line, and its operator fits every order of each line.
+    It evaluates its fit on the grid from ``phases`` as well.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
@@ -158,10 +159,9 @@ def moment_integral(
     bad = abs(b) > a
     if bad.any():
         raise ValueError(f"|beta| = {abs(b[bad][0])} exceeds alpha = {a[bad][0]}")
-    period = np.pi / spec.omega
-    if not abs(grid.period - period) <= 1e-12 * period:
+    if not abs(grid.omega - spec.omega) <= 1e-12 * spec.omega:
         raise ValueError(
-            f"grid period={grid.period!r} does not match pi/omega={period!r} of the spec"
+            f"grid omega={grid.omega!r} does not match spec omega={spec.omega!r}"
         )
     omega = probe_frequency(spec, a.ravel(), b.ravel()).reshape(a.shape)
     alpha_max = max(int(a.max(initial=0)), alpha_max)
@@ -566,18 +566,14 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     residual reported is the fit residual, the sup-norm mismatch between the
     data and the block's model on the same grid (:func:`_fit_residual`), and
     the diagnostics give the operator's unknown and row counts and its worst
-    group's condition number.  A grid whose kind, channel, omega or period
-    (pi/omega, checked by :func:`moment_integral`) differs from the spec's
-    raises ValueError.
+    group's condition number.  A grid whose kind or channel differs from the
+    spec's raises ValueError here, and one whose omega differs raises it in
+    :func:`moment_integral`, where the frequencies are compared.
     """
     if (grid.kind, grid.k, grid.m) != (spec.kind, spec.k, spec.m):
         raise ValueError(
             f"grid (kind={grid.kind.value}, k={grid.k}, m={grid.m}) does not match "
             f"spec (kind={spec.kind.value}, k={spec.k}, m={spec.m})"
-        )
-    if not abs(grid.omega - spec.omega) <= 1e-12 * spec.omega:
-        raise ValueError(
-            f"grid omega={grid.omega!r} does not match spec omega={spec.omega!r}"
         )
     plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x)
     op = _probe_operator(spec, j_max, plan.n_periods, plan.n_t)

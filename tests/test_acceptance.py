@@ -250,7 +250,6 @@ def test_criterion_7_hermiticity_and_linearity(capsys):
 
     raw = MeasurementGrid(
         x_grid=x_grid,
-        period=math.pi,
         n_periods=1,
         values=rng.normal(size=(111, 20)),
         omega=1.0,

@@ -561,6 +561,23 @@ def _nan_value(lines):
     lines[4] = lines[4].rsplit(",", 1)[0] + ", nan"
 
 
+# rigid m=1, j_max 4 on 21 x 9 nodes: file line 50 is slice 5, node 3
+_RIGID_M1_RUN = (
+    "spec: {kind: rigid-linear, omega: 1.0, m: 1}\nj_max: 4\nsampling: {n_t: 21}\n"
+    "paths: {state: state.json, data: data.csv, out: rec.json}\n"
+)
+
+
+def _blank_lines_then_nan(lines):
+    lines[1:1] = ["", "   "]
+    lines[11] = lines[11].rsplit(",", 1)[0] + ", nan"
+
+
+def _shifted_time(lines):
+    t, rest = lines[49].split(",", 1)
+    lines[49] = f"{float(t) + 1e-3!r},{rest}"
+
+
 @pytest.mark.parametrize(
     "command,config,edit,flags,needle",
     [
@@ -579,11 +596,18 @@ def _nan_value(lines):
         ("roundtrip", _RIGID_RUN + "threshold: .nan\n", None, [], "threshold"),
         ("roundtrip", _RIGID_RUN + "threshold: -1.0e-3\n", None, [], "threshold' must be >= 0"),
         ("roundtrip", _RIGID_RUN, None, ["--threshold", "nan"], "--threshold"),
+        ("reconstruct", _RIGID_M1_RUN, _blank_lines_then_nan, [], "line 12: non-finite"),
+        ("reconstruct", _RIGID_M1_RUN, _shifted_time, [], "line 50: time column"),
+        ("simulate", _RIGID_RUN, None, ["--threshold", "1"], "unrecognized arguments"),
+        ("reconstruct", _RIGID_RUN, None, ["--seed", "1"], "unrecognized arguments"),
+        ("coeffs", _RIGID_RUN, None, ["--seed", "1"], "unrecognized arguments"),
+        ("coeffs", _RIGID_RUN, None, ["--threshold", "1"], "unrecognized arguments"),
     ],
     ids=[
         "csv-omega-nan", "csv-pr-nan", "flag-threshold-negative", "omega-nan", "omega-inf",
         "omega2-nan", "d_cd-nan", "kick-nan", "threshold-nan", "threshold-negative",
-        "flag-threshold-nan",
+        "flag-threshold-nan", "csv-pr-nan-after-blank-lines", "csv-time-off-at-node-3",
+        "simulate-threshold", "reconstruct-seed", "coeffs-seed", "coeffs-threshold",
     ],
 )
 def test_cli_non_finite_or_negative_inputs_exit_two(
@@ -591,7 +615,9 @@ def test_cli_non_finite_or_negative_inputs_exit_two(
 ):
     cfg = _write_config(workdir / "run.yaml", config)
     if edit is not None:
-        save_block(make_test_state("random-mixed", 0, 0, 3, seed=0), workdir / "state.json")
+        run = load_config(cfg)
+        state = make_test_state("random-mixed", run.spec.k, run.spec.m, run.j_max, seed=0)
+        save_block(state, workdir / "state.json")
         assert main(["simulate", "--config", cfg]) == 0
         lines = (workdir / "data.csv").read_text().splitlines()
         edit(lines)

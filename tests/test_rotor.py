@@ -89,14 +89,22 @@ def _grid_with(**fields):
         (lambda: RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=math.inf), "d_cd"),
         (lambda: _grid_with(omega=math.nan), "omega must be finite"),
         (lambda: _grid_with(omega=-1.0), "omega must be finite and positive"),
-        (lambda: _grid_with(period=math.inf), "period"),
         (lambda: _grid_with(value=math.nan), r"finite, got nan at \(t, x\) = \(3, 2\)"),
         (lambda: _grid_with(value=-math.inf), "values must be finite"),
         (lambda: make_test_state("cos2-kicked", 0, 0, 3, kick_strength=math.nan), "kick_strength"),
+        (
+            lambda: DensityBlock(0, 0, 1, [[math.nan, 0], [0, 1]]),
+            r"elements must be finite, got \(nan\+0j\) at \(a, b\) = \(0, 0\)",
+        ),
+        (
+            lambda: DensityBlock(0, 0, 1, [[0, math.inf], [math.inf, 1]]),
+            r"elements must be finite, got \(inf\+0j\) at \(a, b\) = \(0, 1\)",
+        ),
     ],
     ids=[
         "omega-nan", "omega-inf", "omega2-nan", "d_cd-nan", "d_cd-inf", "grid-omega-nan",
-        "grid-omega-negative", "grid-period-inf", "grid-value-nan", "grid-value-inf", "kick-nan",
+        "grid-omega-negative", "grid-value-nan", "grid-value-inf", "kick-nan", "block-nan",
+        "block-inf",
     ],
 )
 def test_non_finite_inputs_raise_a_named_error(make, needle):
@@ -497,7 +505,6 @@ def test_grid_shape_validation():
     with pytest.raises(ValueError):
         MeasurementGrid(
             x_grid=gauss_legendre_grid(5),
-            period=math.pi,
             n_periods=1,
             values=np.zeros((3, 4)),
             omega=1.0,
@@ -505,3 +512,5 @@ def test_grid_shape_validation():
             k=0,
             m=0,
         )
+    # the period is pi/omega of the grid's own omega, whatever omega becomes
+    assert replace(_grid_with(), omega=2.0).period == math.pi / 2

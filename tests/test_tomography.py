@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from rotortomo.angular import (
 )
 from rotortomo.rotor import (
     DensityBlock,
-    MeasurementGrid,
     RotorKind,
     RotorSpec,
     add_shot_noise,
@@ -961,21 +961,20 @@ def test_reconstruct_block_rejects_a_grid_of_another_rotor(spec, needle):
 
 
 def test_reconstruct_block_rejects_a_grid_of_another_period():
-    # the probes read exact DFT bins only on whole periods of pi/omega
+    # the probes read exact DFT bins only on whole periods of pi/omega, and the
+    # grid's period follows its own omega
     blk = make_test_state("random-mixed", 0, 0, 3, seed=0)
-    grid = _simulate(blk, RIGID)
-    skewed = MeasurementGrid(
-        x_grid=grid.x_grid, period=math.pi * (1 + 1e-9), n_periods=1, values=grid.values,
-        omega=1.0, kind=RotorKind.RIGID, k=0, m=0,
-    )
-    with pytest.raises(ValueError, match="period"):
+    skewed = replace(_simulate(blk, RIGID), omega=1.0 + 1e-9)
+    with pytest.raises(ValueError, match="grid omega=1.000000001 does not match"):
         reconstruct_block(skewed, RIGID, 3)
+    with pytest.raises(ValueError, match="grid omega=1.000000001 does not match"):
+        moment_integral(skewed, 0, 0, RIGID)
 
 
-@pytest.mark.parametrize("field", ["omega", "period"])
+@pytest.mark.parametrize("field", ["omega"])
 def test_reconstruct_block_rejects_a_grid_whose_omega_or_period_became_nan(field):
-    # the grid checks its fields when built; one set to nan later still fails the
-    # comparison, the period's in moment_integral
+    # the grid checks its omega when built; one set to nan later still fails the
+    # comparison in moment_integral
     grid = _simulate(make_test_state("random-mixed", 0, 0, 3, seed=0), RIGID)
     setattr(grid, field, math.nan)
     with pytest.raises(ValueError, match=f"grid {field}=nan does not match"):
