@@ -39,8 +39,6 @@ from .rotor import (
     add_shot_noise,
     energy,
     make_test_state,
-    reference_period,
-    revival_period,
     rotor_kind,
     simulate_pr,
 )
@@ -80,8 +78,6 @@ __all__ = [
     "add_shot_noise",
     "energy",
     "make_test_state",
-    "reference_period",
-    "revival_period",
     "rotor_kind",
     "simulate_pr",
     "MomentValue",

@@ -100,10 +100,6 @@ class QuadratureGrid:
     weights: np.ndarray
     order: int
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum along the last axis of ``values``."""
-        return np.asarray(values) @ self.weights
-
 
 @lru_cache(maxsize=None)
 def gauss_legendre_grid(order: int) -> QuadratureGrid:

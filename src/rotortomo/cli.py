@@ -162,7 +162,7 @@ def cmd_reconstruct(args) -> int:
     )
     print(f"wrote {out_path}")
     print(f"wrote {report_path}")
-    threshold = args.threshold if args.threshold is not None else cfg.threshold
+    threshold = _gate(args, cfg)
     if threshold and result.residual_inf > threshold:
         print(f"FAIL: residual {result.residual_inf:.6g} exceeds threshold {threshold:.6g}")
         return EXIT_THRESHOLD
@@ -190,6 +190,8 @@ def cmd_coeffs(args) -> int:
 def cmd_roundtrip(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.noise.seed
+    # reject a block the grids cannot carry before its state is built
+    SamplingPlan.derive(cfg.spec, cfg.j_max, cfg.n_periods, cfg.n_t, cfg.n_x)
     truth = make_test_state(
         cfg.state_kind,
         cfg.spec.k,
@@ -202,10 +204,8 @@ def cmd_roundtrip(args) -> int:
     result = reconstruct_block(grid, cfg.spec, cfg.j_max)
     err = float(np.max(np.abs(result.block.elements - truth.elements)))
     trace_err = abs(result.block.trace() - truth.trace())
-    threshold = args.threshold if args.threshold is not None else cfg.threshold
-    if not threshold:
-        threshold = 1e-8
-    passed = err <= threshold
+    threshold = _gate(args, cfg, unset=1e-8)
+    passed = not threshold or err <= threshold
 
     elements = []
     js = truth.j_values
@@ -249,6 +249,13 @@ def cmd_roundtrip(args) -> int:
     print(f"wrote {out_path}")
     print(f"{'PASS' if passed else 'FAIL'}: threshold {threshold:.6g}")
     return EXIT_OK if passed else EXIT_THRESHOLD
+
+
+def _gate(args, cfg: ExperimentConfig, unset: float = 0.0) -> float:
+    """The error gate: --threshold, else the config's, else ``unset``; 0 is no gate."""
+    if args.threshold is not None:
+        return args.threshold
+    return unset if cfg.threshold is None else cfg.threshold
 
 
 def _threshold(text: str) -> float:

@@ -269,7 +269,7 @@ class ExperimentConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     state_kind: str = "random-mixed"
     kick_strength: float = 1.0
-    threshold: float = 0.0  # 0 = no gate
+    threshold: float | None = None  # None = not set, 0 = no gate
     paths: dict = field(default_factory=dict)
 
 
@@ -381,6 +381,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not isinstance(val, str) or not val:
             raise FileFormatError(f"config: 'paths.{key}' must be a non-empty string")
 
+    threshold = None  # not set: each subcommand has its own default
+    if "threshold" in cfg:
+        threshold = _get_float(cfg, "config", "threshold", 0.0, minimum=0.0)
+
     return ExperimentConfig(
         spec=spec,
         j_max=j_max,
@@ -393,6 +397,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ),
         state_kind=state_kind,
         kick_strength=_get_float(state_cfg, "state", "kick_strength", 1.0),
-        threshold=_get_float(cfg, "config", "threshold", 0.0, minimum=0.0),
+        threshold=threshold,
         paths=dict(paths),
     )

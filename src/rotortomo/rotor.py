@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import J_CAP, QuadratureGrid, coefficient_table, eigenfunction_rows
+from .angular import QuadratureGrid, coefficient_table, eigenfunction_rows, gauss_legendre_grid
 
 
 class RotorKind(enum.Enum):
@@ -87,10 +87,6 @@ class RotorSpec:
         """Smallest J supported in this (k, m) channel."""
         return max(abs(self.k), abs(self.m))
 
-    def basis_matrix(self, j_max: int, x: np.ndarray) -> np.ndarray:
-        """Rows f_J(x) for J = m_min .. j_max."""
-        return eigenfunction_rows(j_max, self.k, self.m, np.asarray(x, dtype=float))
-
     def coefficient_table(self):
         return coefficient_table(self.k, self.m)
 
@@ -111,18 +107,6 @@ def energy(spec: RotorSpec, J):
     if spec.kind is RotorKind.CENTRIFUGAL:
         return spec.omega * n - spec.d_cd * n * n
     return spec.omega * n - spec.omega2 * spec.k * spec.k
-
-
-def revival_period(spec: RotorSpec) -> float:
-    """Exact full-revival period pi/omega; undefined with centrifugal distortion."""
-    if spec.kind is RotorKind.CENTRIFUGAL and spec.d_cd != 0.0:
-        raise ValueError("centrifugal-distorted spectra are not exactly periodic")
-    return np.pi / spec.omega
-
-
-def reference_period(spec: RotorSpec) -> float:
-    """Window unit pi/omega used for time sampling, for every kind."""
-    return np.pi / spec.omega
 
 
 def monotone_j_limit(spec: RotorSpec) -> int:
@@ -385,7 +369,7 @@ def simulate_pr(
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     check_distortion_range(spec, block.j_max)
 
-    dt = n_periods * reference_period(spec) / n_t
+    dt = n_periods * (np.pi / spec.omega) / n_t
     rho, n_x = block.elements, x_grid.order
     f = _basis_rows(block.j_max, spec.k, spec.m, np.asarray(x_grid.nodes, dtype=float).tobytes())
     a, b = _level_pairs(len(f))
@@ -427,10 +411,11 @@ def make_test_state(
     Random states use ``numpy.random.default_rng(seed)``.  The kicked state
     applies exp(i * kick_strength * cos^2 theta) to the ground level of the
     channel; the unitary is built in a working space up to J = 2 j_max + 4,
-    capped at the coefficient table's ``J_CAP``, and then truncated and
-    renormalized, so the returned block is exactly unit trace while the
-    truncation loss stays checkable by enlarging j_max.  Every block returned
-    equals its conjugate transpose exactly.
+    whose matrix of x^2 = cos^2 theta comes from the eigenfunctions on a
+    Gauss-Legendre rule, and then truncated and renormalized, so the
+    returned block is exactly unit trace while the truncation loss stays
+    checkable by enlarging j_max.  Every block returned equals its conjugate
+    transpose exactly.
     """
     j_min = max(abs(k), abs(m))
     if j_max < j_min:
@@ -452,18 +437,11 @@ def make_test_state(
     elif state_kind == "cos2-kicked":
         if not math.isfinite(kick_strength):
             raise ValueError(f"kick_strength must be finite, got {kick_strength}")
-        j_work = min(2 * j_max + 4, J_CAP)
-        table = coefficient_table(k, m)
-        n_work = j_work - j_min + 1
-        x2 = np.zeros((n_work, n_work))
-        for a in range(n_work):
-            for b in range(a, min(a + 2, n_work - 1) + 1):
-                j1, j2 = j_min + a, j_min + b
-                # x^2 = 1/3 + (2/3) sqrt(2/5) P~(2, 0)
-                val = (2.0 / 3.0) * np.sqrt(2.0 / 5.0) * table.coefficient(j1 + j2, j1 - j2, 2)
-                if a == b:
-                    val += 1.0 / 3.0
-                x2[a, b] = x2[b, a] = val
+        # <J1|x^2|J2> by Gauss-Legendre: the integrand has degree <= 2 j_work + 2
+        j_work = 2 * j_max + 4
+        grid = gauss_legendre_grid(j_work + 2)
+        f = eigenfunction_rows(j_work, k, m, grid.nodes)
+        x2 = (f * (grid.weights * grid.nodes**2)) @ f.T
         # x2 is real symmetric: exp(i kappa x2) = V diag(exp(i kappa lambda)) V^T
         lam, vecs = np.linalg.eigh(x2)
         v = vecs @ (np.exp(1j * kick_strength * lam) * vecs[0])  # its first column

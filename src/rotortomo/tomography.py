@@ -63,9 +63,10 @@ class MomentValue:
 
     Scalars for one probe; arrays of one shape for many (see
     :func:`moment_integral`).  ``orders`` holds each probe's moment at every
-    Legendre order 0 .. alpha_max of the call, along a trailing axis, and
-    ``phases`` the call's :func:`phase_table`, exp(+i omega t) with one row
-    per time sample and one column per probe, in the probes' flat order.
+    Legendre order from 0 to the call's deepest alpha, along a trailing
+    axis, and ``phases`` the call's :func:`phase_table`, exp(+i omega t)
+    with one row per time sample and one column per probe, in the probes'
+    flat order.
     """
 
     alpha: int
@@ -125,9 +126,7 @@ def _grid_rows(grid: MeasurementGrid, alpha_max: int) -> np.ndarray:
     return _analysis_rows(max(alpha_max, 1), np.asarray(grid.x_grid.nodes, dtype=float).tobytes())
 
 
-def moment_integral(
-    grid: MeasurementGrid, alpha, beta, spec: RotorSpec, alpha_max: int = 0
-) -> MomentValue:
+def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> MomentValue:
     """Project the data onto P~_alpha and Fourier-probe the (alpha, beta) frequency.
 
     Returns (1/N_t) sum_t exp(+i omega t) * integral P~_alpha(x) Pr(x, t) dx,
@@ -139,15 +138,15 @@ def moment_integral(
     One :func:`probe_frequency` call gives every probe's frequency, and all
     probes of a call share one projection: a single matrix product gives
     y[t, alpha] = integral P~_alpha(x) Pr(x, t) dx for alpha up to the
-    deeper of the deepest probe and ``alpha_max``, and one real product of
-    the :func:`phase_table` against y then gives every probe's moment at
-    every one of those orders (``orders``); ``value`` reads each probe's own
-    order from it, and ``phases`` hands back the table itself.  This is the
-    one place the grid's omega is compared with the spec's (to 1e-12
-    relative), so the grid spans whole periods pi/omega of the spec.  A
-    reconstruction passes its plan's ``alpha_max`` and reads ``orders``: its
-    probes are one per line, and its operator fits every order of each line.
-    It evaluates its fit on the grid from ``phases`` as well.
+    deepest probe's order, and one real product of the :func:`phase_table`
+    against y then gives every probe's moment at every one of those orders
+    (``orders``); ``value`` reads each probe's own order from it, and
+    ``phases`` hands back the table itself.  This is the one place the
+    grid's omega is compared with the spec's (to 1e-12 relative), so the
+    grid spans whole periods pi/omega of the spec.  A reconstruction reads
+    ``orders``: its probes are one per line, the deepest at its block's
+    order 2 j_max, and its operator fits every order of each line.  It
+    evaluates its fit on the grid from ``phases`` as well.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
@@ -164,7 +163,7 @@ def moment_integral(
             f"grid omega={grid.omega!r} does not match spec omega={spec.omega!r}"
         )
     omega = probe_frequency(spec, a.ravel(), b.ravel()).reshape(a.shape)
-    alpha_max = max(int(a.max(initial=0)), alpha_max)
+    alpha_max = int(a.max(initial=0))
     if 2 * grid.n_x - 1 < alpha_max:
         raise SamplingError(
             f"n_x = {grid.n_x} cannot represent the order-{alpha_max} projection: "
@@ -265,8 +264,10 @@ class ProbeOperator:
     """The fixed linear map from one grid's moments to its block, with its chains.
 
     ``probes`` holds the (alpha, beta) labels of one level pair on each line
-    of non-negative frequency, in order; :func:`moment_integral` gives their
-    moments M at every order.  Stacking M over its conjugate (the negative
+    of non-negative frequency, in order; the zero line is labeled by its
+    deepest pair (j_max, j_max), so the probes reach every order 0 .. 2
+    j_max of the block, and :func:`moment_integral` gives their moments M
+    at every one of them.  Stacking M over its conjugate (the negative
     lines, for real data) gives a table whose row ``source[p]`` holds the
     moments at the line of the ordered pair p of the block, row-major in
     (J1, J2).  The normal equations' right-hand side is
@@ -378,6 +379,7 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
         cond = max(cond, math.sqrt(float(np.max(lam[:, -1] / lam[:, 0]))))
         stacks.append((group, (vec / lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)))
     probes = np.stack((j1 + j2, j1 - j2), axis=1)[first[h:]]
+    probes[0] = 2 * j_max, 0  # the zero line's deepest pair, so its moments reach order 2 j_max
     for arr in (probes, source, coeffs, *(a for stack in stacks for a in stack)):
         arr.setflags(write=False)
     chains, flags = _chains(spec, j_max, n_periods)
@@ -577,7 +579,7 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
         )
     plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x)
     op = _probe_operator(spec, j_max, plan.n_periods, plan.n_t)
-    probed = moment_integral(grid, op.probes[:, 0], op.probes[:, 1], spec, plan.alpha_max)
+    probed = moment_integral(grid, op.probes[:, 0], op.probes[:, 1], spec)
     table = np.concatenate((probed.orders, probed.orders.conj()))
     b = np.einsum("pa,pa->p", op.coeffs, table[op.source])
     n = j_max - plan.m_min + 1

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rotortomo
+from rotortomo import cli
 from rotortomo.angular import N_X_CAP, gauss_legendre_grid
 from rotortomo.cli import main
 from rotortomo.fileio import (
@@ -288,7 +289,7 @@ def test_config_minimal_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.spec.omega == 1.0 and cfg.spec.kind is RotorKind.RIGID
     assert (cfg.n_periods, cfg.n_t, cfg.n_x) == (1, 0, 0)
-    assert cfg.noise.samples_per_time == 0 and cfg.threshold == 0.0
+    assert cfg.noise.samples_per_time == 0 and cfg.threshold is None
 
 
 @pytest.mark.parametrize(
@@ -355,8 +356,6 @@ def test_cli_simulate_reconstruct_cycle(workdir, capsys):
 
 
 def test_cli_runs_simulate_then_reconstruct_through_one_parser(workdir, capsys):
-    from rotortomo import cli
-
     cfg = _write_config(
         workdir / "run.yaml",
         "spec: {kind: rigid-linear, omega: 1.0, m: 1}\n"
@@ -476,6 +475,32 @@ def test_cli_roundtrip_threshold_failure_exit(workdir, capsys):
     assert "FAIL" in capsys.readouterr().out
     assert main(["roundtrip", "--config", cfg, "--seed", "1", "--threshold", "0.9"]) == 0
     capsys.readouterr()
+    # 0 turns the gate off, from the flag and from the config alike
+    assert main(["roundtrip", "--config", cfg, "--seed", "1", "--threshold", "0",
+                 "--out", "a.json"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert json.loads((workdir / "a.json").read_text())["threshold"] == 0.0
+    off = _write_config(workdir / "off.yaml", (workdir / "run.yaml").read_text() + "threshold: 0\n")
+    assert main(["roundtrip", "--config", off, "--seed", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_roundtrip_rejects_an_oversized_block_before_building_its_state(
+    workdir, capsys, monkeypatch
+):
+    cfg = _write_config(
+        workdir / "run.yaml",
+        "spec: {kind: rigid-linear, omega: 1.0}\n"
+        "j_max: 1000000\n"
+        "state: {kind: cos2-kicked}\n",
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a state for a block no plan takes")
+
+    monkeypatch.setattr(cli, "make_test_state", refuse)
+    assert main(["roundtrip", "--config", cfg]) == 2
+    assert "need j_max <= 100" in capsys.readouterr().err
 
 
 def test_cli_coeffs_lists_channel_table(workdir, capsys):

@@ -8,7 +8,12 @@ import pytest
 
 import oracles
 from rotortomo import rotor
-from rotortomo.angular import gauss_legendre_grid
+from rotortomo.angular import (
+    CoefficientTable,
+    coefficient_table,
+    eigenfunction_rows,
+    gauss_legendre_grid,
+)
 from rotortomo.rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -19,8 +24,6 @@ from rotortomo.rotor import (
     energy,
     make_test_state,
     monotone_j_limit,
-    reference_period,
-    revival_period,
     rotor_kind,
     simulate_pr,
 )
@@ -139,13 +142,9 @@ def test_energy_levels_and_frequencies():
         energy(top, 1)  # below the channel floor
 
 
-def test_periods_and_monotone_limit():
+def test_monotone_limit():
     rigid = RotorSpec(kind=RotorKind.RIGID, omega=2.0)
-    assert revival_period(rigid) == reference_period(rigid) == math.pi / 2.0
     cd = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=1e-3)
-    with pytest.raises(ValueError):
-        revival_period(cd)
-    assert reference_period(cd) == math.pi
     # spectrum turns over at J(J+1) = 500: J = 21 is the last monotone level
     assert monotone_j_limit(cd) == 21
     assert monotone_j_limit(rigid) > 10**9
@@ -232,7 +231,7 @@ def test_simulate_matches_the_einsum_contraction():
 
     times = grids[0].times
     phases = np.exp(-1j * np.outer(times, [energy(spec, J) for J in blk.j_values]))
-    f = spec.basis_matrix(4, x_grid.nodes)
+    f = eigenfunction_rows(4, spec.k, spec.m, x_grid.nodes)
     evolved = np.einsum("ta,ab,tb->tab", phases, blk.elements, phases.conj(), optimize=True)
     want = np.einsum("tab,ax,bx->tx", evolved, f, f, optimize=True).real
     for grid in grids:
@@ -259,7 +258,7 @@ def test_simulate_is_accurate_to_the_rounding_of_its_phases(kind, k, m, j_max, n
     times = np.arange(n_t, dtype=np.longdouble) * np.longdouble(grid.dt)
     levels = np.array([energy(spec, int(J)) for J in blk.j_values], dtype=np.longdouble)
     phases = np.exp(-1j * np.multiply.outer(times, levels))
-    f = spec.basis_matrix(j_max, x_grid.nodes).astype(np.longdouble)
+    f = eigenfunction_rows(j_max, spec.k, spec.m, x_grid.nodes).astype(np.longdouble)
     evolved = phases[:, :, None] * blk.elements.astype(np.clongdouble) * phases[:, None, :].conj()
     want = np.einsum("tab,ax,bx->tx", evolved, f, f).real
     bound = np.finfo(float).eps * float(levels.max() * times[-1]) * float(np.max(np.abs(want)))
@@ -425,10 +424,27 @@ def test_kicked_state_builds_coherences():
 
 
 def test_kicked_state_at_the_largest_blocks_is_unit_trace():
-    # the working space 2 j_max + 4 would pass J_CAP = 200; it stops there
-    blk = make_test_state("cos2-kicked", 0, 0, 99, kick_strength=1.2)
+    # j_max = 100 is the largest block a plan takes; its working space runs to J = 204
+    blk = make_test_state("cos2-kicked", 0, 0, 100, kick_strength=1.2)
     assert blk.trace() == pytest.approx(1.0, abs=1e-12)
     assert blk.hermiticity_defect() < 1e-12
+
+
+def test_kicked_state_reads_no_coefficient_table(monkeypatch):
+    # x^2 comes from the eigenfunctions, so the reference side of the closed
+    # loop shares no table with the inverse
+    def refuse(self, j1):
+        raise AssertionError(f"slab({j1}) read by make_test_state")
+
+    monkeypatch.setattr(CoefficientTable, "slab", refuse)
+    for k, m in [(0, 0), (1, 1), (0, 2)]:
+        blk = make_test_state("cos2-kicked", k, m, 6, kick_strength=1.2)
+        assert blk.trace() == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.undo()
+    table = coefficient_table(0, 0)
+    kept = set(table._slabs)
+    make_test_state("cos2-kicked", 0, 0, 100, kick_strength=1.2)
+    assert set(table._slabs) == kept
 
 
 @pytest.mark.parametrize("m, j_max, kick", [(0, 6, 1.2), (1, 8, 1.7), (2, 5, 0.8)])

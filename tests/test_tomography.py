@@ -404,6 +404,8 @@ def test_offdiag_round_trip_rigid():
     grid = _simulate(blk, RIGID)
     result = reconstruct_block(grid, RIGID, 5)
     op = tomography._probe_operator(RIGID, 5, 1, grid.n_t)
+    # the zero line's label is its deepest pair, so the probes reach order 2 j_max
+    assert tuple(op.probes[0]) == (2 * 5, 0)
     # the chains are the block pairs, nothing deeper
     pairs = {(j1, j2) for j1 in range(6) for j2 in range(j1)}
     assert set(result.chains) == set(op.chains) == pairs
