@@ -17,7 +17,8 @@ Conventions used throughout the package:
 
 * ``clebsch_gordan(j1, j2, j3, m1, m2, m3)`` is <j1 m1 j2 m2 | j3 m3> for
   integer angular momenta, evaluated by Racah's single-sum formula with
-  log-factorial accumulation so that j up to J_CAP does not overflow.
+  log-factorial accumulation.  That keeps j up to J_CAP from overflowing,
+  not from cancelling: it is accurate to about j = 30 (see its docstring).
   Selection-rule violations return 0.0 rather than raising.
 
 * ``CoefficientTable`` (shared per channel by ``coefficient_table(k, m)``)
@@ -30,17 +31,18 @@ Conventions used throughout the package:
   For k = 0 or m = 0 only L of the same parity as J1+J2 contribute; for
   k != 0 and m != 0 both parities of L carry weight.  The coefficients
   are *defined* by Gauss-Legendre projection, one matrix product per
-  upper level J1 (``slab``); they agree with the closed form
+  block on the block's own rule (``tensor``); they agree with the closed
+  form
 
       c_L = (-1)^(k-m) sqrt((2J1+1)(2J2+1) / (2(2L+1)))
             * C(J1,J2,L|k,-k,0) * C(J1,J2,L|m,-m,0)
 
-  which the test suite cross-checks, and whose Clebsch-Gordan factors
-  kill the odd-L terms when k = 0 or m = 0.
+  to within 1e-11 up to j_max = 100, as the test suite checks against
+  exact rationals; its Clebsch-Gordan factors kill the odd-L terms when
+  k = 0 or m = 0.
 
-All functions are pure; the memo caches are append-only dictionaries, safe
-to share between threads under the interpreter lock (worst case a value is
-computed twice).
+All functions are pure; the two memos, ``gauss_legendre_grid`` and
+``coefficient_table``, are lru_caches, safe to share between threads.
 """
 
 from __future__ import annotations
@@ -85,11 +87,20 @@ _LOG_INT_LD = [np.log(np.longdouble(_n if _n else 1)) for _n in range(2 * J_CAP 
 _HALF_LD = np.longdouble(0.5)
 
 
-def _check_j(name: str, value: int, low: int = 0) -> None:
-    if not isinstance(value, (int, np.integer)):
+def _check_j(name: str, value: int, low: int | None = 0) -> None:
+    """Require an integer in [low, J_CAP]; ``low=None`` checks integrality only."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low or value > J_CAP:
+    if low is not None and not low <= value <= J_CAP:
         raise ValueError(f"{name} = {value} outside supported range [{low}, {J_CAP}]")
+
+
+def _cosines(x) -> np.ndarray:
+    """x as a float array, clipped to [-1, 1]; a NaN or an x outside raises."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):  # also false for NaN
+        raise ValueError("x must be finite and lie in [-1, 1]")
+    return np.clip(arr, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -145,13 +156,10 @@ def _legendre_rows(j_max: int, m: int, x: np.ndarray) -> np.ndarray:
 def assoc_legendre_norm(J: int, m: int, x):
     """Normalized associated Legendre function P~(J, m) at x = cos(theta)."""
     _check_j("J", J)
+    _check_j("m", m, low=None)
     if abs(m) > J:
         raise ValueError(f"|m| = {abs(m)} exceeds J = {J}")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("x must lie in [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    value = _legendre_rows(J, m, arr)[-1]
+    value = _legendre_rows(J, m, _cosines(x))[-1]
     return float(value[0]) if np.isscalar(x) or np.ndim(x) == 0 else value
 
 
@@ -198,24 +206,31 @@ def _wigner_rows(j_max: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
 def wigner_d(J: int, k: int, m: int, x):
     """Reduced rotation matrix element d^J_{km} at x = cos(beta)."""
     _check_j("J", J)
+    _check_j("k", k, low=None)
+    _check_j("m", m, low=None)
     if abs(k) > J or abs(m) > J:
         raise ValueError(f"|k| = {abs(k)} and |m| = {abs(m)} must not exceed J = {J}")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("x must lie in [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    value = _wigner_rows(J, k, m, arr)[-1]
+    value = _wigner_rows(J, k, m, _cosines(x))[-1]
     return float(value[0]) if np.isscalar(x) or np.ndim(x) == 0 else value
 
 
 def clebsch_gordan(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     """Clebsch-Gordan coefficient <j1 m1 j2 m2 | j3 m3> (integer j only).
 
+    The log tables keep every j up to J_CAP from overflowing, but the
+    alternating Racah sum cancels: against exact rationals at m1 = m2 = 0
+    and j1 = j2 = j the error is 4.1e-15 at j = 20, 3.1e-13 at 30, 4.6e-11
+    at 40, 3.9e-7 at 60 and 17 at 100.  Trust it to about j = 30.  The
+    coefficient tables do not call it.
+
     Returns 0.0 for any selection-rule violation (m3 != m1+m2, |m| > j,
-    triangle inequality) instead of raising.
+    triangle inequality) instead of raising; a non-integer argument or a j
+    outside [0, J_CAP] raises ValueError.
     """
-    if j1 < 0 or j2 < 0 or j3 < 0 or j1 > J_CAP or j2 > J_CAP or j3 > J_CAP:
-        raise ValueError(f"j out of supported range [0, {J_CAP}]: ({j1}, {j2}, {j3})")
+    for name, value in (("j1", j1), ("j2", j2), ("j3", j3)):
+        _check_j(name, value)
+    for name, value in (("m1", m1), ("m2", m2), ("m3", m3)):
+        _check_j(name, value, low=None)
     if m1 + m2 != m3 or abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
         return 0.0
     if j3 < abs(j1 - j2) or j3 > j1 + j2:
@@ -254,18 +269,14 @@ def eigenfunction_rows(j_max: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
 
 
 class CoefficientTable:
-    """Product-decomposition coefficients for one (k, m) channel, built per level.
+    """Product-decomposition coefficients for one (k, m) channel, one block at a time.
 
-    :meth:`slab` projects every product f_J1 f_J2 with J2 <= J1 onto the
-    Legendre orders in one matrix product, memoized per J1; every read
-    below goes through it, so a pair's coefficients do not depend on which
-    block or which call asks for them.
-
-    ``coefficient(j_sum, delta_j, L)`` returns the coefficient of P~(L, 0)
-    in the expansion of f_J1 f_J2 with J1 = (j_sum+delta_j)/2 and
-    J2 = (j_sum-delta_j)/2, or 0.0 whenever the indices violate the range
-    |delta_j| <= L <= j_sum, J2 >= max(|k|,|m|), integrality of the pair,
-    or -- where ``parity`` holds -- the parity L == j_sum (mod 2).
+    :meth:`tensor` projects every product f_J1 f_J2 of a j_max block onto
+    the Legendre orders on the block's own Gauss-Legendre rule, and every
+    other read goes through it; nothing is kept.  A block's coefficients
+    thus come from its own rule, so a pair read from two blocks may differ
+    by rounding; every entry lies within 1e-11 of the exact closed form up
+    to j_max = 100, the largest block a plan takes.
     """
 
     def __init__(self, k: int, m: int):
@@ -275,78 +286,61 @@ class CoefficientTable:
         # c_L carries C(J1 J2 L | k -k 0) C(J1 J2 L | m -m 0), and C(J1 J2 L | 0 0 0)
         # vanishes for odd J1 + J2 + L: with k = 0 or m = 0 only L of that parity survive
         self.parity = k == 0 or m == 0
-        self._slabs: dict[int, np.ndarray] = {}
-
-    def slab(self, j1: int) -> np.ndarray:
-        """C[J2 - m_min, L] of f_j1 f_J2 for J2 = m_min .. j1 and L = 0 .. 2 j1.
-
-        One product (f_j1 f w) @ P~(L, 0)^T on the Gauss-Legendre rule of
-        order 2 j1 + 1, exact for the degree <= 4 j1 integrands.  Entries
-        outside |j1 - J2| <= L <= j1 + J2, and where ``parity`` holds those
-        with L of the other parity than j1 + J2, are exact zeros.  Read-only,
-        memoized.
-        """
-        out = self._slabs.get(j1)
-        if out is None:
-            _check_j("J1", j1, low=self.m_min)
-            grid = gauss_legendre_grid(2 * j1 + 1)
-            f = eigenfunction_rows(j1, self.k, self.m, grid.nodes)
-            out = (f[-1] * grid.weights * f) @ _legendre_rows(2 * j1, 0, grid.nodes).T
-            j2 = np.arange(self.m_min, j1 + 1)[:, None]
-            L = np.arange(2 * j1 + 1)
-            keep = (j1 - j2 <= L) & (L <= j1 + j2)
-            if self.parity:
-                keep &= (L + j1 + j2) % 2 == 0
-            out[~keep] = 0.0
-            out.setflags(write=False)
-            self._slabs[j1] = out
-        return out
 
     def tensor(self, j_max: int) -> np.ndarray:
         """C[J1 - m_min, J2 - m_min, L] for J1, J2 = m_min .. j_max, L = 0 .. 2 j_max.
 
-        The slabs stacked into one array, symmetric in (J1, J2).
+        One product (f_J1 f_J2 w) @ P~(L, 0)^T over the pairs J2 <= J1 on the
+        Gauss-Legendre rule of order 2 j_max + 1, exact for the degree <=
+        4 j_max integrands, mirrored so the array is symmetric in (J1, J2)
+        bit for bit.  Entries outside |J1 - J2| <= L <= J1 + J2, and where
+        ``parity`` holds those with L of the other parity than J1 + J2, are
+        exact zeros.  Read-only.
         """
-        n = j_max - self.m_min + 1
-        out = np.zeros((n, n, 2 * j_max + 1))
-        for i in range(n):
-            s = self.slab(self.m_min + i)
-            out[i, : i + 1, : s.shape[1]] = s
-            out[: i + 1, i, : s.shape[1]] = s
+        _check_j("j_max", j_max, low=self.m_min)
+        grid = gauss_legendre_grid(2 * j_max + 1)
+        f = eigenfunction_rows(j_max, self.k, self.m, grid.nodes)
+        i1, i2 = np.tril_indices(len(f))
+        half = (f[i1] * f[i2] * grid.weights) @ _legendre_rows(2 * j_max, 0, grid.nodes).T
+        L = np.arange(2 * j_max + 1)
+        dj, s = (i1 - i2)[:, None], (i1 + i2 + 2 * self.m_min)[:, None]
+        keep = (dj <= L) & (L <= s)
+        if self.parity:
+            keep &= (L + s) % 2 == 0
+        half[~keep] = 0.0
+        out = np.empty((len(f), len(f), len(L)))
+        out[i1, i2] = half
+        out[i2, i1] = half
+        out.setflags(write=False)
         return out
 
     def decomposition(self, j1: int, j2: int) -> dict[int, float]:
-        """{L: c_L} of f_j1 * f_j2 for L = |j1-j2| .. j1+j2 (every second L under ``parity``)."""
+        """{L: c_L} of f_j1 * f_j2 for L = |j1-j2| .. j1+j2 (every second L under ``parity``).
+
+        Read from the block of j_max = max(j1, j2).
+        """
         hi, lo = max(j1, j2), min(j1, j2)
         _check_j("J2", lo, low=self.m_min)
-        row = self.slab(hi)[lo - self.m_min]
+        row = self.tensor(hi)[hi - self.m_min, lo - self.m_min]
         step = 2 if self.parity else 1
         return {L: float(row[L]) for L in range(hi - lo, hi + lo + 1, step)}
 
-    def coefficient(self, j_sum: int, delta_j: int, L: int) -> float:
-        dj = abs(delta_j)
-        if (j_sum + dj) % 2 or (self.parity and (j_sum + L) % 2):
-            return 0.0
-        if L < dj or L > j_sum:
-            return 0.0
-        j1 = (j_sum + dj) // 2
-        j2 = (j_sum - dj) // 2
-        if j2 < self.m_min:
-            return 0.0
-        return float(self.slab(j1)[j2 - self.m_min, L])
+    def entries(self, j_max: int):
+        """Yield the j_max block's (j_sum, delta_j, L, coefficient) rows, pairs J2 <= J1.
 
-    def entries(self, j_sum_max: int):
-        """Yield (j_sum, delta_j, L, coefficient) rows up to j_sum_max."""
+        By increasing j_sum = J1 + J2 (up to 2 j_max), then delta_j = J1 - J2,
+        then L; under ``parity`` only L of the parity of j_sum.
+        """
+        c = self.tensor(j_max)
         l_step = 2 if self.parity else 1
-        for j_sum in range(2 * self.m_min, j_sum_max + 1):
-            for dj in range(j_sum % 2, j_sum + 1, 2):
-                if (j_sum - dj) // 2 < self.m_min:
-                    continue
+        for j_sum in range(2 * self.m_min, 2 * j_max + 1):
+            for dj in range(j_sum % 2, min(j_sum - 2 * self.m_min, 2 * j_max - j_sum) + 1, 2):
+                row = c[(j_sum + dj) // 2 - self.m_min, (j_sum - dj) // 2 - self.m_min]
                 for L in range(dj, j_sum + 1, l_step):
-                    yield j_sum, dj, L, self.coefficient(j_sum, dj, L)
+                    yield j_sum, dj, L, float(row[L])
 
 
 @lru_cache(maxsize=None)
 def coefficient_table(k: int, m: int) -> CoefficientTable:
-    """Shared memoized CoefficientTable for the (k, m) channel."""
+    """Shared CoefficientTable for the (k, m) channel."""
     return CoefficientTable(k, m)

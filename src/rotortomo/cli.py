@@ -4,7 +4,7 @@ Four subcommands share one YAML config:
 
 * ``simulate``    evolve a stored block, write Pr(x, t) as CSV
 * ``reconstruct`` invert a Pr(x, t) CSV back into a block, write a report
-* ``coeffs``      tabulate the channel's product-basis coefficients c_L
+* ``coeffs``      tabulate the block's product-basis coefficients c_L
 * ``roundtrip``   simulate a seeded reference state, reconstruct, compare
 
 Exit codes: 0 success, 1 a requested error threshold was exceeded,
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import gauss_legendre_grid
+from .angular import coefficient_table, gauss_legendre_grid
 from .fileio import (
     ExperimentConfig,
     FileFormatError,
@@ -171,10 +171,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_coeffs(args) -> int:
     cfg = load_config(args.config)
-    table = cfg.spec.coefficient_table()
-    lines = [f"# c_L for channel k={cfg.spec.k} m={cfg.spec.m}, S up to {2 * cfg.j_max}"]
+    table = coefficient_table(cfg.spec.k, cfg.spec.m)
+    lines = [f"# c_L for channel k={cfg.spec.k} m={cfg.spec.m}, pairs J2 <= J1 <= {cfg.j_max}"]
     lines.append("# S, dJ, J1, J2, L, c")
-    for s, dj, L, c in table.entries(2 * cfg.j_max):
+    for s, dj, L, c in table.entries(cfg.j_max):
         if c == 0.0:
             continue
         lines.append(f"{s}, {dj}, {(s + dj) // 2}, {(s - dj) // 2}, {L}, {c:.17g}")
@@ -299,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output block JSON (default: paths.out)")
     p.add_argument("--threshold", **threshold)
 
-    p = add("coeffs", "tabulate non-zero c_L coefficients for the channel", cmd_coeffs)
+    p = add("coeffs", "tabulate the block's non-zero c_L coefficients", cmd_coeffs)
     p.add_argument("--out", help="write the table to this file instead of stdout")
 
     p = add("roundtrip", "simulate a seeded state, reconstruct it, compare", cmd_roundtrip)

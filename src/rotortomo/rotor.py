@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import QuadratureGrid, coefficient_table, eigenfunction_rows, gauss_legendre_grid
+from .angular import QuadratureGrid, eigenfunction_rows, gauss_legendre_grid
 
 
 class RotorKind(enum.Enum):
@@ -73,6 +73,10 @@ class RotorSpec:
         for name in ("omega", "omega2", "d_cd"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("k", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.kind is not RotorKind.SYMTOP and self.k != 0:
@@ -86,9 +90,6 @@ class RotorSpec:
     def m_min(self) -> int:
         """Smallest J supported in this (k, m) channel."""
         return max(abs(self.k), abs(self.m))
-
-    def coefficient_table(self):
-        return coefficient_table(self.k, self.m)
 
 
 def energy(spec: RotorSpec, J):

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import J_CAP, N_X_CAP, assoc_legendre_norm
+from .angular import J_CAP, N_X_CAP, assoc_legendre_norm, coefficient_table
 from .rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -352,7 +352,7 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     j1, j2 = np.repeat(js, n), np.tile(js, n)
     energies = energy(spec, js)
     omega = energies[j1 - m_min] - energies[j2 - m_min]
-    table = spec.coefficient_table()
+    table = coefficient_table(spec.k, spec.m)
     coeffs = table.tensor(j_max).reshape(n * n, n_orders)
 
     # lines: unknowns of one frequency, by increasing frequency; the frequencies come
@@ -427,7 +427,7 @@ def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
     cand = order[np.arange(len(elem)) - np.repeat(np.cumsum(count) - count - lo, count)]
     s, d, a, b = 2 * j2[cand] + dj[cand], dj[cand], alpha[elem], beta[elem]
     ok = (d <= b) & (s >= a) & (s <= b * (a + 1))
-    if spec.coefficient_table().parity:
+    if coefficient_table(spec.k, spec.m).parity:
         ok &= (s - a) % 2 == 0
     elem, s, d = elem[ok], s[ok], d[ok]
     beyond = (s + d) // 2 > j_max

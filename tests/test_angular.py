@@ -1,5 +1,6 @@
 """Special functions against independent oracles and exact identities."""
 
+import functools
 import math
 
 import numpy as np
@@ -171,6 +172,23 @@ def test_cg_rejects_out_of_cap_arguments():
         clebsch_gordan(300, 1, 300, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "call,needle",
+    [
+        (lambda: clebsch_gordan(1.5, 1, 1, 0, 0, 0), "j1 must be an integer"),
+        (lambda: clebsch_gordan(2, 1, 1, 0.5, -0.5, 0), "m1 must be an integer"),
+        (lambda: assoc_legendre_norm(3, 1.5, 0.2), "m must be an integer"),
+        (lambda: wigner_d(3, 0.5, 1, 0.2), "k must be an integer"),
+        (lambda: assoc_legendre_norm(3, 1, math.nan), "x must be finite"),
+        (lambda: wigner_d(3, 1, 1, np.array([0.2, math.nan])), "x must be finite"),
+    ],
+    ids=["cg-half-j", "cg-half-m", "legendre-half-m", "wigner-half-k", "legendre-nan", "wigner-nan"],
+)
+def test_non_integer_indices_and_nan_cosines_are_named_errors(call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call()
+
+
 # --------------------------------------------------------- product decomposition
 
 
@@ -224,42 +242,63 @@ def test_coefficient_table_agrees_with_product_decomp():
         for j1 in range(lo, lo + 4):
             for j2 in range(lo, j1 + 1):
                 coeffs = oracles.product_decomp_per_pair(k, m, j1, j2)
+                got = table.decomposition(j1, j2)
                 for L in range(j1 - j2, j1 + j2 + 1):
-                    got = table.coefficient(j1 + j2, j1 - j2, L)
-                    assert abs(got - coeffs.get(L, 0.0)) < 1e-14
+                    assert abs(got.get(L, 0.0) - coeffs.get(L, 0.0)) < 1e-14
 
 
 @pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1)])
-def test_slabs_match_the_closed_form_as_closely_as_the_per_pair_rule(k, m):
+def test_tensor_matches_the_closed_form_as_closely_as_the_per_pair_rule(k, m):
     # both projections read the same eigenfunction rows, whose rounding sets
-    # the error; the slab only sums each product on another rule, so it may
-    # miss by at most a tenth more than the per-pair rule does
+    # the error; the tensor only sums each product on the block's rule, so it
+    # may miss by at most a tenth more than the per-pair rule does
+    table, closed = CoefficientTable(k, m), functools.cache(oracles.c_l_closed)
+    step = 2 if table.parity else 1  # the other L are exact zeros on both sides
+    for j_max in (14, 30):
+        tensor = table.tensor(j_max)
+        tensor_err = pair_err = 0.0
+        for j1 in range(table.m_min, j_max + 1):
+            for j2 in range(table.m_min, j1 + 1):
+                per_pair = oracles.product_decomp_per_pair(k, m, j1, j2)
+                for L in range(j1 - j2, j1 + j2 + 1, step):
+                    want = closed(k, m, j1, j2, L)
+                    tensor_err = max(tensor_err, abs(tensor[j1 - table.m_min, j2 - table.m_min, L] - want))
+                    pair_err = max(pair_err, abs(per_pair.get(L, 0.0) - want))
+        assert tensor_err < 1e-12
+        assert tensor_err <= 1.1 * pair_err, (j_max, tensor_err, pair_err)
+
+
+@pytest.mark.parametrize("k,m", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("j_max", [60, 100])
+def test_tensor_of_the_largest_blocks_matches_the_closed_form(k, m, j_max):
+    # 500 seeded entries J2 <= J1 against exact rationals; the largest error
+    # measured over such samples is 4.1e-12 at j_max = 100, bound 2.4x that
     table = CoefficientTable(k, m)
-    for j1 in (14, 30):
-        slab = table.slab(j1)
-        slab_err = pair_err = 0.0
-        for j2 in range(table.m_min, j1 + 1):
-            per_pair = oracles.product_decomp_per_pair(k, m, j1, j2)
-            for L in range(j1 - j2, j1 + j2 + 1):
-                want = oracles.c_l_closed(k, m, j1, j2, L)
-                slab_err = max(slab_err, abs(slab[j2 - table.m_min, L] - want))
-                pair_err = max(pair_err, abs(per_pair.get(L, 0.0) - want))
-        assert slab_err < 1e-12
-        assert slab_err <= 1.1 * pair_err, (j1, slab_err, pair_err)
+    tensor = table.tensor(j_max)
+    entries = np.argwhere(tensor != 0)
+    entries = entries[entries[:, 0] >= entries[:, 1]]
+    pick = np.random.default_rng(j_max + 7 * k).choice(len(entries), 500, replace=False)
+    worst = 0.0
+    for a, b, L in entries[pick].tolist():
+        want = oracles.c_l_closed(k, m, a + table.m_min, b + table.m_min, L)
+        worst = max(worst, abs(tensor[a, b, L] - want))
+    assert worst < 1e-11
 
 
 @pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1), (2, 0), (-3, 0)])
-def test_slab_zeros_are_the_selection_rules(k, m):
+def test_tensor_zeros_are_the_selection_rules(k, m):
     table = CoefficientTable(k, m)
     parity = k == 0 or m == 0  # C(J1, J2, L | 0, 0, 0) = 0 for odd J1 + J2 + L
-    for j1 in range(table.m_min, 21):
-        slab = table.slab(j1)
-        assert slab.shape == (j1 - table.m_min + 1, 2 * j1 + 1)
-        assert not slab.flags.writeable
-        j2 = np.arange(table.m_min, j1 + 1)[:, None]
-        L = np.arange(2 * j1 + 1)
-        allowed = (j1 - j2 <= L) & (L <= j1 + j2) & ((not parity) | ((L + j1 + j2) % 2 == 0))
-        assert np.array_equal(slab != 0, allowed), j1
+    for j_max in range(table.m_min, 21):
+        tensor = table.tensor(j_max)
+        n = j_max - table.m_min + 1
+        assert tensor.shape == (n, n, 2 * j_max + 1)
+        assert not tensor.flags.writeable
+        assert np.array_equal(tensor, tensor.transpose(1, 0, 2))  # symmetric bit for bit
+        js = np.arange(table.m_min, j_max + 1)
+        j1, j2, L = js[:, None, None], js[None, :, None], np.arange(2 * j_max + 1)
+        allowed = (abs(j1 - j2) <= L) & (L <= j1 + j2) & ((not parity) | ((L + j1 + j2) % 2 == 0))
+        assert np.array_equal(tensor != 0, allowed), j_max
 
 
 @pytest.mark.parametrize(
@@ -267,23 +306,14 @@ def test_slab_zeros_are_the_selection_rules(k, m):
     [
         lambda t: t.decomposition(J_CAP + 1, 3),
         lambda t: t.decomposition(4, 1),
-        lambda t: t.slab(J_CAP + 1),
-        lambda t: t.slab(1),
+        lambda t: t.tensor(J_CAP + 1),
+        lambda t: t.tensor(1),
     ],
-    ids=["decomposition-above-cap", "decomposition-below-floor", "slab-above-cap", "slab-below-floor"],
+    ids=["decomposition-above-cap", "decomposition-below-floor", "tensor-above-cap", "tensor-below-floor"],
 )
 def test_coefficient_levels_outside_the_range_are_named_errors(call):
     with pytest.raises(ValueError, match=r"outside supported range \[2, 200\]"):
         call(CoefficientTable(0, 2))
-
-
-def test_coefficient_table_range_gates():
-    table = coefficient_table(0, 0)
-    assert table.coefficient(4, 2, 1) == 0.0  # L below |dJ|
-    assert table.coefficient(4, 2, 5) == 0.0  # odd L in a k=0 channel
-    assert table.coefficient(4, 2, 8) == 0.0  # L above S
-    assert table.coefficient(5, 2, 3) == 0.0  # half-integer pair
-    assert coefficient_table(0, 2).coefficient(2, 2, 2) == 0.0  # J2 below the channel floor
 
 
 def test_coefficient_table_entries_enumeration():

@@ -10,7 +10,6 @@ import oracles
 from rotortomo import rotor
 from rotortomo.angular import (
     CoefficientTable,
-    coefficient_table,
     eigenfunction_rows,
     gauss_legendre_grid,
 )
@@ -124,8 +123,13 @@ def test_spec_validation():
         RotorSpec(kind=RotorKind.RIGID, omega=1.0, d_cd=1e-3)  # distortion needs the cd kind
     with pytest.raises(ValueError):
         RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=-1e-3)
+    # a half-integer or bool projection would give a fractional m_min and n_t
+    for k, m in [(1.5, 1), (1, 0.5), (2.0, 1), (True, 1), (1, False)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            RotorSpec(kind=RotorKind.SYMTOP, omega=1.0, k=k, m=m)
     spec = RotorSpec(kind="symmetric-top", omega=1.0, omega2=0.5, k=2, m=-3)
     assert spec.kind is RotorKind.SYMTOP and spec.m_min == 3
+    assert RotorSpec(kind=RotorKind.SYMTOP, omega=1.0, k=np.int64(1), m=np.int32(-2)).m_min == 2
 
 
 def test_energy_levels_and_frequencies():
@@ -433,18 +437,13 @@ def test_kicked_state_at_the_largest_blocks_is_unit_trace():
 def test_kicked_state_reads_no_coefficient_table(monkeypatch):
     # x^2 comes from the eigenfunctions, so the reference side of the closed
     # loop shares no table with the inverse
-    def refuse(self, j1):
-        raise AssertionError(f"slab({j1}) read by make_test_state")
+    def refuse(self, j_max):
+        raise AssertionError(f"tensor({j_max}) read by make_test_state")
 
-    monkeypatch.setattr(CoefficientTable, "slab", refuse)
+    monkeypatch.setattr(CoefficientTable, "tensor", refuse)
     for k, m in [(0, 0), (1, 1), (0, 2)]:
         blk = make_test_state("cos2-kicked", k, m, 6, kick_strength=1.2)
         assert blk.trace() == pytest.approx(1.0, abs=1e-12)
-    monkeypatch.undo()
-    table = coefficient_table(0, 0)
-    kept = set(table._slabs)
-    make_test_state("cos2-kicked", 0, 0, 100, kick_strength=1.2)
-    assert set(table._slabs) == kept
 
 
 @pytest.mark.parametrize("m, j_max, kick", [(0, 6, 1.2), (1, 8, 1.7), (2, 5, 0.8)])

@@ -17,10 +17,10 @@ from rotortomo import angular, rotor, tomography
 from rotortomo.angular import (
     J_CAP,
     N_X_CAP,
-    CoefficientTable,
     coefficient_table,
     gauss_legendre_grid,
 )
+from rotortomo.cli import main
 from rotortomo.rotor import (
     DensityBlock,
     RotorKind,
@@ -122,20 +122,20 @@ def test_chains_follow_the_coefficient_tables_parity():
     # alpha has a zero coefficient at alpha, and no chain or flag names one
     for k in (1, -1, 2, 3):
         spec = _spec(RotorKind.SYMTOP, k=k)
-        table = spec.coefficient_table()
+        table = coefficient_table(k, 0)
         assert table.parity
-        dropped = 0
+        dropped = []
         for (j1, j2), got in _members(spec, 12).items():
             alpha, beta = j1 + j2, j1 - j2
             assert all((s - alpha) % 2 == 0 for s, _ in got)
             # two periods: a bin is omega, half the spacing of exact lines
             every = oracles.line_scan(spec, alpha, beta, 2, parity=False)
             assert [p for p in every if (p[0] - alpha) % 2 == 0] == got
-            for s, dj in every:
-                if (s - alpha) % 2:
-                    dropped += 1
-                    assert table.coefficient(s, dj, alpha) == 0.0
-        assert dropped > 0
+            dropped += [(s, dj, alpha) for s, dj in every if (s - alpha) % 2]
+        assert dropped
+        tensor = table.tensor(max(s + dj for s, dj, _ in dropped) // 2)
+        for s, dj, alpha in dropped:
+            assert tensor[(s + dj) // 2 - spec.m_min, (s - dj) // 2 - spec.m_min, alpha] == 0.0
 
 
 def test_chains_of_the_largest_rigid_block_stay_small():
@@ -235,7 +235,7 @@ def test_moment_picks_out_single_element():
     blk.elements[blk.index(1), blk.index(3)] = 0.2 + 0.1j
     spec = RIGID
     grid = _simulate(blk, spec)
-    c = spec.coefficient_table().coefficient(4, 2, 4)
+    c = coefficient_table(0, 0).decomposition(3, 1)[4]
     moment = moment_integral(grid, 4, 2, spec)
     assert moment.value == pytest.approx(c * (0.2 - 0.1j), abs=1e-12)
     # the conjugate probe returns the conjugate element
@@ -340,9 +340,8 @@ def test_pattern_rows_match_closed_form_inverse():
 @pytest.mark.parametrize("k, m, cap", [(0, 0, 6), (0, 0, 14), (0, 0, 20)])
 def test_pattern_rows_match_scipy_triangular_solve(k, m, cap):
     # M[a, J] = c_2a(J, J), upper triangular: rows alpha = 2a are all of bin 0 when k = m = 0
-    table = coefficient_table(k, m)
-    js = range(cap + 1)
-    mat = np.array([[table.coefficient(2 * J, 0, 2 * a) for J in js] for a in js])
+    # the fit reads the block's tensor, so the reference does too
+    mat = np.diagonal(coefficient_table(k, m).tensor(cap))[::2]
     for j1 in range(cap + 1):
         e = np.zeros(mat.shape[0])
         e[j1] = 1.0
@@ -624,10 +623,8 @@ def _scipy_windowed_block(grid, spec, j_max):
     js = range(spec.m_min, j_max + 1)
     pairs = [(j1, j2) for j1 in js for j2 in js]
     freqs = np.array([energy(spec, j1) - energy(spec, j2) for j1, j2 in pairs])
-    table = spec.coefficient_table()
-    coeffs = np.array(
-        [[table.coefficient(b1 + b2, b1 - b2, a1 + a2) for b1, b2 in pairs] for a1, a2 in pairs]
-    )
+    tensor, m_min = coefficient_table(spec.k, spec.m).tensor(j_max), spec.m_min
+    coeffs = np.array([[tensor[b1 - m_min, b2 - m_min, a1 + a2] for b1, b2 in pairs] for a1, a2 in pairs])
     offsets = freqs[:, None] - freqs[None, :]
     kernel = np.exp(1j * np.multiply.outer(offsets, grid.times)).mean(axis=-1)
     levels = np.array(pairs)
@@ -742,30 +739,37 @@ def test_one_reconstruct_makes_one_moment_call(monkeypatch):
     [(_spec(m=2), 8), (_spec(RotorKind.SYMTOP, omega2=0.3, k=1, m=-1), 6)],
     ids=["rigid-m2", "symtop"],
 )
-def test_operator_reads_the_scalar_coefficients_bit_for_bit(spec, j_max, monkeypatch):
-    tensors, tensor = [], CoefficientTable.tensor
-    monkeypatch.setattr(
-        CoefficientTable, "tensor", lambda self, j: tensors.append(tensor(self, j)) or tensors[-1]
+def test_operator_and_the_coeffs_table_read_the_block_tensor_bit_for_bit(spec, j_max, tmp_path):
+    op = tomography._build_probe_operator(spec, j_max, 1, SamplingPlan.derive(spec, j_max).n_t)
+    tensor = coefficient_table(spec.k, spec.m).tensor(j_max)
+    assert np.array_equal(op.coeffs, tensor.reshape(op.coeffs.shape))
+    # `rotortomo coeffs` prints every non-zero entry J2 <= J1 of that tensor
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        f"spec: {{kind: {spec.kind.value}, omega: {spec.omega}, omega2: {spec.omega2}, "
+        f"k: {spec.k}, m: {spec.m}}}\nj_max: {j_max}\n"
     )
-    tomography._build_probe_operator(spec, j_max, 1, SamplingPlan.derive(spec, j_max).n_t)
-    (got,) = tensors
-    table, js, alphas = spec.coefficient_table(), range(spec.m_min, j_max + 1), range(2 * j_max + 1)
-    want = [[[table.coefficient(a + b, a - b, L) for L in alphas] for b in js] for a in js]
-    assert np.array_equal(got, want)
+    assert main(["coeffs", "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 0
+    rows = np.loadtxt(tmp_path / "c.csv", delimiter=",")
+    s, dj, j1, j2, L = rows[:, :5].astype(int).T
+    assert np.array_equal(s, j1 + j2) and np.array_equal(dj, j1 - j2)
+    got = np.zeros_like(tensor)
+    got[j1 - spec.m_min, j2 - spec.m_min, L] = rows[:, 5]
+    want = np.where(np.tri(len(tensor), dtype=bool)[:, :, None], tensor, 0.0)
+    assert np.array_equal(got, want) and len(rows) == np.count_nonzero(want)
 
 
-def test_a_cold_reconstruct_builds_each_coefficient_level_once(monkeypatch):
+def test_a_cold_reconstruct_builds_one_coefficient_tensor(monkeypatch):
     spec = _spec(m=1)
     blk = make_test_state("random-mixed", 0, 1, 10, seed=3)
-    grid = _simulate(blk, spec)
-    tables, calls, rows = {}, [], angular.eigenfunction_rows
-    monkeypatch.setattr(
-        rotor, "coefficient_table", lambda k, m: tables.setdefault((k, m), CoefficientTable(k, m))
-    )
+    grid = _simulate(blk, spec)  # on the default n_x, the rule the tensor is built on
+    calls, rows = [], angular.eigenfunction_rows
     monkeypatch.setattr(tomography, "_operators", {})
     monkeypatch.setattr(angular, "eigenfunction_rows", lambda *a: calls.append(a[0]) or rows(*a))
+    misses = gauss_legendre_grid.cache_info().misses
     result = reconstruct_block(grid, spec, 10)
-    assert sorted(calls) == list(range(1, 11))  # one slab per level, not one rule per pair
+    assert calls == [10]  # one rule for the block, not one per level
+    assert gauss_legendre_grid.cache_info().misses == misses
     assert np.max(np.abs(result.block.elements - blk.elements)) < 1e-12
 
 
@@ -836,8 +840,7 @@ def test_operators_of_large_blocks_stay_small():
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)
     op = tomography._build_probe_operator(spec, 30, 16, SamplingPlan.derive(spec, 30, 16).n_t)
     assert op.nbytes <= 16 * 2**20
-    # no build array spans every (line, unknown) pair
-    RIGID.coefficient_table().tensor(60)
+    # no build array spans every (line, unknown) pair, the tensor's build included
     tracemalloc.start()
     try:
         op = tomography._build_probe_operator(RIGID, 60, 1, SamplingPlan.derive(RIGID, 60).n_t)
