@@ -25,18 +25,20 @@ from rotortomo.rotor import energy, simulate_pr
 
 
 def cg_exact(j1: int, j2: int, j3: int, m1: int, m2: int) -> float:
-    """<j1 m1; j2 m2 | j3 (m1+m2)> via the Racah sum in exact rationals."""
+    """<j1 m1; j2 m2 | j3 (m1+m2)> via the Racah sum in exact integers.
+
+    The terms are summed over the lcm of their denominators, so the square
+    is one exact rational, rounded once by an int/int division.
+    """
     m3 = m1 + m2
     if not (abs(j1 - j2) <= j3 <= j1 + j2):
         return 0.0
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
         return 0.0
     f = math.factorial
-    pref2 = Fraction(
-        (2 * j3 + 1) * f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3),
-        f(j1 + j2 + j3 + 1),
-    ) * Fraction(f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3))
-    total = Fraction(0)
+    pref_num = (2 * j3 + 1) * f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
+    pref_num *= f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    terms = []
     for t in range(j1 + j2 - j3 + 1):
         dens = (
             t,
@@ -46,13 +48,14 @@ def cg_exact(j1: int, j2: int, j3: int, m1: int, m2: int) -> float:
             j3 - j2 + m1 + t,
             j3 - j1 - m2 + t,
         )
-        if any(d < 0 for d in dens):
-            continue
-        total += Fraction((-1) ** t, math.prod(f(d) for d in dens))
+        if all(d >= 0 for d in dens):
+            terms.append((-1 if t % 2 else 1, math.prod(map(f, dens))))
+    common = math.lcm(*(den for _, den in terms))
+    total = sum(sign * (common // den) for sign, den in terms)
     if total == 0:
         return 0.0
     sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(pref2 * total * total))
+    return sign * math.sqrt(pref_num * total * total / (f(j1 + j2 + j3 + 1) * common * common))
 
 
 def norm_legendre(J: int, m: int, x) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +86,21 @@ def test_wigner_matches_explicit_sum_oracle():
         assert np.max(np.abs(ours - ref)) < 1e-12
 
 
+def test_wigner_seeds_match_the_exact_half_angle_sum_up_to_the_cap():
+    # at beta = pi/2 every half-angle power is 2^(-j), so the explicit sum in
+    # Fractions, squared with its factorial product, gives d^2 exactly
+    f = math.factorial
+    rng = np.random.default_rng(11)
+    for k, m in rng.integers(-J_CAP, J_CAP + 1, size=(200, 2)).tolist():
+        j = max(abs(k), abs(m))
+        total = sum(
+            Fraction((-1) ** (k - m + t), f(j + m - t) * f(t) * f(k - m + t) * f(j - k - t))
+            for t in range(max(0, m - k), min(j + m, j - k) + 1)
+        )
+        exact = math.copysign(math.sqrt(f(j + m) * f(j - m) * f(j + k) * f(j - k) * total**2 / 4**j), total)
+        assert abs(wigner_d(j, k, m, 0.0) - exact) <= 1e-14 * abs(exact), (j, k, m)
+
+
 def test_wigner_half_rotation_literal():
     # d^1_{11} = (1 + x)/2 pins the sign and index convention
     assert np.max(np.abs(wigner_d(1, 1, 1, X) - (1 + X) / 2)) < 1e-15
@@ -165,6 +181,23 @@ def test_cg_row_unitarity_spot():
             [[clebsch_gordan(j1, j2, j3, m1, M - m1, M) for j3 in j3s] for m1 in m1s]
         )
         assert np.max(np.abs(mat.T @ mat - np.eye(len(list(j3s))))) < 1e-13
+
+
+def test_cg_is_exact_up_to_the_cap():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        j1, j2 = rng.integers(0, J_CAP + 1, size=2).tolist()
+        j3 = int(rng.integers(abs(j1 - j2), min(j1 + j2, J_CAP) + 1))
+        m1 = int(rng.integers(-j1, j1 + 1))
+        m2 = int(rng.integers(max(-j2, -j3 - m1), min(j2, j3 - m1) + 1))
+        ours = clebsch_gordan(j1, j2, j3, m1, m2, m1 + m2)
+        assert abs(ours - oracles.cg_exact(j1, j2, j3, m1, m2)) < 1e-13, (j1, j2, j3, m1, m2)
+    assert abs(sum(clebsch_gordan(100, 100, L, 0, 0, 0) ** 2 for L in range(201)) - 1) < 1e-14
+    # three rows of the j1 = j2 = 100, M = 3 block, whose columns j3 = 3 .. 200 are complete
+    rows = np.array(
+        [[clebsch_gordan(100, 100, j3, m1, 3 - m1, 3) for j3 in range(3, 201)] for m1 in (-97, 0, 100)]
+    )
+    assert np.max(np.abs(rows @ rows.T - np.eye(3))) < 1e-14
 
 
 def test_cg_rejects_out_of_cap_arguments():
