@@ -4,7 +4,7 @@ A linear or symmetric-top rotor prepared in a fixed (k, m) channel shows its
 full density-matrix block rho(J1, J2) in the time evolution of the polar
 angular distribution Pr(x = cos theta, t).  This package provides the angular
 machinery (normalized associated Legendre functions, Wigner d rows,
-Clebsch-Gordan coefficients, per-block product-decomposition tables), a
+Clebsch-Gordan coefficients, one product-decomposition tensor per block), a
 forward simulator for Pr(x, t), and the inverse engine that recovers the
 block by Fourier-probing the distribution's beat frequencies at every
 Legendre order and fitting the moments by least squares -- plus a
@@ -12,7 +12,6 @@ file-format layer and a CLI workbench on top.
 """
 
 from .angular import (
-    CoefficientTable,
     QuadratureGrid,
     assoc_legendre_norm,
     clebsch_gordan,
@@ -55,7 +54,6 @@ from .tomography import (
 )
 
 __all__ = [
-    "CoefficientTable",
     "QuadratureGrid",
     "assoc_legendre_norm",
     "clebsch_gordan",

@@ -1,4 +1,4 @@
-"""Angular special functions, quadrature, and product-decomposition tables.
+"""Angular special functions, quadrature, and product-decomposition coefficients.
 
 Conventions used throughout the package:
 
@@ -21,17 +21,18 @@ Conventions used throughout the package:
   every j up to J_CAP.  Selection-rule violations return 0.0 rather than
   raising.
 
-* ``CoefficientTable`` (shared per channel by ``coefficient_table(k, m)``)
-  expands a product of two normalized rotor eigenfunctions f_J
-  (P~(J, m) for k = 0, sqrt((2J+1)/2) d^J_{km} otherwise) in the m = 0
-  normalized Legendre basis:
+* ``coefficient_table(k, m, j_max)`` expands every product of two
+  normalized rotor eigenfunctions f_J of a j_max block (P~(J, m) for
+  k = 0, sqrt((2J+1)/2) d^J_{km} otherwise) in the m = 0 normalized
+  Legendre basis:
 
-      f_J1(x) f_J2(x) = sum_L c_L P~(L, 0, x),  L = |J1-J2| .. J1+J2.
+      f_J1(x) f_J2(x) = sum_L c_L P~(L, 0, x),  L = |J1-J2| .. J1+J2,
 
-  For k = 0 or m = 0 only L of the same parity as J1+J2 contribute; for
-  k != 0 and m != 0 both parities of L carry weight.  The coefficients
-  are *defined* by Gauss-Legendre projection, one matrix product per
-  block on the block's own rule (``tensor``); they agree with the closed
+  and returns the c_L as one read-only array.  Where ``keeps_parity(k, m)``
+  holds (k = 0 or m = 0) only L of the same parity as J1+J2 contribute;
+  for k != 0 and m != 0 both parities of L carry weight.  The
+  coefficients are *defined* by Gauss-Legendre projection, one matrix
+  product per block on the block's own rule; they agree with the closed
   form
 
       c_L = (-1)^(k-m) sqrt((2J1+1)(2J2+1) / (2(2L+1)))
@@ -41,8 +42,8 @@ Conventions used throughout the package:
   exact rationals; its Clebsch-Gordan factors kill the odd-L terms when
   k = 0 or m = 0.
 
-All functions are pure; the two memos, ``gauss_legendre_grid`` and
-``coefficient_table``, are lru_caches, safe to share between threads.
+All functions are pure; the one memo, ``gauss_legendre_grid``, is an
+lru_cache, safe to share between threads.
 """
 
 from __future__ import annotations
@@ -254,79 +255,44 @@ def eigenfunction_rows(j_max: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
     return norms[:, None] * rows
 
 
-class CoefficientTable:
-    """Product-decomposition coefficients for one (k, m) channel, one block at a time.
+def keeps_parity(k: int, m: int) -> bool:
+    """Whether the (k, m) channel's c_L vanish for every odd J1 + J2 + L.
 
-    :meth:`tensor` projects every product f_J1 f_J2 of a j_max block onto
-    the Legendre orders on the block's own Gauss-Legendre rule, and every
-    other read goes through it; nothing is kept.  A block's coefficients
-    thus come from its own rule, so a pair read from two blocks may differ
-    by rounding; every entry lies within 1e-11 of the exact closed form up
-    to j_max = 100, the largest block a plan takes.
+    c_L carries C(J1 J2 L | k -k 0) C(J1 J2 L | m -m 0), and C(J1 J2 L | 0 0 0)
+    vanishes for odd J1 + J2 + L: with k = 0 or m = 0 only L of that parity
+    survive, otherwise both parities carry weight.
     """
-
-    def __init__(self, k: int, m: int):
-        self.k = k
-        self.m = m
-        self.m_min = max(abs(k), abs(m))
-        # c_L carries C(J1 J2 L | k -k 0) C(J1 J2 L | m -m 0), and C(J1 J2 L | 0 0 0)
-        # vanishes for odd J1 + J2 + L: with k = 0 or m = 0 only L of that parity survive
-        self.parity = k == 0 or m == 0
-
-    def tensor(self, j_max: int) -> np.ndarray:
-        """C[J1 - m_min, J2 - m_min, L] for J1, J2 = m_min .. j_max, L = 0 .. 2 j_max.
-
-        One product (f_J1 f_J2 w) @ P~(L, 0)^T over the pairs J2 <= J1 on the
-        Gauss-Legendre rule of order 2 j_max + 1, exact for the degree <=
-        4 j_max integrands, mirrored so the array is symmetric in (J1, J2)
-        bit for bit.  Entries outside |J1 - J2| <= L <= J1 + J2, and where
-        ``parity`` holds those with L of the other parity than J1 + J2, are
-        exact zeros.  Read-only.
-        """
-        _check_j("j_max", j_max, low=self.m_min)
-        grid = gauss_legendre_grid(2 * j_max + 1)
-        f = eigenfunction_rows(j_max, self.k, self.m, grid.nodes)
-        i1, i2 = np.tril_indices(len(f))
-        half = (f[i1] * f[i2] * grid.weights) @ _legendre_rows(2 * j_max, 0, grid.nodes).T
-        L = np.arange(2 * j_max + 1)
-        dj, s = (i1 - i2)[:, None], (i1 + i2 + 2 * self.m_min)[:, None]
-        keep = (dj <= L) & (L <= s)
-        if self.parity:
-            keep &= (L + s) % 2 == 0
-        half[~keep] = 0.0
-        out = np.empty((len(f), len(f), len(L)))
-        out[i1, i2] = half
-        out[i2, i1] = half
-        out.setflags(write=False)
-        return out
-
-    def decomposition(self, j1: int, j2: int) -> dict[int, float]:
-        """{L: c_L} of f_j1 * f_j2 for L = |j1-j2| .. j1+j2 (every second L under ``parity``).
-
-        Read from the block of j_max = max(j1, j2).
-        """
-        hi, lo = max(j1, j2), min(j1, j2)
-        _check_j("J2", lo, low=self.m_min)
-        row = self.tensor(hi)[hi - self.m_min, lo - self.m_min]
-        step = 2 if self.parity else 1
-        return {L: float(row[L]) for L in range(hi - lo, hi + lo + 1, step)}
-
-    def entries(self, j_max: int):
-        """Yield the j_max block's (j_sum, delta_j, L, coefficient) rows, pairs J2 <= J1.
-
-        By increasing j_sum = J1 + J2 (up to 2 j_max), then delta_j = J1 - J2,
-        then L; under ``parity`` only L of the parity of j_sum.
-        """
-        c = self.tensor(j_max)
-        l_step = 2 if self.parity else 1
-        for j_sum in range(2 * self.m_min, 2 * j_max + 1):
-            for dj in range(j_sum % 2, min(j_sum - 2 * self.m_min, 2 * j_max - j_sum) + 1, 2):
-                row = c[(j_sum + dj) // 2 - self.m_min, (j_sum - dj) // 2 - self.m_min]
-                for L in range(dj, j_sum + 1, l_step):
-                    yield j_sum, dj, L, float(row[L])
+    return k == 0 or m == 0
 
 
-@lru_cache(maxsize=None)
-def coefficient_table(k: int, m: int) -> CoefficientTable:
-    """Shared CoefficientTable for the (k, m) channel."""
-    return CoefficientTable(k, m)
+def coefficient_table(k: int, m: int, j_max: int) -> np.ndarray:
+    """C[J1 - m_min, J2 - m_min, L] of the (k, m) channel's j_max block, L = 0 .. 2 j_max.
+
+    J1, J2 = m_min .. j_max with m_min = max(|k|, |m|).  One product
+    (f_J1 f_J2 w) @ P~(L, 0)^T over the pairs J2 <= J1 on the Gauss-Legendre
+    rule of order 2 j_max + 1, exact for the degree <= 4 j_max integrands,
+    mirrored so the array is symmetric in (J1, J2) bit for bit.  Entries
+    outside |J1 - J2| <= L <= J1 + J2, and where :func:`keeps_parity` holds
+    those with L of the other parity than J1 + J2, are exact zeros.  A
+    block's coefficients come from its own rule, so a pair read from two
+    blocks may differ by rounding; every entry lies within 1e-11 of the
+    exact closed form up to j_max = 100, the largest block a plan takes.
+    Read-only; nothing is kept between calls.
+    """
+    m_min = max(abs(k), abs(m))
+    _check_j("j_max", j_max, low=m_min)
+    grid = gauss_legendre_grid(2 * j_max + 1)
+    f = eigenfunction_rows(j_max, k, m, grid.nodes)
+    i1, i2 = np.tril_indices(len(f))
+    half = (f[i1] * f[i2] * grid.weights) @ _legendre_rows(2 * j_max, 0, grid.nodes).T
+    L = np.arange(2 * j_max + 1)
+    dj, s = (i1 - i2)[:, None], (i1 + i2 + 2 * m_min)[:, None]
+    keep = (dj <= L) & (L <= s)
+    if keeps_parity(k, m):
+        keep &= (L + s) % 2 == 0
+    half[~keep] = 0.0
+    out = np.empty((len(f), len(f), len(L)))
+    out[i1, i2] = half
+    out[i2, i1] = half
+    out.setflags(write=False)
+    return out

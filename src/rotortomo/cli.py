@@ -68,10 +68,7 @@ def _load_state(args, cfg: ExperimentConfig):
     return block
 
 
-def _simulate(cfg: ExperimentConfig, block, seed: int | None):
-    plan = SamplingPlan.derive(
-        cfg.spec, cfg.j_max, n_periods=cfg.n_periods, n_t=cfg.n_t, n_x=cfg.n_x
-    )
+def _simulate(cfg: ExperimentConfig, plan: SamplingPlan, block, seed: int | None):
     grid = simulate_pr(
         block, cfg.spec, gauss_legendre_grid(plan.n_x), plan.n_t, cfg.n_periods
     )
@@ -90,8 +87,10 @@ def _write_alignment(grid, path: Path) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    # reject a block the grids cannot carry before the state is padded to it
+    plan = SamplingPlan.derive(cfg.spec, cfg.j_max, cfg.n_periods, cfg.n_t, cfg.n_x)
     block = _load_state(args, cfg)
-    grid = _simulate(cfg, block, args.seed)
+    grid = _simulate(cfg, plan, block, args.seed)
     data_path = _resolve(args.data, cfg, "data")
     save_grid(grid, data_path)
     print(
@@ -171,13 +170,16 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_coeffs(args) -> int:
     cfg = load_config(args.config)
-    table = coefficient_table(cfg.spec.k, cfg.spec.m)
+    m_min = cfg.spec.m_min
+    tensor = coefficient_table(cfg.spec.k, cfg.spec.m, cfg.j_max)
+    # the non-zero entries J2 <= J1, by S = J1 + J2, then dJ = J1 - J2, then L
+    a, b, L = np.nonzero(np.where(np.tri(len(tensor), dtype=bool)[:, :, None], tensor, 0.0))
+    j1, j2 = a + m_min, b + m_min
+    order = np.lexsort((L, j1 - j2, j1 + j2))
     lines = [f"# c_L for channel k={cfg.spec.k} m={cfg.spec.m}, pairs J2 <= J1 <= {cfg.j_max}"]
     lines.append("# S, dJ, J1, J2, L, c")
-    for s, dj, L, c in table.entries(cfg.j_max):
-        if c == 0.0:
-            continue
-        lines.append(f"{s}, {dj}, {(s + dj) // 2}, {(s - dj) // 2}, {L}, {c:.17g}")
+    for u, v, l_, c in zip(*(x[order].tolist() for x in (j1, j2, L, tensor[a, b, L]))):
+        lines.append(f"{u + v}, {u - v}, {u}, {v}, {l_}, {c:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -191,7 +193,7 @@ def cmd_roundtrip(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.noise.seed
     # reject a block the grids cannot carry before its state is built
-    SamplingPlan.derive(cfg.spec, cfg.j_max, cfg.n_periods, cfg.n_t, cfg.n_x)
+    plan = SamplingPlan.derive(cfg.spec, cfg.j_max, cfg.n_periods, cfg.n_t, cfg.n_x)
     truth = make_test_state(
         cfg.state_kind,
         cfg.spec.k,
@@ -200,7 +202,7 @@ def cmd_roundtrip(args) -> int:
         seed=seed,
         kick_strength=cfg.kick_strength,
     )
-    grid = _simulate(cfg, truth, seed)
+    grid = _simulate(cfg, plan, truth, seed)
     result = reconstruct_block(grid, cfg.spec, cfg.j_max)
     err = float(np.max(np.abs(result.block.elements - truth.elements)))
     trace_err = abs(result.block.trace() - truth.trace())

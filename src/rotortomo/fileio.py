@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import N_X_CAP, QuadratureGrid, gauss_legendre_grid
+from .angular import J_CAP, N_X_CAP, QuadratureGrid, gauss_legendre_grid
 from .rotor import DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
 
 
@@ -72,6 +72,8 @@ def load_block(path: str | Path) -> DensityBlock:
     j_min = max(abs(k), abs(m))
     if j_max < j_min:
         raise FileFormatError(f"{path}: j_max={j_max} below channel minimum J={j_min}")
+    if j_max > J_CAP:
+        raise FileFormatError(f"{path}: j_max={j_max} above the supported J={J_CAP}")
     n = j_max - j_min + 1
     mat = np.zeros((n, n), dtype=complex)
     seen = set()

@@ -116,26 +116,20 @@ def monotone_j_limit(spec: RotorSpec) -> int:
     For the centrifugal kind the spectrum turns over at J(J+1) = omega/(2 d_cd);
     model content beyond that J would fold frequencies back onto lower lines.
     """
-    if spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0:
-        return np.iinfo(np.int64).max
-    limit = spec.omega / (2.0 * spec.d_cd)
-    j = int(np.floor(0.5 * (np.sqrt(1.0 + 4.0 * limit) - 1.0)))
-    while (j + 1) * (j + 2) < limit:
-        j += 1
-    while j > 0 and j * (j + 1) >= limit:
-        j -= 1
-    return j
+    # only the centrifugal kind takes d_cd > 0, and omega / d_cd may overflow to inf
+    limit = spec.omega / (2.0 * spec.d_cd) if spec.d_cd else math.inf
+    if limit == math.inf:
+        return 2**63 - 1  # the int64 maximum: no turning point
+    j = math.isqrt(int(limit))  # floor(sqrt(limit)) in exact integers, at any size
+    return j - 1 if j * (j + 1) >= limit else j
 
 
 def check_distortion_range(spec: RotorSpec, j_cap: int) -> None:
-    """Require d_cd/omega < 1/(2 j_cap (j_cap+1)) so E_J is monotone up to j_cap."""
-    if spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0 or j_cap == 0:
-        return
-    bound = 1.0 / (2.0 * j_cap * (j_cap + 1))
-    ratio = spec.d_cd / spec.omega
-    if ratio >= bound:
+    """Require j_cap <= :func:`monotone_j_limit`, so E_J is monotone up to j_cap."""
+    if j_cap > monotone_j_limit(spec):
+        bound = 1.0 / (2.0 * j_cap * (j_cap + 1))
         raise ValueError(
-            f"d_cd/omega = {ratio:.3e} too large for J up to {j_cap}: "
+            f"d_cd/omega = {spec.d_cd / spec.omega:.3e} too large for J up to {j_cap}: "
             f"spectrum must stay monotone, need d_cd/omega < {bound:.3e}"
         )
 

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import J_CAP, N_X_CAP, assoc_legendre_norm, coefficient_table
+from .angular import J_CAP, N_X_CAP, assoc_legendre_norm, coefficient_table, keeps_parity
 from .rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -352,8 +352,7 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
     j1, j2 = np.repeat(js, n), np.tile(js, n)
     energies = energy(spec, js)
     omega = energies[j1 - m_min] - energies[j2 - m_min]
-    table = coefficient_table(spec.k, spec.m)
-    coeffs = table.tensor(j_max).reshape(n * n, n_orders)
+    coeffs = coefficient_table(spec.k, spec.m, j_max).reshape(n * n, n_orders)
 
     # lines: unknowns of one frequency, by increasing frequency; the frequencies come
     # in +- pairs, so h lines lie below the zero line and h above
@@ -366,7 +365,7 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
 
     # groups: one per exact bin when every line sits on one, else one;
     # either split by the parity of S where the coefficients keep it
-    label = 2 * bins.astype(np.intp) * on_bins + (j1 + j2) % 2 * table.parity
+    label = 2 * bins.astype(np.intp) * on_bins + (j1 + j2) % 2 * keeps_parity(spec.k, spec.m)
     members = np.argsort(label, kind="stable")  # each group's unknowns in increasing order
     _, start, size = np.unique(label[members], return_index=True, return_counts=True)
     dt = n_periods * (np.pi / spec.omega) / n_t
@@ -397,11 +396,11 @@ def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
     element's (:func:`_line_bins`; a line one bin away sits on a zero of the
     window kernel), and it enters the element's order-alpha moment: 1 <= DJ'
     <= beta, alpha <= S' <= beta (alpha + 1), J2' >= m_min, J1' no deeper
-    than :func:`monotone_j_limit`, and S' of alpha's parity where the
-    coefficient table keeps parity.  One sort of the candidate lines and two
-    searches match every element at once.  Members run by decreasing DJ',
-    then increasing S'; those with J1' <= j_max form the element's chain,
-    the rest its flags.
+    than :func:`monotone_j_limit`, and S' of alpha's parity where
+    :func:`~rotortomo.angular.keeps_parity` holds.  One sort of the
+    candidate lines and two searches match every element at once.
+    Members run by decreasing DJ', then increasing S'; those with J1' <=
+    j_max form the element's chain, the rest its flags.
     """
     m_min, d_max = spec.m_min, j_max - spec.m_min
     s_top = d_max * (j_max + m_min + 1)  # the block's largest beta (alpha + 1)
@@ -427,7 +426,7 @@ def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
     cand = order[np.arange(len(elem)) - np.repeat(np.cumsum(count) - count - lo, count)]
     s, d, a, b = 2 * j2[cand] + dj[cand], dj[cand], alpha[elem], beta[elem]
     ok = (d <= b) & (s >= a) & (s <= b * (a + 1))
-    if coefficient_table(spec.k, spec.m).parity:
+    if keeps_parity(spec.k, spec.m):
         ok &= (s - a) % 2 == 0
     elem, s, d = elem[ok], s[ok], d[ok]
     beyond = (s + d) // 2 > j_max

@@ -10,12 +10,12 @@ import pytest
 import oracles
 from rotortomo.angular import (
     J_CAP,
-    CoefficientTable,
     assoc_legendre_norm,
     clebsch_gordan,
     coefficient_table,
     eigenfunction_rows,
     gauss_legendre_grid,
+    keeps_parity,
     wigner_d,
 )
 
@@ -225,59 +225,59 @@ def test_non_integer_indices_and_nan_cosines_are_named_errors(call, needle):
 # --------------------------------------------------------- product decomposition
 
 
-def _reconstruct_product(k, m, j1, j2, coeffs, x):
-    out = np.zeros_like(x)
-    for L, c in coeffs.items():
-        out += c * assoc_legendre_norm(L, 0, x)
-    return out
+def _pair_row(k, m, j1, j2):
+    """c_L of f_j1 f_j2 for L = 0 .. 2 max(j1, j2), read from the max(j1, j2) block."""
+    m_min = max(abs(k), abs(m))
+    return coefficient_table(k, m, max(j1, j2))[j1 - m_min, j2 - m_min]
 
 
 @pytest.mark.parametrize("k,m,j1,j2", [(0, 0, 3, 1), (0, 2, 5, 3), (1, 1, 4, 2), (2, 1, 5, 3), (0, -2, 4, 2), (-1, 1, 3, 3)])
 def test_product_decomp_is_pointwise_complete(k, m, j1, j2):
-    coeffs = coefficient_table(k, m).decomposition(j1, j2)
+    row = _pair_row(k, m, j1, j2)
+    expand = sum(c * assoc_legendre_norm(L, 0, X) for L, c in enumerate(row))
     rows = eigenfunction_rows(max(j1, j2), k, m, X)
     lo = max(abs(k), abs(m))
     direct = rows[j1 - lo] * rows[j2 - lo]
-    assert np.max(np.abs(_reconstruct_product(k, m, j1, j2, coeffs, X) - direct)) < 1e-12
+    assert np.max(np.abs(expand - direct)) < 1e-12
 
 
 def test_product_decomp_matches_closed_form():
     for k, m, j1, j2 in [(0, 0, 4, 2), (0, 1, 5, 2), (1, 1, 3, 1), (2, 0, 4, 4), (1, -1, 4, 2)]:
-        coeffs = coefficient_table(k, m).decomposition(j1, j2)
+        row = _pair_row(k, m, j1, j2)
         per_pair = oracles.product_decomp_per_pair(k, m, j1, j2)
-        assert set(coeffs) == set(per_pair)
+        # the entries the per-pair rule leaves out are exact zeros
+        assert all(c == 0.0 for L, c in enumerate(row) if L not in per_pair)
         for L in range(abs(j1 - j2), j1 + j2 + 1):
             want = oracles.c_l_closed(k, m, j1, j2, L)
-            assert abs(coeffs.get(L, 0.0) - want) < 1e-12
-            assert abs(coeffs.get(L, 0.0) - per_pair.get(L, 0.0)) < 1e-14
+            assert abs(row[L] - want) < 1e-12
+            assert abs(row[L] - per_pair.get(L, 0.0)) < 1e-14
 
 
 def test_product_decomp_k0_parity_suppression():
     # with k = 0 only L of the same parity as J1 + J2 survive
-    coeffs = coefficient_table(0, 1).decomposition(4, 2)
-    assert set(coeffs) <= {2, 4, 6}
+    row = _pair_row(0, 1, 4, 2)
+    assert {L for L, c in enumerate(row) if c} <= {2, 4, 6}
     for L in (3, 5):
         assert abs(oracles.c_l_closed(0, 1, 4, 2, L)) < 1e-15
 
 
 def test_product_decomp_nonzero_k_keeps_both_parities():
     # frozen example: f_1^2 in the k = 1, m = 1 channel
-    coeffs = coefficient_table(1, 1).decomposition(1, 1)
-    assert abs(coeffs[0] - 1 / math.sqrt(2)) < 1e-14
-    assert abs(coeffs[1] - math.sqrt(3 / 8)) < 1e-14
-    assert abs(coeffs[2] - 1 / math.sqrt(40)) < 1e-14
+    row = _pair_row(1, 1, 1, 1)
+    assert abs(row[0] - 1 / math.sqrt(2)) < 1e-14
+    assert abs(row[1] - math.sqrt(3 / 8)) < 1e-14
+    assert abs(row[2] - 1 / math.sqrt(40)) < 1e-14
 
 
 def test_coefficient_table_agrees_with_product_decomp():
     for k, m in [(0, 0), (0, 1), (1, 1), (2, 1)]:
-        table = coefficient_table(k, m)
         lo = max(abs(k), abs(m))
         for j1 in range(lo, lo + 4):
             for j2 in range(lo, j1 + 1):
                 coeffs = oracles.product_decomp_per_pair(k, m, j1, j2)
-                got = table.decomposition(j1, j2)
+                row = _pair_row(k, m, j1, j2)
                 for L in range(j1 - j2, j1 + j2 + 1):
-                    assert abs(got.get(L, 0.0) - coeffs.get(L, 0.0)) < 1e-14
+                    assert abs(row[L] - coeffs.get(L, 0.0)) < 1e-14
 
 
 @pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1)])
@@ -285,17 +285,17 @@ def test_tensor_matches_the_closed_form_as_closely_as_the_per_pair_rule(k, m):
     # both projections read the same eigenfunction rows, whose rounding sets
     # the error; the tensor only sums each product on the block's rule, so it
     # may miss by at most a tenth more than the per-pair rule does
-    table, closed = CoefficientTable(k, m), functools.cache(oracles.c_l_closed)
-    step = 2 if table.parity else 1  # the other L are exact zeros on both sides
+    closed, m_min = functools.cache(oracles.c_l_closed), max(abs(k), abs(m))
+    step = 2 if keeps_parity(k, m) else 1  # the other L are exact zeros on both sides
     for j_max in (14, 30):
-        tensor = table.tensor(j_max)
+        tensor = coefficient_table(k, m, j_max)
         tensor_err = pair_err = 0.0
-        for j1 in range(table.m_min, j_max + 1):
-            for j2 in range(table.m_min, j1 + 1):
+        for j1 in range(m_min, j_max + 1):
+            for j2 in range(m_min, j1 + 1):
                 per_pair = oracles.product_decomp_per_pair(k, m, j1, j2)
                 for L in range(j1 - j2, j1 + j2 + 1, step):
                     want = closed(k, m, j1, j2, L)
-                    tensor_err = max(tensor_err, abs(tensor[j1 - table.m_min, j2 - table.m_min, L] - want))
+                    tensor_err = max(tensor_err, abs(tensor[j1 - m_min, j2 - m_min, L] - want))
                     pair_err = max(pair_err, abs(per_pair.get(L, 0.0) - want))
         assert tensor_err < 1e-12
         assert tensor_err <= 1.1 * pair_err, (j_max, tensor_err, pair_err)
@@ -306,58 +306,35 @@ def test_tensor_matches_the_closed_form_as_closely_as_the_per_pair_rule(k, m):
 def test_tensor_of_the_largest_blocks_matches_the_closed_form(k, m, j_max):
     # 500 seeded entries J2 <= J1 against exact rationals; the largest error
     # measured over such samples is 4.1e-12 at j_max = 100, bound 2.4x that
-    table = CoefficientTable(k, m)
-    tensor = table.tensor(j_max)
+    tensor, m_min = coefficient_table(k, m, j_max), max(abs(k), abs(m))
     entries = np.argwhere(tensor != 0)
     entries = entries[entries[:, 0] >= entries[:, 1]]
     pick = np.random.default_rng(j_max + 7 * k).choice(len(entries), 500, replace=False)
     worst = 0.0
     for a, b, L in entries[pick].tolist():
-        want = oracles.c_l_closed(k, m, a + table.m_min, b + table.m_min, L)
+        want = oracles.c_l_closed(k, m, a + m_min, b + m_min, L)
         worst = max(worst, abs(tensor[a, b, L] - want))
     assert worst < 1e-11
 
 
 @pytest.mark.parametrize("k,m", [(0, 0), (0, 4), (1, -2), (2, 1), (2, 0), (-3, 0)])
 def test_tensor_zeros_are_the_selection_rules(k, m):
-    table = CoefficientTable(k, m)
+    m_min = max(abs(k), abs(m))
     parity = k == 0 or m == 0  # C(J1, J2, L | 0, 0, 0) = 0 for odd J1 + J2 + L
-    for j_max in range(table.m_min, 21):
-        tensor = table.tensor(j_max)
-        n = j_max - table.m_min + 1
+    assert keeps_parity(k, m) == parity
+    for j_max in range(m_min, 21):
+        tensor = coefficient_table(k, m, j_max)
+        n = j_max - m_min + 1
         assert tensor.shape == (n, n, 2 * j_max + 1)
         assert not tensor.flags.writeable
         assert np.array_equal(tensor, tensor.transpose(1, 0, 2))  # symmetric bit for bit
-        js = np.arange(table.m_min, j_max + 1)
+        js = np.arange(m_min, j_max + 1)
         j1, j2, L = js[:, None, None], js[None, :, None], np.arange(2 * j_max + 1)
         allowed = (abs(j1 - j2) <= L) & (L <= j1 + j2) & ((not parity) | ((L + j1 + j2) % 2 == 0))
         assert np.array_equal(tensor != 0, allowed), j_max
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda t: t.decomposition(J_CAP + 1, 3),
-        lambda t: t.decomposition(4, 1),
-        lambda t: t.tensor(J_CAP + 1),
-        lambda t: t.tensor(1),
-    ],
-    ids=["decomposition-above-cap", "decomposition-below-floor", "tensor-above-cap", "tensor-below-floor"],
-)
-def test_coefficient_levels_outside_the_range_are_named_errors(call):
+@pytest.mark.parametrize("j_max", [J_CAP + 1, 1], ids=["above-cap", "below-floor"])
+def test_coefficient_levels_outside_the_range_are_named_errors(j_max):
     with pytest.raises(ValueError, match=r"outside supported range \[2, 200\]"):
-        call(CoefficientTable(0, 2))
-
-
-def test_coefficient_table_entries_enumeration():
-    rows = list(coefficient_table(0, 0).entries(4))
-    assert all(L % 2 == s % 2 for s, _, L, _ in rows)
-    assert (0, 0, 0) in {(s, dj, L) for s, dj, L, _ in rows}
-    # k != 0 channels enumerate odd L as well
-    rows = list(coefficient_table(1, 1).entries(4))
-    assert any(L % 2 != s % 2 and c != 0.0 for s, _, L, c in rows)
-
-
-def test_coefficient_tables_are_shared():
-    assert coefficient_table(0, 1) is coefficient_table(0, 1)
-    assert isinstance(coefficient_table(0, 1), CoefficientTable)
+        coefficient_table(0, 2, j_max)

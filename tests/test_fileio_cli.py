@@ -63,6 +63,7 @@ def test_block_json_sparse_entries_default_to_zero(tmp_path):
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0]]}', "duplicate"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0]]}', "entries"),
         ('{"k": 0, "m": 2, "j_max": 1, "entries": []}', "channel minimum"),
+        ('{"k": 0, "m": 0, "j_max": 1000000, "entries": []}', "j_max=1000000 above the supported J=200"),
         ("not json", "JSON"),
     ],
 )
@@ -501,6 +502,44 @@ def test_cli_roundtrip_rejects_an_oversized_block_before_building_its_state(
     monkeypatch.setattr(cli, "make_test_state", refuse)
     assert main(["roundtrip", "--config", cfg]) == 2
     assert "need j_max <= 100" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_an_oversized_block_before_reading_its_state(
+    workdir, capsys, monkeypatch
+):
+    cfg = _write_config(
+        workdir / "run.yaml",
+        "spec: {kind: rigid-linear, omega: 1.0}\n"
+        "j_max: 1000000\n"
+        "paths: {state: state.json, data: data.csv}\n",
+    )
+    save_block(make_test_state("random-mixed", 0, 0, 3, seed=1), workdir / "state.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read a state for a block no plan takes")
+
+    monkeypatch.setattr(cli, "load_block", refuse)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sampling error:") and "need j_max <= 100" in err
+
+
+def test_cli_simulate_rejects_an_oversized_state_file_by_name(workdir, capsys):
+    cfg = _write_config(
+        workdir / "run.yaml",
+        "spec: {kind: rigid-linear, omega: 1.0}\n"
+        "j_max: 3\n"
+        "paths: {state: state.json, data: data.csv}\n",
+    )
+    (workdir / "state.json").write_text('{"k": 0, "m": 0, "j_max": 1000000, "entries": []}')
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "j_max=1000000 above the supported J=200" in capsys.readouterr().err
+
+
+def test_cli_coeffs_names_the_supported_range(workdir, capsys):
+    cfg = _write_config(workdir / "run.yaml", "spec: {kind: rigid-linear, omega: 1.0}\nj_max: 201\n")
+    assert main(["coeffs", "--config", cfg]) == 2
+    assert "j_max = 201 outside supported range [0, 200]" in capsys.readouterr().err
 
 
 def test_cli_coeffs_lists_channel_table(workdir, capsys):

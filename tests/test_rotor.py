@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from rotortomo import rotor
+import rotortomo
+from rotortomo import angular, rotor, tomography
 from rotortomo.angular import (
-    CoefficientTable,
     eigenfunction_rows,
     gauss_legendre_grid,
 )
@@ -155,6 +155,37 @@ def test_monotone_limit():
     check_distortion_range(cd, 5)  # 1e-3 < 1/60
     with pytest.raises(ValueError):
         check_distortion_range(cd, 25)
+
+
+def test_the_distortion_check_admits_exactly_the_monotone_levels():
+    cd = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=1e-3)
+    check_distortion_range(cd, 21)
+    with pytest.raises(ValueError, match=r"too large for J up to 22: .* need d_cd/omega < 9\.881e-04"):
+        check_distortion_range(cd, 22)
+    for omega in (1.0, 0.7):
+        for d_cd in [0.0, 1e-11, 1e-6, 1e-4, 1e-3, 1 / 12, 0.3, *np.geomspace(1e-9, 1.0, 40)]:
+            spec = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=omega, d_cd=float(d_cd))
+            limit = monotone_j_limit(spec)
+            for j in range(0, 41):
+                if j <= limit:
+                    check_distortion_range(spec, j)
+                else:
+                    with pytest.raises(ValueError, match="spectrum must stay monotone"):
+                        check_distortion_range(spec, j)
+
+
+@pytest.mark.parametrize("d_cd", [1e-40, 1e-100, 1e-300])
+def test_monotone_limit_is_exact_for_the_smallest_distortions(d_cd):
+    # J(J+1) < omega / (2 d_cd) <= (J+1)(J+2) in exact integers, however large J is
+    spec = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=d_cd)
+    j, limit = monotone_j_limit(spec), 1.0 / (2.0 * d_cd)
+    assert j * (j + 1) < limit <= (j + 1) * (j + 2)
+
+
+def test_monotone_limit_of_a_distortion_whose_ratio_overflows_is_unbounded():
+    spec = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=1e-320)
+    assert monotone_j_limit(spec) == np.iinfo(np.int64).max
+    check_distortion_range(spec, 100)
 
 
 # --------------------------------------------------------------- density block
@@ -437,10 +468,12 @@ def test_kicked_state_at_the_largest_blocks_is_unit_trace():
 def test_kicked_state_reads_no_coefficient_table(monkeypatch):
     # x^2 comes from the eigenfunctions, so the reference side of the closed
     # loop shares no table with the inverse
-    def refuse(self, j_max):
-        raise AssertionError(f"tensor({j_max}) read by make_test_state")
+    def refuse(k, m, j_max):
+        raise AssertionError(f"coefficient_table({k}, {m}, {j_max}) read by make_test_state")
 
-    monkeypatch.setattr(CoefficientTable, "tensor", refuse)
+    for module in (rotortomo, angular, rotor, tomography):
+        if hasattr(module, "coefficient_table"):
+            monkeypatch.setattr(module, "coefficient_table", refuse)
     for k, m in [(0, 0), (1, 1), (0, 2)]:
         blk = make_test_state("cos2-kicked", k, m, 6, kick_strength=1.2)
         assert blk.trace() == pytest.approx(1.0, abs=1e-12)

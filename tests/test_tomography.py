@@ -122,8 +122,7 @@ def test_chains_follow_the_coefficient_tables_parity():
     # alpha has a zero coefficient at alpha, and no chain or flag names one
     for k in (1, -1, 2, 3):
         spec = _spec(RotorKind.SYMTOP, k=k)
-        table = coefficient_table(k, 0)
-        assert table.parity
+        assert angular.keeps_parity(k, 0)
         dropped = []
         for (j1, j2), got in _members(spec, 12).items():
             alpha, beta = j1 + j2, j1 - j2
@@ -133,7 +132,7 @@ def test_chains_follow_the_coefficient_tables_parity():
             assert [p for p in every if (p[0] - alpha) % 2 == 0] == got
             dropped += [(s, dj, alpha) for s, dj in every if (s - alpha) % 2]
         assert dropped
-        tensor = table.tensor(max(s + dj for s, dj, _ in dropped) // 2)
+        tensor = coefficient_table(k, 0, max(s + dj for s, dj, _ in dropped) // 2)
         for s, dj, alpha in dropped:
             assert tensor[(s + dj) // 2 - spec.m_min, (s - dj) // 2 - spec.m_min, alpha] == 0.0
 
@@ -235,7 +234,7 @@ def test_moment_picks_out_single_element():
     blk.elements[blk.index(1), blk.index(3)] = 0.2 + 0.1j
     spec = RIGID
     grid = _simulate(blk, spec)
-    c = coefficient_table(0, 0).decomposition(3, 1)[4]
+    c = coefficient_table(0, 0, 3)[3, 1, 4]
     moment = moment_integral(grid, 4, 2, spec)
     assert moment.value == pytest.approx(c * (0.2 - 0.1j), abs=1e-12)
     # the conjugate probe returns the conjugate element
@@ -341,7 +340,7 @@ def test_pattern_rows_match_closed_form_inverse():
 def test_pattern_rows_match_scipy_triangular_solve(k, m, cap):
     # M[a, J] = c_2a(J, J), upper triangular: rows alpha = 2a are all of bin 0 when k = m = 0
     # the fit reads the block's tensor, so the reference does too
-    mat = np.diagonal(coefficient_table(k, m).tensor(cap))[::2]
+    mat = np.diagonal(coefficient_table(k, m, cap))[::2]
     for j1 in range(cap + 1):
         e = np.zeros(mat.shape[0])
         e[j1] = 1.0
@@ -623,7 +622,7 @@ def _scipy_windowed_block(grid, spec, j_max):
     js = range(spec.m_min, j_max + 1)
     pairs = [(j1, j2) for j1 in js for j2 in js]
     freqs = np.array([energy(spec, j1) - energy(spec, j2) for j1, j2 in pairs])
-    tensor, m_min = coefficient_table(spec.k, spec.m).tensor(j_max), spec.m_min
+    tensor, m_min = coefficient_table(spec.k, spec.m, j_max), spec.m_min
     coeffs = np.array([[tensor[b1 - m_min, b2 - m_min, a1 + a2] for b1, b2 in pairs] for a1, a2 in pairs])
     offsets = freqs[:, None] - freqs[None, :]
     kernel = np.exp(1j * np.multiply.outer(offsets, grid.times)).mean(axis=-1)
@@ -741,7 +740,7 @@ def test_one_reconstruct_makes_one_moment_call(monkeypatch):
 )
 def test_operator_and_the_coeffs_table_read_the_block_tensor_bit_for_bit(spec, j_max, tmp_path):
     op = tomography._build_probe_operator(spec, j_max, 1, SamplingPlan.derive(spec, j_max).n_t)
-    tensor = coefficient_table(spec.k, spec.m).tensor(j_max)
+    tensor = coefficient_table(spec.k, spec.m, j_max)
     assert np.array_equal(op.coeffs, tensor.reshape(op.coeffs.shape))
     # `rotortomo coeffs` prints every non-zero entry J2 <= J1 of that tensor
     config = tmp_path / "run.yaml"
@@ -753,6 +752,9 @@ def test_operator_and_the_coeffs_table_read_the_block_tensor_bit_for_bit(spec, j
     rows = np.loadtxt(tmp_path / "c.csv", delimiter=",")
     s, dj, j1, j2, L = rows[:, :5].astype(int).T
     assert np.array_equal(s, j1 + j2) and np.array_equal(dj, j1 - j2)
+    # in increasing (S, dJ, L), each row once
+    keys = (s * (2 * j_max + 1) + dj) * (2 * j_max + 1) + L
+    assert np.all(np.diff(keys) > 0)
     got = np.zeros_like(tensor)
     got[j1 - spec.m_min, j2 - spec.m_min, L] = rows[:, 5]
     want = np.where(np.tri(len(tensor), dtype=bool)[:, :, None], tensor, 0.0)
