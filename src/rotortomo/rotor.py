@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import QuadratureGrid, eigenfunction_rows, gauss_legendre_grid
+from .angular import QuadratureGrid, _check_j, eigenfunction_rows, gauss_legendre_grid
 
 
 class RotorKind(enum.Enum):
@@ -30,17 +30,12 @@ class RotorKind(enum.Enum):
     SYMTOP = "symmetric-top"
 
 
-_KIND_BY_VALUE = {kind.value: kind for kind in RotorKind}
-
-
 def rotor_kind(name: str | RotorKind) -> RotorKind:
-    if isinstance(name, RotorKind):
-        return name
     try:
-        return _KIND_BY_VALUE[name]
-    except KeyError:
+        return RotorKind(name)
+    except ValueError:
         raise ValueError(
-            f"unknown rotor kind {name!r}; expected one of {sorted(_KIND_BY_VALUE)}"
+            f"unknown rotor kind {name!r}; expected one of {sorted(k.value for k in RotorKind)}"
         ) from None
 
 
@@ -74,9 +69,7 @@ class RotorSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("k", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_j(name, getattr(self, name), low=None)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.kind is not RotorKind.SYMTOP and self.k != 0:
@@ -93,21 +86,21 @@ class RotorSpec:
 
 
 def energy(spec: RotorSpec, J):
-    """Eigenenergy of level J in the spec's (k, m) channel.
+    """Eigenenergy omega n - d_cd n^2 - omega2 k^2, with n = J(J+1), of level J.
 
-    ``J`` is an integer, or an integer array for the energies of many levels
-    in one call; each entry gets the bits a scalar call would give.  A level
-    below the channel minimum raises ValueError naming the lowest one.
+    One expression serves every kind: :class:`RotorSpec` admits d_cd > 0
+    only for the centrifugal kind and k != 0 only for the symmetric top, and
+    a zero term subtracts exactly, so each kind gets the bits of its own
+    formula (the rigid spectrum is omega n).  ``J`` is an integer, or an
+    integer array for the energies of many levels in one call; each entry
+    gets the bits a scalar call would give.  A level below the channel
+    minimum raises ValueError naming the lowest one.
     """
     lowest = J.min(initial=spec.m_min) if isinstance(J, np.ndarray) else J
     if lowest < spec.m_min:
         raise ValueError(f"J = {lowest} below channel minimum {spec.m_min}")
     n = J * (J + 1)
-    if spec.kind is RotorKind.RIGID:
-        return spec.omega * n
-    if spec.kind is RotorKind.CENTRIFUGAL:
-        return spec.omega * n - spec.d_cd * n * n
-    return spec.omega * n - spec.omega2 * spec.k * spec.k
+    return spec.omega * n - spec.d_cd * n * n - spec.omega2 * spec.k * spec.k
 
 
 def monotone_j_limit(spec: RotorSpec) -> int:
@@ -224,7 +217,8 @@ class MeasurementGrid:
     dt = n_periods * period / n_t, i.e. uniform over [0, n_periods * T),
     where the period T = pi/omega is that of the grid's own ``omega``.
     ``values[i, j]`` is Pr(x_j, t_i).  The grid carries the rotor metadata
-    needed to interpret it on its own (and to round-trip through CSV).
+    needed to interpret it on its own (and to round-trip through CSV);
+    ``kind`` may be given by name, as for :class:`RotorSpec`.
     """
 
     x_grid: QuadratureGrid
@@ -236,6 +230,9 @@ class MeasurementGrid:
     m: int
 
     def __post_init__(self):
+        self.kind = rotor_kind(self.kind)
+        for name in ("n_periods", "k", "m"):
+            _check_j(name, getattr(self, name), low=None)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != self.x_grid.order:
             raise ValueError(
@@ -360,6 +357,8 @@ def simulate_pr(
             f"x grid order {x_grid.order} aliases products of degree {2 * block.j_max}: "
             f"need order >= {2 * block.j_max + 1}"
         )
+    _check_j("n_t", n_t, low=None)
+    _check_j("n_periods", n_periods, low=None)
     if n_t < 1:
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     check_distortion_range(spec, block.j_max)

@@ -40,7 +40,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import J_CAP, N_X_CAP, assoc_legendre_norm, coefficient_table, keeps_parity
+from .angular import (
+    J_CAP,
+    N_X_CAP,
+    _check_j,
+    assoc_legendre_norm,
+    coefficient_table,
+    keeps_parity,
+)
 from .rotor import (
     DensityBlock,
     MeasurementGrid,
@@ -249,12 +256,12 @@ def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
 def _line_bins(spec: RotorSpec, omega: np.ndarray, n_periods: int) -> tuple[np.ndarray, bool]:
     """Line frequencies in bins of 2 omega / n_periods, and whether they sit on exact bins.
 
-    An undistorted spectrum (rigid, symmetric-top, or d_cd = 0) puts every
-    line on an exact bin; its bins are rounded, so the rounding of the
-    energies cannot split a line.  Any distortion takes the lines off the
-    bins, and their bins stay fractional.
+    With d_cd = 0, whatever the kind, every line omega (n1 - n2) sits on an
+    exact bin; its bins are rounded, so the rounding of the energies cannot
+    split a line.  Any distortion takes the lines off the bins, and their
+    bins stay fractional.
     """
-    on_bins = spec.kind is not RotorKind.CENTRIFUGAL or spec.d_cd == 0.0
+    on_bins = spec.d_cd == 0.0
     bins = omega * n_periods / (2.0 * spec.omega)
     return (np.round(bins) if on_bins else bins), on_bins
 
@@ -506,8 +513,12 @@ class SamplingPlan:
     ) -> "SamplingPlan":
         """Fill n_t / n_x (0 = auto) and validate explicit values.
 
-        Raises :class:`SamplingError` naming the violated requirement.
+        Raises :class:`SamplingError` naming the violated requirement, and
+        ValueError for a size that is not an integer.
         """
+        sizes = {"j_max": j_max, "n_periods": n_periods, "n_t": n_t, "n_x": n_x}
+        for name, value in sizes.items():
+            _check_j(name, value, low=None)
         m_min = spec.m_min
         if j_max < m_min:
             raise ValueError(f"j_max = {j_max} below channel minimum {m_min}")

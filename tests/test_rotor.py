@@ -144,6 +144,25 @@ def test_energy_levels_and_frequencies():
     assert energy(top, 3) - energy(top, 2) == 12 - 6
     with pytest.raises(ValueError):
         energy(top, 1)  # below the channel floor
+    # the one expression gives each kind's own formula to the bit, for a
+    # scalar level and a level array alike
+    formulas = [
+        (RotorSpec(kind=RotorKind.RIGID, omega=1.3, omega2=0.37, m=1), lambda s, n: s.omega * n),
+        (
+            RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.1, d_cd=3e-4),
+            lambda s, n: s.omega * n - s.d_cd * n * n,
+        ),
+        (
+            RotorSpec(kind=RotorKind.SYMTOP, omega=1.1, omega2=0.37, k=2, m=-1),
+            lambda s, n: s.omega * n - s.omega2 * s.k * s.k,
+        ),
+    ]
+    for spec, formula in formulas:
+        levels = np.arange(spec.m_min, 41)
+        assert energy(spec, levels).tobytes() == formula(spec, levels * (levels + 1)).tobytes()
+        for J in (spec.m_min, 7, 40):
+            want = np.float64(formula(spec, J * (J + 1)))
+            assert np.float64(energy(spec, J)).tobytes() == want.tobytes()
 
 
 def test_monotone_limit():
@@ -547,6 +566,51 @@ def test_shot_noise_rejects_bad_sample_count():
     grid, _ = _noise_setup(10, 0)
     with pytest.raises(ValueError):
         add_shot_noise(grid, 0, seed=1)
+
+
+_RIGID = RotorSpec(kind=RotorKind.RIGID, omega=1.0)
+
+
+def test_grid_kind_is_normalised_and_an_unknown_one_fails_by_name(tmp_path):
+    grid = _grid_with(kind="rigid-linear")
+    assert grid.kind is RotorKind.RIGID
+    result = tomography.reconstruct_block(grid, _RIGID, 2)
+    assert result.residual_inf < 1e-12
+    rotortomo.save_grid(grid, tmp_path / "grid.csv")
+    assert rotortomo.load_grid(tmp_path / "grid.csv").kind is RotorKind.RIGID
+    with pytest.raises(ValueError, match="unknown rotor kind 'bogus'"):
+        _grid_with(kind="bogus")
+
+
+def _simulate_j3(n_t, n_periods=1):
+    blk = make_test_state("random-mixed", 0, 0, 3, seed=1)
+    return simulate_pr(blk, _RIGID, gauss_legendre_grid(7), n_t, n_periods)
+
+
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda: tomography.SamplingPlan.derive(_RIGID, 3.0), "j_max"),
+        (lambda: tomography.SamplingPlan.derive(_RIGID, True), "j_max"),
+        (lambda: tomography.SamplingPlan.derive(_RIGID, 3, n_periods=1.5), "n_periods"),
+        (lambda: tomography.SamplingPlan.derive(_RIGID, 3, n_t=30.5), "n_t"),
+        (lambda: tomography.SamplingPlan.derive(_RIGID, 3, n_x=9.0), "n_x"),
+        (lambda: _simulate_j3(13.0), "n_t"),
+        (lambda: _simulate_j3(26, n_periods=1.5), "n_periods"),
+        (lambda: _simulate_j3(13, n_periods=True), "n_periods"),
+        (lambda: _grid_with(n_periods=2.0), "n_periods"),
+        (lambda: _grid_with(k=0.0), "k"),
+        (lambda: _grid_with(m=False), "m"),
+    ],
+    ids=[
+        "derive-j_max-float", "derive-j_max-bool", "derive-n_periods", "derive-n_t", "derive-n_x",
+        "simulate-n_t", "simulate-n_periods-float", "simulate-n_periods-bool", "grid-n_periods",
+        "grid-k", "grid-m",
+    ],
+)
+def test_non_integer_sizes_raise_a_named_error(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make()
 
 
 def test_grid_shape_validation():

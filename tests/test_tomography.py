@@ -878,6 +878,23 @@ def test_warm_simulate_and_reconstruct_keep_no_table_of_the_grid_shape():
     assert kept <= 64 * 2**10
 
 
+def test_a_warm_off_bin_simulate_stays_within_its_peak():
+    # centrifugal d_cd = 1e-4, j_max = 20 over 64 periods: the pair phases
+    # and the gather of the conjugate level phases, two (26,944 x 210)
+    # complex arrays of 86 MiB each, are live at once; the peak measured
+    # 190 MiB, bound +14%
+    spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)
+    blk = make_test_state("random-mixed", 0, 0, 20, seed=1)
+    _simulate(blk, spec, n_periods=64)
+    tracemalloc.start()
+    try:
+        _simulate(blk, spec, n_periods=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 217 * 2**20
+
+
 def test_a_warm_off_bin_reconstruct_holds_one_phase_table():
     # centrifugal d_cd = 1e-4, j_max = 20 over 64 periods: a 26,944 x 41 grid
     # whose 211 lines make an 87 MiB phase table, and no table per level pair
