@@ -1,14 +1,17 @@
 """Disk formats: density blocks (JSON), measurement grids (CSV), run configs (YAML).
 
 Blocks store the upper triangle only and are completed Hermitianly on load.
-Grids store one row per (t, x) sample with the quadrature weight alongside, so
-a file is self-contained: header metadata plus rows rebuild the exact
-measurement object (floats are written with %.17g and survive the round trip
-bit for bit).  Each column is formatted once: the writer formats t once per
-time slice and x, w once per node, and the reader matches each line's
-`t, x, w, ` prefix against that same text, so only the pr column is formatted
-and parsed per row.  Configs are YAML with a fixed key set; anything unknown
-or ill-typed is rejected with a message naming the offending field.
+They are written by one %-format whose text is byte for byte
+``json.dumps(payload, indent=1)``.  Grids store one row per (t, x) sample
+with the quadrature weight alongside, so a file is self-contained: header
+metadata plus rows rebuild the exact measurement object (floats are written
+with %.17g and survive the round trip bit for bit).  The writer formats t
+once per time slice and x, w once per node, and the whole body in one
+%-format.  The reader checks each block of lines against that same
+`t, x, w, ` prefix text in one call and parses only the pr column; a file
+that fails the check is read line by line, and that scan names the faulty
+line.  Configs are YAML with a fixed key set; anything unknown or ill-typed
+is rejected with a message naming the offending field.
 """
 
 from __future__ import annotations
@@ -35,15 +38,26 @@ class FileFormatError(ValueError):
 
 
 def save_block(block: DensityBlock, path: str | Path) -> None:
-    """Write a block as JSON: channel labels plus upper-triangle entries."""
-    entries = []
-    js = block.j_values
-    for a, j1 in enumerate(js):
-        for b in range(a, len(js)):
-            v = complex(block.elements[a, b])
-            entries.append([int(j1), int(js[b]), v.real, v.imag])
-    payload = {"k": block.k, "m": block.m, "j_max": block.j_max, "entries": entries}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    """Write a block as JSON: channel labels plus upper-triangle entries.
+
+    The text is byte for byte ``json.dumps(payload, indent=1)`` with the
+    entries ``[J1, J2, re, im]`` in row-major upper-triangle order.  It is
+    written by one %-format, ints with ``%d`` and floats with ``%r``: the
+    reprs json uses, without json's pure-Python ``indent`` encoder.  Block
+    elements are finite, so json's ``NaN``/``Infinity`` never arise.
+    """
+    rows, cols = np.triu_indices(block.elements.shape[0])
+    values = block.elements[rows, cols]
+    args = [None] * (4 * len(values))
+    args[0::4] = (rows + block.j_min).tolist()
+    args[1::4] = (cols + block.j_min).tolist()
+    args[2::4] = values.real.tolist()
+    args[3::4] = values.imag.tolist()
+    entries = ",\n".join(["  [\n   %d,\n   %d,\n   %r,\n   %r\n  ]"] * len(values))
+    Path(path).write_text(
+        f'{{\n "k": {block.k},\n "m": {block.m},\n "j_max": {block.j_max},\n'
+        f' "entries": [\n{entries % tuple(args)}\n ]\n}}\n'
+    )
 
 
 def load_block(path: str | Path) -> DensityBlock:
@@ -83,7 +97,7 @@ def load_block(path: str | Path) -> DensityBlock:
         j1, j2, re_, im_ = entry
         if not all(isinstance(j, int) and not isinstance(j, bool) for j in (j1, j2)):
             raise FileFormatError(f"{path}: entries[{i}] J labels must be integers")
-        if not all(isinstance(v, (int, float)) for v in (re_, im_)):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re_, im_)):
             raise FileFormatError(f"{path}: entries[{i}] values must be numbers")
         if not all(abs(v) <= sys.float_info.max for v in (re_, im_)):
             raise FileFormatError(f"{path}: entries[{i}] values must be finite")
@@ -126,17 +140,78 @@ def _row_prefixes(times: np.ndarray, x_grid: QuadratureGrid) -> tuple[list[str],
 def save_grid(grid: MeasurementGrid, path: str | Path) -> None:
     """Write Pr(x, t) as CSV: metadata header, then `t, x, weight, pr` rows.
 
-    Each row reads `f"{t:.17g}, {x:.17g}, {w:.17g}, {pr:.17g}"`; t is
-    formatted once per slice and x, w once per node.
+    Each row reads `f"{t:.17g}, {x:.17g}, {w:.17g}, {pr:.17g}"`.  t is
+    formatted once per slice and x, w once per node; the body is one
+    %-format over all rows with those texts and the pr values interleaved.
     """
-    lines = [
-        f"# omega={grid.omega:.17g}, kind={grid.kind.value}, k={grid.k}, "
-        f"m={grid.m}, n_t={grid.n_t}, n_x={grid.n_x}, n_periods={grid.n_periods}"
-    ]
     t_text, xw_text = _row_prefixes(grid.times, grid.x_grid)
-    for t, row in zip(t_text, grid.values.tolist()):
-        lines += [f"{t}{xw}{pr:.17g}" for xw, pr in zip(xw_text, row)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    args = [None] * (3 * grid.values.size)
+    args[0::3] = [t for t in t_text for _ in xw_text]
+    args[1::3] = xw_text * grid.n_t
+    args[2::3] = grid.values.ravel().tolist()
+    Path(path).write_text(
+        f"# omega={grid.omega:.17g}, kind={grid.kind.value}, k={grid.k}, "
+        f"m={grid.m}, n_t={grid.n_t}, n_x={grid.n_x}, n_periods={grid.n_periods}\n"
+        + ("%s%s%.17g\n" * grid.values.size) % tuple(args)
+    )
+
+
+# rows per bulk prefix check: bounds the prefix text held at once
+_BLOCK_ROWS = 1024
+
+
+def _match_rows(raw: list[str], times: np.ndarray, x_grid: QuadratureGrid) -> np.ndarray | None:
+    """The (n_t, n_x, 4) rows of data lines that are each the writer's text, or None.
+
+    ``raw[1:]`` must hold exactly one line per row.  Lines go in blocks of
+    whole time slices: each block's `t, x, w, ` prefixes are checked in one
+    call, and each line's remainder is parsed with ``float``.  None when any
+    line differs from its prefix or its pr does not parse.
+    """
+    t_text, xw_text = _row_prefixes(times, x_grid)
+    n_x = len(xw_text)
+    data = np.empty((len(t_text), n_x, 4))
+    pr = data.reshape(-1, 4)[:, 3]
+    slices = max(1, _BLOCK_ROWS // n_x)
+    for i in range(0, len(t_text), slices):
+        prefixes = [t + xw for t in t_text[i:i + slices] for xw in xw_text]
+        lo = i * n_x
+        lines = raw[1 + lo:1 + lo + len(prefixes)]
+        if not all(map(str.startswith, lines, prefixes)):
+            return None
+        try:
+            pr[lo:lo + len(prefixes)] = list(map(float, map(str.removeprefix, lines, prefixes)))
+        except ValueError:
+            return None
+    # a matched prefix is the %.17g text of these very floats
+    data[:, :, 0] = times[:, None]
+    data[:, :, 1] = x_grid.nodes
+    data[:, :, 2] = x_grid.weights
+    return data
+
+
+def _scan_rows(path: Path, raw: list[str]) -> tuple[list[list[float]], list[int]]:
+    """Every data line's `t, x, w, pr` fields and its file line number.
+
+    Blank lines are skipped but counted; the first line that is not four
+    numbers is named in the error.
+    """
+    rows, linenos = [], []
+    for lineno, line in enumerate(raw[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise FileFormatError(
+                f"{path}: line {lineno}: expected 4 fields `t, x, weight, pr`, "
+                f"got {len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise FileFormatError(f"{path}: line {lineno}: non-numeric field in {line!r}")
+        linenos.append(lineno)
+    return rows, linenos
 
 
 def load_grid(path: str | Path) -> MeasurementGrid:
@@ -144,11 +219,12 @@ def load_grid(path: str | Path) -> MeasurementGrid:
 
     The x column must hold the n_x-point Gauss-Legendre nodes and weights
     (to 1e-12); the grid returned carries the shared
-    :func:`~rotortomo.angular.gauss_legendre_grid` rule.  A line whose
-    `t, x, w, ` prefix is the text :func:`save_grid` writes for its (t_i, x_j)
-    has only its pr field parsed; any other line is parsed field by field
-    and checked, so other spacing, and times within the 1e-9 tolerance,
-    still load.
+    :func:`~rotortomo.angular.gauss_legendre_grid` rule.  A file with one
+    line per row, each starting with the `t, x, w, ` text :func:`save_grid`
+    writes for its (t_i, x_j), has only its pr column parsed.  Any other file
+    is read field by field and checked line by line, so other spacing, blank
+    lines and times within the 1e-9 tolerance still load, and a fault is
+    named with its file line (blank lines counted).
     """
     path = Path(path)
     raw = path.read_text().splitlines()
@@ -175,53 +251,21 @@ def load_grid(path: str | Path) -> MeasurementGrid:
         raise FileFormatError(f"{path}: line 1: n_x = {n_x} exceeds the supported {N_X_CAP}")
 
     period = math.pi / omega
-    # one row per line at most: a header promising more fails the row count
-    times = np.arange(min(n_t, len(raw) // n_x + 1)) * (n_periods * period / n_t)
+    n_rows = n_t * n_x
     # every x integral is exact only on the Gauss-Legendre rule
     x_grid = gauss_legendre_grid(n_x)
-    t_text, xw_text = _row_prefixes(times, x_grid)
-
-    n_rows = n_t * n_x
-    pr = []
-    linenos = []  # the file line of each data row
-    parsed = {}  # row index -> [t, x, w, pr] of the lines read field by field
-    for lineno, line in enumerate(raw[1:], start=2):
-        row = len(pr)
-        if row < n_rows:
-            t, xw = t_text[row // n_x], xw_text[row % n_x]
-            if line.startswith(t) and line.startswith(xw, len(t)):
-                try:
-                    pr.append(float(line[len(t) + len(xw):]))
-                    linenos.append(lineno)
-                    continue
-                except ValueError:
-                    pass  # read field by field below, which names the fault
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
+    # one row per line at most: a header promising more fails the row count
+    times = np.arange(n_t) * (n_periods * period / n_t) if len(raw) > n_rows else None
+    data = _match_rows(raw, times, x_grid) if len(raw) == n_rows + 1 else None
+    if data is None:
+        rows, linenos = _scan_rows(path, raw)
+        if len(rows) != n_rows:
             raise FileFormatError(
-                f"{path}: line {lineno}: expected 4 fields `t, x, weight, pr`, "
-                f"got {len(parts)}"
+                f"{path}: found {len(rows)} data rows, header promises n_t*n_x = {n_rows}"
             )
-        try:
-            parsed[row] = [float(p) for p in parts]
-        except ValueError:
-            raise FileFormatError(f"{path}: line {lineno}: non-numeric field in {line!r}")
-        pr.append(parsed[row][3])
-        linenos.append(lineno)
-    if len(pr) != n_rows:
-        raise FileFormatError(
-            f"{path}: found {len(pr)} data rows, header promises n_t*n_x = {n_rows}"
-        )
-    # a matched prefix is the %.17g text of these very floats
-    data = np.empty((n_t, n_x, 4))
-    data[:, :, 0] = times[:, None]
-    data[:, :, 1] = x_grid.nodes
-    data[:, :, 2] = x_grid.weights
-    data[:, :, 3] = np.reshape(pr, (n_t, n_x))
-    for row, fields in parsed.items():
-        data[divmod(row, n_x)] = fields
+        data = np.reshape(rows, (n_t, n_x, 4))
+    else:
+        linenos = range(2, n_rows + 2)
     if not np.isfinite(data).all():
         t, x = np.argwhere(~np.isfinite(data))[0, :2]
         raise FileFormatError(f"{path}: line {linenos[t * n_x + x]}: non-finite field")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,14 @@ from rotortomo.fileio import (
     save_block,
     save_grid,
 )
-from rotortomo.rotor import RotorKind, RotorSpec, make_test_state, simulate_pr
+from rotortomo.rotor import (
+    DensityBlock,
+    MeasurementGrid,
+    RotorKind,
+    RotorSpec,
+    make_test_state,
+    simulate_pr,
+)
 
 RIGID = RotorSpec(kind=RotorKind.RIGID, omega=1.0)
 
@@ -60,6 +68,10 @@ def test_block_json_sparse_entries_default_to_zero(tmp_path):
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[2, 0, 1.0, 0.0]]}', "triangle"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 3, 1.0, 0.0]]}', "triangle"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, NaN, 0.0]]}', "finite"),
+        (
+            '{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, true, false]]}',
+            r"entries\[0\] values must be numbers",
+        ),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0]]}', "duplicate"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0]]}', "entries"),
         ('{"k": 0, "m": 2, "j_max": 1, "entries": []}', "channel minimum"),
@@ -72,6 +84,42 @@ def test_block_json_malformed_inputs(tmp_path, payload, needle):
     path.write_text(payload)
     with pytest.raises(FileFormatError, match=needle):
         load_block(path)
+
+
+def _json_dumps_block(block):
+    # the writer's text as json itself renders it
+    entries = []
+    js = block.j_values
+    for a, j1 in enumerate(js):
+        for b in range(a, len(js)):
+            v = complex(block.elements[a, b])
+            entries.append([int(j1), int(js[b]), v.real, v.imag])
+    payload = {"k": block.k, "m": block.m, "j_max": block.j_max, "entries": entries}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def _negative_zero_parts():
+    blk = make_test_state("random-mixed", 0, 1, 4, seed=2)
+    elements = blk.elements.copy()
+    elements.imag[np.diag_indices(4)] = -0.0
+    elements[0, 2], elements[2, 0] = complex(0.25, -0.0), complex(0.25, 0.0)
+    elements[1, 3], elements[3, 1] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    return DensityBlock(k=0, m=1, j_max=4, elements=elements)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        make_test_state("random-mixed", 2, -1, 7, seed=5),
+        DensityBlock(k=-3, m=1, j_max=3, elements=[[1.0]]),
+        _negative_zero_parts(),
+    ],
+    ids=["k2-m-1-j7", "one-level", "negative-zero-parts"],
+)
+def test_block_json_bytes_are_those_of_json_dumps(tmp_path, block):
+    path = tmp_path / "b.json"
+    save_block(block, path)
+    assert path.read_bytes() == _json_dumps_block(block).encode()
 
 
 def test_block_json_rejects_complex_diagonal(tmp_path):
@@ -214,6 +262,100 @@ def test_grid_csv_rejects_nodes_that_are_not_gauss_legendre(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match="Gauss-Legendre"):
         load_grid(path)
+
+
+def _set_pr(lines, i, text):
+    lines[i] = lines[i].rsplit(", ", 1)[0] + ", " + text
+
+
+def _append(lines, i, text):
+    lines[i] += text
+
+
+# _grid() on 21 x 9 nodes: lines[5] is file line 6, data row 4 (slice 0, node 4)
+@pytest.mark.parametrize(
+    "edit,newline,expected",
+    [
+        (lambda lines: _set_pr(lines, 5, "1_0"), "\n", {4: 10.0}),
+        (lambda lines: _append(lines, 5, "   "), "\n", {}),
+        (lambda lines: _append(lines, 5, " # c"), "\n", "line 6: non-numeric field in"),
+        (lambda lines: _append(lines, 5, ", 5"), "\n", "line 6: expected 4 fields"),
+        (lambda lines: _set_pr(lines, 5, "nan"), "\n", "line 6: non-finite field"),
+        (lambda lines: None, "\r\n", {}),
+        (lambda lines: lines.insert(100, ""), "\n", {}),
+        (
+            lambda lines: (lines.insert(100, ""), _set_pr(lines, 150, "inf")),
+            "\n",
+            "line 151: non-finite field",
+        ),
+    ],
+    ids=[
+        "pr-underscore", "trailing-spaces", "trailing-comment", "fifth-field", "pr-nan",
+        "crlf", "blank-line", "blank-line-then-inf",
+    ],
+)
+def test_grid_csv_edited_lines_read_as_the_line_scan_reads_them(tmp_path, edit, newline, expected):
+    # a file with one line per row, each the writer's text, is read in bulk;
+    # one edited line sends it to the line scan, which gives these results
+    grid = _grid()
+    path = tmp_path / "g.csv"
+    save_grid(grid, path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_bytes((newline.join(lines) + newline).encode())
+    if isinstance(expected, str):
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {expected}")):
+            load_grid(path)
+        return
+    want = grid.values.copy()
+    for row, value in expected.items():
+        want[divmod(row, 9)] = value
+    back = load_grid(path)
+    assert back.values.tobytes() == want.tobytes()
+    assert back.times.tobytes() == grid.times.tobytes()
+    assert back.x_grid is gauss_legendre_grid(9)
+
+
+def test_grid_csv_writes_the_17g_text_of_extreme_values(tmp_path):
+    # signed zero, the smallest subnormal, a huge value and values that need
+    # all 17 digits, against one f-string per row
+    grid = _grid(n_periods=2)
+    values = grid.values.copy()
+    values.flat[:6] = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 1 / 3, 1 + 2**-52]
+    grid = MeasurementGrid(x_grid=grid.x_grid, n_periods=2, values=values,
+                           omega=grid.omega, kind=grid.kind, k=grid.k, m=grid.m)
+    path = tmp_path / "g.csv"
+    save_grid(grid, path)
+    header = path.read_text().splitlines()[0]
+    rows = [
+        f"{t:.17g}, {x:.17g}, {w:.17g}, {pr:.17g}"
+        for t, row in zip(grid.times, grid.values)
+        for x, w, pr in zip(grid.x_grid.nodes, grid.x_grid.weights, row)
+    ]
+    assert path.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
+    assert load_grid(path).values.tobytes() == values.tobytes()
+
+
+def test_grid_csv_read_peaks_under_three_times_the_file(tmp_path):
+    # centrifugal d_cd = 1e-4, j_max = 10 over 16 periods: 1776 x 21 rows,
+    # 2.9 MiB of text.  The text and its lines peak at 2.69 times the file;
+    # a reader that also keeps a per-row list of floats and of line numbers
+    # peaks at 3.18.  Bound: 2.9 times the file, +8%
+    spec = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=1e-4)
+    blk = make_test_state("random-mixed", 0, 0, 10, seed=1)
+    plan = rotortomo.SamplingPlan.derive(spec, 10, 16)
+    grid = simulate_pr(blk, spec, gauss_legendre_grid(plan.n_x), n_t=plan.n_t, n_periods=16)
+    path = tmp_path / "g.csv"
+    save_grid(grid, path)
+    load_grid(path)
+    tracemalloc.start()
+    try:
+        back = load_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.shape == (1776, 21)
+    assert peak <= 2.9 * path.stat().st_size
 
 
 def test_importing_the_cli_loads_no_scipy():
