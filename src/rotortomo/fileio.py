@@ -190,13 +190,13 @@ def _match_rows(raw: list[str], times: np.ndarray, x_grid: QuadratureGrid) -> np
     return data
 
 
-def _scan_rows(path: Path, raw: list[str]) -> tuple[list[list[float]], list[int]]:
-    """Every data line's `t, x, w, pr` fields and its file line number.
+def _scan_rows(path: Path, raw: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Every data line's `t, x, w, pr` fields, one (rows, 4) array, and its file line number.
 
     Blank lines are skipped but counted; the first line that is not four
     numbers is named in the error.
     """
-    rows, linenos = [], []
+    rows, linenos, n = np.empty((len(raw) - 1, 4)), np.empty(len(raw) - 1, dtype=np.intp), 0
     for lineno, line in enumerate(raw[1:], start=2):
         if not line.strip():
             continue
@@ -207,11 +207,11 @@ def _scan_rows(path: Path, raw: list[str]) -> tuple[list[list[float]], list[int]
                 f"got {len(parts)}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            rows[n], linenos[n] = [float(p) for p in parts], lineno
         except ValueError:
             raise FileFormatError(f"{path}: line {lineno}: non-numeric field in {line!r}")
-        linenos.append(lineno)
-    return rows, linenos
+        n += 1
+    return rows[:n], linenos[:n]
 
 
 def load_grid(path: str | Path) -> MeasurementGrid:

@@ -341,7 +341,7 @@ def simulate_pr(
     part alone (d and Im rho_aa), so its columns are computed only for a
     block that has one; there the imaginary residue is checked against
     1e-12 and discarded.  A block that is Hermitian to the bit, such as a
-    reconstruction's (E + E^H)/2, gets the Re Pr columns only.
+    reconstruction's, filled on J1 >= J2 and mirrored, gets Re Pr alone.
 
     The simulator evaluates f_J(x) directly and never reads the coefficient
     tables of the inverse, so simulating a recovered block checks those

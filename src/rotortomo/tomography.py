@@ -5,16 +5,16 @@ J2) contributes rho_p f_J1(x) f_J2(x) exp(-i w_p t) on its line w_p = E(J1)
 - E(J2).  Projecting onto the normalized Legendre polynomial P~_alpha and
 Fourier-probing at a line frequency f gives the moment
 I(alpha, f) = sum_p c_alpha(p) K(f - w_p) rho_p, with c_alpha the product
-decomposition coefficient and K the finite-window Fourier kernel.  A
-reconstruction fits the Legendre moments of the data over the time window
-by least squares, through the fit's normal equations: one Hermitian Gram
-matrix (C C^T) o K per group of unknowns, and on the right the moments at
-each pair's own line.  That is one fixed linear map from data to block for
-every rotor kind (:func:`_probe_operator`).  Rigid and symmetric-top lines
-sit on exact Fourier bins, where K is a Kronecker delta and the fit splits
-into one small group per line (and per parity of S = J1 + J2 when k = 0 or
-m = 0); centrifugal distortion moves the lines off the bins, and the kernel
-couples them.
+decomposition coefficient and K the finite-window Fourier kernel.  Pr is
+real, so it fixes rho only up to rho(J2, J1) = conj rho(J1, J2).  A
+reconstruction fits the n^2 real numbers it does fix to the Legendre
+moments of the data over the time window by least squares, through the
+normal equations: one real Gram matrix per group of parameters, and on the
+right the moments at each pair's own line.  That is one fixed linear map
+from data to block for every rotor kind (:func:`_probe_operator`).  Rigid
+and symmetric-top lines sit on exact Fourier bins, where K is a Kronecker
+delta and the fit splits into small groups per line; centrifugal
+distortion moves the lines off the bins, and the kernel couples them.
 
 The residual of a reconstruction is the fit residual: the data against the
 block's model, read from the moment call's own phase table
@@ -28,8 +28,8 @@ match of every candidate pair's line against the elements' lines, in the
 operator's own bins (:func:`_chains`), gives them for every rotor kind.
 
 Pairs are labeled (S, DJ) = (J1+J2, J1-J2); a probe (alpha, beta) sits on
-the line of the pair with S = alpha, DJ = beta.  Only lines of non-negative
-frequency are probed: for real data the others are their conjugates.
+the line of the pair with S = alpha, DJ = beta.  Only the pairs J1 >= J2,
+on lines of non-negative frequency, are fitted and probed.
 """
 
 from __future__ import annotations
@@ -150,10 +150,8 @@ def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> Mome
     (``orders``); ``value`` reads each probe's own order from it, and
     ``phases`` hands back the table itself.  This is the one place the
     grid's omega is compared with the spec's (to 1e-12 relative), so the
-    grid spans whole periods pi/omega of the spec.  A reconstruction reads
-    ``orders``: its probes are one per line, the deepest at its block's
-    order 2 j_max, and its operator fits every order of each line.  It
-    evaluates its fit on the grid from ``phases`` as well.
+    grid spans whole periods pi/omega of the spec.  A reconstruction fits
+    ``orders``, every order of each line, and evaluates its fit from ``phases``.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
@@ -201,7 +199,7 @@ class PatternFunction:
 
     The zero-frequency moments I(alpha, 0) carry only the populations; the
     block's bin-0 group fits them by least squares, and ``coeffs`` is the
-    j1-th row of that fit's map G^-1 C, keyed by Legendre order alpha:
+    (j1, j1) row of that fit's map G^-1 C, keyed by Legendre order alpha:
     rho(j1, j1) = sum_alpha coeffs[alpha] * I(alpha, 0).  Equivalently the
     data-domain function F(x) = sum_alpha coeffs[alpha] * P~_alpha(x),
     time-averaged against Pr(x, t), yields the element in one pass.
@@ -232,25 +230,24 @@ def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
     spec = RotorSpec(kind=RotorKind.SYMTOP if k else RotorKind.RIGID, omega=1.0, k=k, m=m)
     plan = SamplingPlan.derive(spec, j_cap)
     op = _probe_operator(spec, j_cap, plan.n_periods, plan.n_t)
-    p = (j1 - m_min) * (j_cap - m_min + 2)  # the unknown (j1, j1)
-    # its group is bin 0's, every diagonal pair, whose moments are the table's first row
+    p = (j1 - m_min) * (j1 - m_min + 3)  # the cos parameter of (j1, j1), at twice its pair's index
+    # its group is bin 0's, every diagonal pair, whose moments are the first probe's
     members, inverse = next(stack for stack in op.stacks if (stack[0] == p).any())
     group, i = np.argwhere(members == p)[0]
-    row = inverse[group, i] @ op.coeffs[members[group]]
-    coeffs = {alpha: float(c.real) for alpha, c in enumerate(row.tolist()) if c}
+    row = inverse[group, i] @ op.coeffs[members[group] // 2]
+    coeffs = {alpha: c for alpha, c in enumerate(row.tolist()) if c}
     return PatternFunction(j1=j1, k=k, m=m, j_cap=j_cap, coeffs=coeffs)
 
 
-def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int) -> np.ndarray:
-    """(1/N_t) sum_n exp(i * delta_omega * n * dt), the finite-window Fourier kernel.
+def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int, phase: np.ndarray) -> np.ndarray:
+    """(1/N_t) sum_n exp(i (delta_omega * n * dt - phase)), the finite-window Fourier kernel.
 
-    With x = delta_omega * dt / 2 pi this is exp(i pi x (N_t - 1)) sinc(N_t x)
-    / sinc(x), exact at x = 0; a plan's n_t > n_periods * tau_max keeps every
-    offset between two lines of a block below one sample rate, |x| < 1, so
-    sinc(x) never vanishes.
+    With x = delta_omega dt / 2 pi it is exp(i (pi x (N_t - 1) - phase)) sinc(N_t x) /
+    sinc(x), exact at x = 0; a plan's n_t > n_periods * tau_max keeps |x| < 1 for
+    every sum or difference of two lines of a block, so sinc(x) never vanishes.
     """
     x = delta_omega * dt / (2.0 * np.pi)
-    return np.exp(1j * np.pi * x * (n_t - 1)) * np.sinc(n_t * x) / np.sinc(x)
+    return np.exp(1j * (np.pi * x * (n_t - 1) - phase)) * np.sinc(n_t * x) / np.sinc(x)
 
 
 def _line_bins(spec: RotorSpec, omega: np.ndarray, n_periods: int) -> tuple[np.ndarray, bool]:
@@ -270,34 +267,33 @@ def _line_bins(spec: RotorSpec, omega: np.ndarray, n_periods: int) -> tuple[np.n
 class ProbeOperator:
     """The fixed linear map from one grid's moments to its block, with its chains.
 
-    ``probes`` holds the (alpha, beta) labels of one level pair on each line
-    of non-negative frequency, in order; the zero line is labeled by its
-    deepest pair (j_max, j_max), so the probes reach every order 0 .. 2
-    j_max of the block, and :func:`moment_integral` gives their moments M
-    at every one of them.  Stacking M over its conjugate (the negative
-    lines, for real data) gives a table whose row ``source[p]`` holds the
-    moments at the line of the ordered pair p of the block, row-major in
-    (J1, J2).  The normal equations' right-hand side is
-    b_p = sum_alpha coeffs[p, alpha] * table[source[p], alpha].  ``stacks``
-    holds one (members, inverse) pair per group size w: members (g, w) lists
-    the unknowns of each of the g groups of that size, and inverse (g, w, w)
-    each group's inverse Gram matrix, so its elements are inverse @
-    b[members].  ``n_rows`` counts the (line, alpha) moments that carry a
-    coefficient, and ``cond`` is the worst group's sqrt(lambda_max /
-    lambda_min).
+    The unknowns are the n^2 real parameters of the pairs p = (J1, J2), J1 >=
+    J2, in ``numpy.tril_indices`` order: 2p is p's cos parameter (r_aa or 2 Re
+    rho_p) and 2p + 1 its sin parameter (2 Im rho_p; none on the diagonal).
+    ``probes`` labels one (alpha, beta) pair per line by increasing
+    frequency, the zero line by (2 j_max, 0) so that its moments M reach
+    every order; with ``line[p]`` p's probe, b_p = sum_alpha coeffs[p,
+    alpha] M[line[p], alpha] gives p's cos parameter Re b_p and its sin
+    parameter Im b_p.  ``stacks`` holds per group size w the members (g, w)
+    of g groups and their real inverse Gram matrices (g, w, w), the rows of
+    pairs J1 > J2 halved, so inverse @ b[members] gives the members' Re
+    rho_p and Im rho_p.  ``positions`` are the flat indices of each pair and
+    its mirror (J2, J1) in the block.  ``n_rows`` counts the real equations,
+    one per carried order of the zero line and two of every other line.
 
-    ``chains`` maps each off-diagonal pair (J1, J2), J1 > J2, to the (S, DJ)
-    pairs of the block on its line, and ``flags`` the pairs that have
-    partners outside the block to those partners, which the support
-    assumption sets to zero (:func:`_chains`).  ``nbytes`` counts the arrays
-    alone: the chains and flags add about a fifth to them (0.69 MiB of
-    Python objects, by tracemalloc, against 3.65 MiB of arrays at rigid
-    j_max = 60).
+    ``cond`` is the worst group's sqrt(lambda_max / lambda_min).  ``chains``
+    maps each off-diagonal pair (J1, J2), J1 > J2, to the (S, DJ) pairs of
+    the block on its line, and ``flags`` the pairs that have partners
+    outside the block to those partners, which the support assumption sets
+    to zero (:func:`_chains`).  ``nbytes`` counts the arrays alone: the
+    chains and flags add about a third to them (0.69 MiB of Python objects,
+    by tracemalloc, against 1.91 MiB of arrays at rigid j_max = 60).
     """
 
     probes: np.ndarray
-    source: np.ndarray
+    line: np.ndarray
     coeffs: np.ndarray
+    positions: np.ndarray
     stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
     n_rows: int
     cond: float
@@ -308,7 +304,7 @@ class ProbeOperator:
     def nbytes(self) -> int:
         """Bytes held by the operator's arrays, as the memo's 64 MiB bound counts them."""
         stacks = (a for stack in self.stacks for a in stack)
-        return sum(a.nbytes for a in (self.probes, self.source, self.coeffs, *stacks))
+        return sum(a.nbytes for a in (self.probes, self.line, self.coeffs, self.positions, *stacks))
 
 
 _OPERATOR_BYTES = 64 * 2**20
@@ -330,68 +326,74 @@ def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> Pr
 def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> ProbeOperator:
     """Normal equations of the least-squares fit of a j_max block over one grid shape.
 
-    Unknowns are the ordered pairs p of the block, on lines w_p = E(J1) -
-    E(J2).  The fit matches the Legendre moments y[t, alpha] = sum_p
-    c_alpha(p) exp(-i w_p t) rho_p over n_t samples of n_periods periods
-    pi/omega; its normal equations read G rho = b, with the Gram matrix
-    G[p, q] = (C C^T)[p, q] * K(w_p - w_q), K the window kernel, and b_p =
-    sum_alpha c_alpha(p) M(w_p, alpha) from the moments at p's own line.
+    The fit matches the Legendre moments y[t, alpha] = sum_i c_alpha(p_i)
+    x_i Re(s_i exp(i w_i t)) over n_t samples of n_periods periods pi/omega,
+    x_i the parameters of :class:`ProbeOperator`, w_i >= 0 their pair's
+    line, s_i = 1 for a cos parameter and -i for a sin one.  Its normal
+    equations G x = b have the real Gram matrix
+    G[i, j] = (C C^T)[i, j] * 1/2 Re[s_i s_j K(w_i + w_j) + s_i conj(s_j) K(w_i - w_j)],
+    K the window kernel, and b_i = Re(s_i sum_alpha c_alpha(p_i) M(w_i, alpha)).
     G splits into independent groups: an undistorted spectrum (rigid,
     symmetric-top, or d_cd = 0) puts every line on an exact bin, where K
-    vanishes between bins, so each bin is a group, and the plan's n_t >
-    n_periods * tau_max keeps bins from aliasing; any distortion, however
-    small, takes the lines off the bins, and all of them form one group.
-    Either splits by the parity of S = J1 + J2 where the coefficients keep
-    it, for C C^T vanishes between the parities.  Each group's Gram is
-    built and inverted in one stack per group size, and the stacks are kept.
+    vanishes between bins and, by the plan's n_t > n_periods * tau_max, at
+    w_i + w_j > 0, so each bin's cos and its sin parameters are two groups;
+    any distortion, however small, takes the lines off the bins into one
+    group.  Either splits by the parity of S = J1 + J2 where the
+    coefficients keep it, for C C^T vanishes between the parities.  Each
+    group's Gram is inverted by a real ``eigh``, one stack per group size.
 
-    The operator stores n^2 * n_orders coefficients, n = j_max - m_min + 1
-    and n_orders = 2 j_max + 1, plus w^2 inverse entries per group of w
-    unknowns.  A group on one bin has w <= n, so on exact bins the
-    coefficients dominate, ~16 n^3 bytes: 0.06 MiB at rigid j_max = 14,
-    1.13 MiB at 40 and 3.65 MiB at 60.  A dense centrifugal spectrum has
-    two parity groups of w ~ n^2 / 2, ~8 n^4 bytes: 7.51 MiB at j_max = 30
-    over 16 periods.
+    The operator stores 2 j_max + 1 coefficients per pair and w^2 inverse
+    entries per group of w parameters.  On exact bins w <= n = j_max - m_min
+    + 1 and the coefficients dominate, ~8 n^3 bytes: 0.04 MiB at rigid j_max
+    = 14, 0.60 MiB at 40 and 1.91 MiB at 60.  A dense centrifugal spectrum
+    has two parity groups of w ~ n^2 / 2, ~4 n^4 bytes: 3.78 MiB at j_max = 30.
     """
     m_min, n_orders = spec.m_min, 2 * j_max + 1
-    js = np.arange(m_min, j_max + 1)
-    n = len(js)
-    j1, j2 = np.repeat(js, n), np.tile(js, n)
-    energies = energy(spec, js)
-    omega = energies[j1 - m_min] - energies[j2 - m_min]
-    coeffs = coefficient_table(spec.k, spec.m, j_max).reshape(n * n, n_orders)
+    n = j_max - m_min + 1
+    rows, cols = np.tril_indices(n)  # the pairs J1 >= J2, J1 outer
+    energies = energy(spec, np.arange(m_min, j_max + 1))
+    omega = energies[rows] - energies[cols]
+    coeffs = coefficient_table(spec.k, spec.m, j_max)[rows, cols]
 
-    # lines: unknowns of one frequency, by increasing frequency; the frequencies come
-    # in +- pairs, so h lines lie below the zero line and h above
+    # lines: pairs of one frequency, by increasing frequency from the zero line
     bins, on_bins = _line_bins(spec, omega, n_periods)
     _, first, line = np.unique(bins, return_index=True, return_inverse=True)
-    h, lines = len(first) // 2, np.arange(len(first))
-    source = np.where(lines >= h, lines - h, 2 * h + 1 - lines)[line]  # row of the moment table
     carried = np.zeros((len(first), n_orders), dtype=bool)
     np.logical_or.at(carried, line, coeffs != 0)
 
-    # groups: one per exact bin when every line sits on one, else one;
+    # parameters: a cos one per pair, at 2p, and a sin one per pair J1 > J2, at 2p + 1
+    params = np.flatnonzero(np.stack((rows >= cols, rows > cols), axis=1))
+    pair, sin = np.divmod(params, 2)
+    # groups: one per exact bin and cos or sin when every line sits on one, else one;
     # either split by the parity of S where the coefficients keep it
-    label = 2 * bins.astype(np.intp) * on_bins + (j1 + j2) % 2 * keeps_parity(spec.k, spec.m)
-    members = np.argsort(label, kind="stable")  # each group's unknowns in increasing order
-    _, start, size = np.unique(label[members], return_index=True, return_counts=True)
+    label = 2 * (2 * bins.astype(np.intp)[pair] + sin) * on_bins
+    label += (rows + cols)[pair] % 2 * keeps_parity(spec.k, spec.m)
+    order = np.argsort(label, kind="stable")  # each group's parameters in increasing order
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
     dt = n_periods * (np.pi / spec.omega) / n_t
     stacks, cond = [], 1.0
     for w in sorted(set(size.tolist())):
-        group = members[start[size == w, None] + np.arange(w)]  # (groups, w)
-        c, f = coeffs[group], omega[group]
-        gram = c @ c.transpose(0, 2, 1) * _window_kernel(f[:, :, None] - f[:, None, :], dt, n_t)
+        at = order[start[size == w, None] + np.arange(w)]  # (groups, w)
+        c, f = coeffs[pair[at]], omega[pair[at]][:, :, None]
+        phi = np.pi / 2 * sin[at][:, :, None]  # s = exp(-i phi), 1 or -i
+        # s_i s_j K(w_i + w_j) + s_i conj(s_j) K(w_i - w_j), summed in place
+        kernel = _window_kernel(f + f.transpose(0, 2, 1), dt, n_t, phi + phi.transpose(0, 2, 1))
+        kernel += _window_kernel(f - f.transpose(0, 2, 1), dt, n_t, phi - phi.transpose(0, 2, 1))
+        gram = c @ c.transpose(0, 2, 1) * (0.5 * kernel.real)
         lam, vec = np.linalg.eigh(gram)
         cond = max(cond, math.sqrt(float(np.max(lam[:, -1] / lam[:, 0]))))
-        stacks.append((group, (vec / lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)))
-    probes = np.stack((j1 + j2, j1 - j2), axis=1)[first[h:]]
+        inverse = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1)
+        inverse[rows[pair[at]] > cols[pair[at]]] *= 0.5  # 2 Re rho and 2 Im rho, halved
+        stacks.append((params[at], inverse))
+    probes = np.stack((rows + cols + 2 * m_min, rows - cols), axis=1)[first]
     probes[0] = 2 * j_max, 0  # the zero line's deepest pair, so its moments reach order 2 j_max
-    for arr in (probes, source, coeffs, *(a for stack in stacks for a in stack)):
+    positions = np.stack((rows * n + cols, cols * n + rows))
+    for arr in (probes, line, coeffs, positions, *(a for stack in stacks for a in stack)):
         arr.setflags(write=False)
     chains, flags = _chains(spec, j_max, n_periods)
     return ProbeOperator(
-        probes=probes, source=source, coeffs=coeffs, stacks=tuple(stacks),
-        n_rows=int(carried.sum()), cond=cond, chains=chains, flags=flags,
+        probes=probes, line=line, coeffs=coeffs, positions=positions, stacks=tuple(stacks),
+        n_rows=int(carried.sum() + carried[1:].sum()), cond=cond, chains=chains, flags=flags,
     )
 
 
@@ -450,30 +452,25 @@ def _chains(spec: RotorSpec, j_max: int, n_periods: int) -> tuple[dict, dict]:
 
 
 def _fit_residual(
-    grid: MeasurementGrid, op: ProbeOperator, rho: np.ndarray, phases: np.ndarray
+    grid: MeasurementGrid, op: ProbeOperator, x: np.ndarray, phases: np.ndarray
 ) -> float:
-    """max |Pr - model| over the grid, the model of the block rho read from its moments.
+    """max |Pr - model| over the grid, the model of the block read from its moments.
 
-    The model's Legendre moments are y[t, alpha] = sum_p c_alpha(p) rho_p
-    exp(-i w_p t).  Summing c_alpha(p) rho_p onto the moment-table rows
-    (``op.source``) gives Z[row, alpha]; a pair on the line +f_l sits on row
-    l, one on -f_l on its conjugate row lines + l, so with the probes'
-    ``phases`` exp(+i f_l t) the real moments are
-    cos(f_l t) (Re Z[l] + Re Z[lines + l]) + sin(f_l t) (Im Z[l] - Im Z[lines + l])
-    summed over l: one real product.  The model is a polynomial of degree
-    <= 2 j_max in x, so the P~ rows give it exactly at any x nodes.  It
-    reads the inverse's own coefficient tables, so it checks the fit, not
-    the tables: the independent check is a forward simulation
-    (:func:`rotortomo.rotor.simulate_pr`) of the block.
+    ``x`` holds (Re rho_p, Im rho_p) of each pair p = (J1, J2), J1 >= J2, in
+    the operator's order.  The model's Legendre moments are y[t, alpha] =
+    sum_p (2 - delta_p) c_alpha(p) (Re rho_p cos(w_p t) + Im rho_p sin(w_p
+    t)): one bincount of c_alpha(p) x onto the (line, cos or sin) columns of
+    the probes' ``phases.view(float)`` and one real product.  The model is a
+    polynomial of degree <= 2 j_max in x, so the P~ rows give it exactly at
+    any x nodes.  It reads the inverse's own coefficient tables, so it
+    checks the fit, not the tables: the independent check is a forward
+    simulation (:func:`rotortomo.rotor.simulate_pr`) of the block.
     """
     n_lines, n_orders = phases.shape[1], op.coeffs.shape[1]
-    terms = op.coeffs * rho.reshape(-1, 1)  # c_alpha(p) rho_p, (pairs, orders)
-    cells = (op.source[:, None] * n_orders + np.arange(n_orders)).ravel()
-    size = 2 * n_lines * n_orders
-    zr = np.bincount(cells, terms.real.ravel(), size).reshape(2, n_lines, n_orders)
-    zi = np.bincount(cells, terms.imag.ravel(), size).reshape(2, n_lines, n_orders)
-    # (Re e, Im e) of each line against its cos and sin weights, as phases.view(float) lays them
-    weight = np.stack((zr[0] + zr[1], zi[0] - zi[1]), axis=1).reshape(2 * n_lines, n_orders)
+    terms = op.coeffs[:, None, :] * x.reshape(-1, 2, 1)  # (pairs, Re or Im, orders)
+    cells = (2 * n_orders * op.line)[:, None] + np.arange(2 * n_orders)
+    weight = np.bincount(cells.ravel(), terms.ravel(), 2 * n_lines * n_orders).reshape(-1, n_orders)
+    weight[2:] *= 2.0  # a pair off the zero line stands for itself and its mirror
     model = phases.view(float) @ weight @ _grid_rows(grid, n_orders - 1)[:n_orders]
     model -= grid.values
     return float(np.abs(model, out=model).max())
@@ -572,15 +569,15 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
 
     One :func:`moment_integral` call probes every line of the block at every
     order; the grid shape's :func:`_probe_operator` maps those moments to
-    the block's ordered pairs, the same least-squares map for every rotor
-    kind.  Population above j_max is assumed absent: an element whose chain
-    has partners outside the block is flagged with those pairs.  The
-    residual reported is the fit residual, the sup-norm mismatch between the
-    data and the block's model on the same grid (:func:`_fit_residual`), and
-    the diagnostics give the operator's unknown and row counts and its worst
-    group's condition number.  A grid whose kind or channel differs from the
-    spec's raises ValueError here, and one whose omega differs raises it in
-    :func:`moment_integral`, where the frequencies are compared.
+    the pairs J1 >= J2, the same least-squares map for every rotor kind,
+    and their mirrors complete the block.  Population above j_max is
+    assumed absent: an element whose chain has partners outside the block
+    is flagged with those pairs.  The residual is the fit residual, the
+    sup-norm mismatch between the data and the block's model on the same
+    grid (:func:`_fit_residual`), and the diagnostics give the operator's
+    unknown and row counts and its worst group's condition number.  A grid
+    whose kind or channel differs from the spec's raises ValueError here,
+    and one whose omega differs in :func:`moment_integral`.
     """
     if (grid.kind, grid.k, grid.m) != (spec.kind, spec.k, spec.m):
         raise ValueError(
@@ -590,16 +587,19 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     plan = SamplingPlan.derive(spec, j_max, grid.n_periods, grid.n_t, grid.n_x)
     op = _probe_operator(spec, j_max, plan.n_periods, plan.n_t)
     probed = moment_integral(grid, op.probes[:, 0], op.probes[:, 1], spec)
-    table = np.concatenate((probed.orders, probed.orders.conj()))
-    b = np.einsum("pa,pa->p", op.coeffs, table[op.source])
+    # b_p = sum_alpha c_alpha(p) M(w_p, alpha): Re b_p and Im b_p feed p's cos and sin parameters
+    b = np.einsum("pa,pa->p", op.coeffs, probed.orders[op.line]).view(float)
+    x = np.zeros_like(b)  # (Re rho_p, Im rho_p) of each pair; a diagonal's Im stays 0
+    for members, inverse in op.stacks:
+        x.put(members, inverse @ b.take(members)[..., None])
+    # filled on J1 >= J2 and mirrored, so Hermitian to the bit
     n = j_max - plan.m_min + 1
     elements = np.empty(n * n, dtype=complex)
-    for members, inverse in op.stacks:
-        elements.put(members, inverse @ b.take(members)[..., None])
-    elements = elements.reshape(n, n)
+    elements.put(op.positions[1], x.view(complex).conj())
+    elements.put(op.positions[0], x.view(complex))
 
-    block = DensityBlock(spec.k, spec.m, j_max, (elements + elements.conj().T) / 2.0)
-    residual = _fit_residual(grid, op, block.elements, probed.phases)
+    block = DensityBlock(spec.k, spec.m, j_max, elements.reshape(n, n))
+    residual = _fit_residual(grid, op, x, probed.phases)
     diagnostics = {
         "n_unknowns": n * n,
         "n_rows": op.n_rows,

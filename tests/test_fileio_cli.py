@@ -340,22 +340,27 @@ def test_grid_csv_read_peaks_under_three_times_the_file(tmp_path):
     # centrifugal d_cd = 1e-4, j_max = 10 over 16 periods: 1776 x 21 rows,
     # 2.9 MiB of text.  The text and its lines peak at 2.69 times the file;
     # a reader that also keeps a per-row list of floats and of line numbers
-    # peaks at 3.18.  Bound: 2.9 times the file, +8%
+    # peaks at 3.18.  The same grid with its spaces stripped takes the line
+    # scan, which peaked at 5.46 times its file with a 4-float list per row
+    # and at 2.72 with one (rows, 4) array.  Bound: 2.9 times the file, +8%
     spec = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=1e-4)
     blk = make_test_state("random-mixed", 0, 0, 10, seed=1)
     plan = rotortomo.SamplingPlan.derive(spec, 10, 16)
     grid = simulate_pr(blk, spec, gauss_legendre_grid(plan.n_x), n_t=plan.n_t, n_periods=16)
-    path = tmp_path / "g.csv"
+    path, stripped = tmp_path / "g.csv", tmp_path / "stripped.csv"
     save_grid(grid, path)
-    load_grid(path)
-    tracemalloc.start()
-    try:
-        back = load_grid(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back.values.shape == (1776, 21)
-    assert peak <= 2.9 * path.stat().st_size
+    header, body = path.read_text().split("\n", 1)
+    stripped.write_text(header + "\n" + body.replace(" ", ""))
+    for source in (path, stripped):
+        load_grid(source)
+        tracemalloc.start()
+        try:
+            back = load_grid(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == grid.values.tobytes()
+        assert peak <= 2.9 * source.stat().st_size
 
 
 def test_importing_the_cli_loads_no_scipy():
