@@ -67,12 +67,12 @@ J_CAP = 200
 # larger rule.
 N_X_CAP = 2 * J_CAP + 1
 
-def _check_j(name: str, value: int, low: int | None = 0) -> None:
-    """Require an integer in [low, J_CAP]; ``low=None`` checks integrality only."""
+def _check_j(name: str, value: int, low: int | None = 0, high: int = J_CAP) -> None:
+    """Require an integer in [low, high]; ``low=None`` checks integrality only."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and not low <= value <= J_CAP:
-        raise ValueError(f"{name} = {value} outside supported range [{low}, {J_CAP}]")
+    if low is not None and not low <= value <= high:
+        raise ValueError(f"{name} = {value} outside supported range [{low}, {high}]")
 
 
 def _cosines(x) -> np.ndarray:

@@ -339,12 +339,13 @@ def _section(cfg: dict, name: str, allowed: set) -> dict:
     return sub
 
 
-def _get_int(sub: dict, where: str, key: str, default: int, minimum: int = 0) -> int:
+def _get_int(sub: dict, where: str, key: str, default: int, minimum=0, maximum=math.inf) -> int:
     val = sub.get(key, default)
     if not isinstance(val, int) or isinstance(val, bool):
         raise FileFormatError(f"config: '{where}.{key}' must be an integer, got {val!r}")
-    if val < minimum:
-        raise FileFormatError(f"config: '{where}.{key}' must be >= {minimum}, got {val}")
+    if not minimum <= val <= maximum:
+        bound = f">= {minimum}" if val < minimum else f"<= {maximum}"
+        raise FileFormatError(f"config: '{where}.{key}' must be {bound}, got {val}")
     return val
 
 
@@ -438,7 +439,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         n_t=_get_int(sampling, "sampling", "n_t", 0),
         n_x=_get_int(sampling, "sampling", "n_x", 0),
         noise=NoiseConfig(
-            samples_per_time=_get_int(noise_cfg, "noise", "samples_per_time", 0),
+            samples_per_time=_get_int(noise_cfg, "noise", "samples_per_time", 0, maximum=2**63 - 1),
             seed=_get_int(noise_cfg, "noise", "seed", 0),
         ),
         state_kind=state_kind,

@@ -285,20 +285,37 @@ class MeasurementGrid:
         return self.x_integrals(self.x_grid.nodes**2)
 
 
+_FACTOR_BYTES = 32 * 2**20
+_factors: dict[tuple, np.ndarray] = {}  # by (freqs, dt, n_t), least recently used first
+
+
+def _keep_recent(memo: dict, entries: int, limit: int) -> None:
+    """Drop the oldest values past ``entries`` or ``limit`` bytes; the one just used stays."""
+    while len(memo) > entries or len(memo) > 1 and limit < sum(v.nbytes for v in memo.values()):
+        del memo[next(iter(memo))]
+
+
 def phase_table(freqs, dt: float, n_t: int) -> np.ndarray:
     """exp(i f k dt) for k = 0 .. n_t - 1 (rows) and each f in ``freqs`` (columns).
 
     With K = ceil(sqrt(n_t)) and k = q K + r, the table is the product of
     exp(i f q K dt) and exp(i f r dt): two small exponential tables of
-    ceil(n_t / K) and K rows, and one complex multiply per entry, where
-    exponentiating every entry would cost one complex exp each.  Entries
+    ceil(n_t / K) and K rows, memoized read-only for the last 16 (freqs, dt,
+    n_t) within 32 MiB, and one complex multiply per entry into a fresh array,
+    where exponentiating every entry would cost one complex exp each.  Entries
     agree with ``np.exp(1j * f * (k * dt))`` to a few ulp of max(1, |f k dt|).
     """
     freqs = np.asarray(freqs, dtype=float)
     K = math.isqrt(max(n_t - 1, 0)) + 1
     n_q = -(-n_t // K)
-    steps = np.concatenate((np.arange(n_q) * K, np.arange(K))) * dt  # q K dt, then r dt
-    table = np.exp(1j * np.multiply.outer(steps, freqs))
+    key = (freqs.tobytes(), dt, n_t)
+    table = _factors.pop(key, None)
+    if table is None:
+        steps = np.concatenate((np.arange(n_q) * K, np.arange(K))) * dt  # q K dt, then r dt
+        table = np.exp(1j * np.multiply.outer(steps, freqs))
+        table.setflags(write=False)
+    _factors[key] = table
+    _keep_recent(_factors, 16, _FACTOR_BYTES)
     return (table[:n_q, None, :] * table[n_q:]).reshape(n_q * K, len(freqs))[:n_t]
 
 
@@ -332,15 +349,16 @@ def simulate_pr(
     against the simulated data (normalization, basis projections up to the
     block bandwidth) is quadrature-exact.
 
-    The level pairs a < b carry the time dependence: with e = exp(-i w_ab t),
-    rho_ab e + rho_ba conj(e) = 2 Re(h e) + 2i Im(d e), where h and d are
-    the (a, b) elements of the block's Hermitian and anti-Hermitian parts.
-    So one real matrix product of the pair phases' (Re e, Im e) against a
-    table of h, d and f_a(x) f_b(x) gives Re Pr and Im Pr together, and the
-    diagonal adds a constant term.  Im Pr comes from the anti-Hermitian
-    part alone (d and Im rho_aa), so its columns are computed only for a
-    block that has one; there the imaginary residue is checked against
-    1e-12 and discarded.  A block that is Hermitian to the bit, such as a
+    The level pairs a < b carry the time dependence: e = exp(-i w_ab t), one
+    :func:`phase_table` over their own lines E_b - E_a with no level table,
+    gives rho_ab e + rho_ba conj(e) = 2 Re(h e) + 2i Im(d e), where h and d
+    are the (a, b) elements of the block's Hermitian and anti-Hermitian
+    parts.  So one real matrix product of the pair phases' (Re e, Im e)
+    against a table of h, d and f_a(x) f_b(x) gives Re Pr and Im Pr
+    together, and the diagonal adds a constant term.  Im Pr comes from the
+    anti-Hermitian part alone (d and Im rho_aa), so its columns are computed
+    only for a block that has one; there the imaginary residue is checked
+    against 1e-12 and discarded.  A Hermitian-to-the-bit block, such as a
     reconstruction's, filled on J1 >= J2 and mirrored, gets Re Pr alone.
 
     The simulator evaluates f_J(x) directly and never reads the coefficient
@@ -367,9 +385,8 @@ def simulate_pr(
     rho, n_x = block.elements, x_grid.order
     f = _basis_rows(block.j_max, spec.k, spec.m, np.asarray(x_grid.nodes, dtype=float).tobytes())
     a, b = _level_pairs(len(f))
-    levels = phase_table(-energy(spec, block.j_values), dt, n_t)  # (n_t, n_j)
-    pairs = np.take(levels, a, axis=1)
-    pairs *= np.take(levels.conj(), b, axis=1)  # exp(-i w_ab t), (n_t, pairs)
+    e = energy(spec, block.j_values)
+    pairs = phase_table(e[b] - e[a], dt, n_t)  # exp(-i w_ab t), (n_t, pairs)
     upper, lower = rho[a, b], rho[b, a].conj()
     h, d = upper + lower, upper - lower  # twice the Hermitian and anti-Hermitian parts
     diagonal = np.diagonal(rho) @ (f * f)
@@ -462,8 +479,7 @@ def add_shot_noise(grid: MeasurementGrid, samples_per_time: int, seed: int) -> M
     weighted x integral of every slice equals the trace carried by the input
     grid.  Deterministic for a fixed seed.
     """
-    if samples_per_time < 1:
-        raise ValueError(f"samples_per_time must be >= 1, got {samples_per_time}")
+    _check_j("samples_per_time", samples_per_time, low=1, high=2**63 - 1)  # multinomial's int64
     rng = np.random.default_rng(seed)
     weights = grid.x_grid.weights
     masses = np.clip(weights * grid.values, 0.0, None)

@@ -35,7 +35,7 @@ on lines of non-negative frequency, are fitted and probed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -53,6 +53,7 @@ from .rotor import (
     MeasurementGrid,
     RotorKind,
     RotorSpec,
+    _keep_recent,
     check_distortion_range,
     energy,
     monotone_j_limit,
@@ -147,8 +148,8 @@ def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> Mome
     y[t, alpha] = integral P~_alpha(x) Pr(x, t) dx for alpha up to the
     deepest probe's order, and one real product of the :func:`phase_table`
     against y then gives every probe's moment at every one of those orders
-    (``orders``); ``value`` reads each probe's own order from it, and
-    ``phases`` hands back the table itself.  This is the one place the
+    (``orders``); ``value`` reads each probe's own order from it by one flat
+    index, and ``phases`` hands back the table itself.  This is the one place the
     grid's omega is compared with the spec's (to 1e-12 relative), so the
     grid spans whole periods pi/omega of the spec.  A reconstruction fits
     ``orders``, every order of each line, and evaluates its fit from ``phases``.
@@ -156,7 +157,7 @@ def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> Mome
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
         raise ValueError(f"alpha shape {a.shape} differs from beta shape {b.shape}")
-    if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":  # signed or unsigned integers
         raise ValueError("alpha and beta must be integers")
     if (a < 0).any():
         raise ValueError(f"alpha must be non-negative, got {a[a < 0][0]}")
@@ -187,7 +188,7 @@ def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> Mome
     # (cos, sin) columns of every probe against y: (alpha_max + 1, probes) complex
     moments = (y.T @ phases.view(float)).view(complex) / grid.n_t
     orders = moments.T.reshape(a.shape + (alpha_max + 1,))
-    value = np.take_along_axis(orders, a[..., None], axis=-1)[..., 0]
+    value = moments[a.ravel(), np.arange(a.size)].reshape(a.shape)  # each probe's own order
     if a.ndim == 0:
         return MomentValue(int(a), int(b), float(omega), complex(value), orders, phases)
     return MomentValue(alpha=a, beta=b, omega=omega, value=value, orders=orders, phases=phases)
@@ -315,11 +316,7 @@ def _probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int) -> Pr
     """:func:`_build_probe_operator` memoized for the last four grid shapes, within 64 MiB."""
     key = (spec, j_max, n_periods, n_t)
     op = _operators[key] = _operators.pop(key, None) or _build_probe_operator(*key)
-    # the oldest go first, and the one just used stays however large it is
-    while len(_operators) > 4 or len(_operators) > 1 and _OPERATOR_BYTES < sum(
-        o.nbytes for o in _operators.values()
-    ):
-        del _operators[next(iter(_operators))]
+    _keep_recent(_operators, 4, _OPERATOR_BYTES)
     return op
 
 
@@ -556,12 +553,21 @@ class SamplingPlan:
 
 @dataclass
 class ReconstructionResult:
+    """A fitted block; ``chains`` and ``flags`` copy the operator's on first read."""
+
     block: DensityBlock
     method: str
     residual_inf: float
-    chains: dict[tuple[int, int], list[tuple[int, int]]]
-    flags: dict[tuple[int, int], list[tuple[int, int]]]
     diagnostics: dict
+    _lines: tuple = field(repr=False, compare=False)  # the operator's chains and flags
+
+    @cached_property
+    def chains(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        return {pair: list(pairs) for pair, pairs in self._lines[0].items()}
+
+    @cached_property
+    def flags(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        return {pair: list(pairs) for pair, pairs in self._lines[1].items()}
 
 
 def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> ReconstructionResult:
@@ -612,7 +618,6 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
         block=block,
         method="probe-least-squares",
         residual_inf=residual,
-        chains={pair: list(pairs) for pair, pairs in op.chains.items()},
-        flags={pair: list(pairs) for pair, pairs in op.flags.items()},
         diagnostics=diagnostics,
+        _lines=(op.chains, op.flags),
     )

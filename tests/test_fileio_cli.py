@@ -454,6 +454,10 @@ def test_config_minimal_defaults(tmp_path):
         ("spec: {kind: rigid-linear, m: 2}\nj_max: 1\n", "channel minimum"),
         ("spec: {kind: rigid-linear}\nj_max: 3\nstate: {kind: thermal}\n", "thermal"),
         ("spec: {kind: rigid-linear}\nj_max: 3\nnoise: {samples_per_time: -5}\n", "samples_per_time"),
+        (
+            "spec: {kind: rigid-linear}\nj_max: 3\nnoise: {samples_per_time: 9223372036854775808}\n",
+            "noise.samples_per_time' must be <= 9223372036854775807",
+        ),
         ("spec: {kind: rigid-linear}\nj_max: 3\npaths: {data: 7}\n", "paths.data"),
     ],
 )
@@ -807,6 +811,11 @@ def _shifted_time(lines):
         ("roundtrip", _RIGID_RUN + "threshold: .nan\n", None, [], "threshold"),
         ("roundtrip", _RIGID_RUN + "threshold: -1.0e-3\n", None, [], "threshold' must be >= 0"),
         ("roundtrip", _RIGID_RUN, None, ["--threshold", "nan"], "--threshold"),
+        (
+            "roundtrip",
+            _RIGID_RUN + "noise: {samples_per_time: 9223372036854775808}\n",
+            None, [], "noise.samples_per_time",
+        ),
         ("reconstruct", _RIGID_M1_RUN, _blank_lines_then_nan, [], "line 12: non-finite"),
         ("reconstruct", _RIGID_M1_RUN, _shifted_time, [], "line 50: time column"),
         ("simulate", _RIGID_RUN, None, ["--threshold", "1"], "unrecognized arguments"),
@@ -817,8 +826,8 @@ def _shifted_time(lines):
     ids=[
         "csv-omega-nan", "csv-pr-nan", "flag-threshold-negative", "omega-nan", "omega-inf",
         "omega2-nan", "d_cd-nan", "kick-nan", "threshold-nan", "threshold-negative",
-        "flag-threshold-nan", "csv-pr-nan-after-blank-lines", "csv-time-off-at-node-3",
-        "simulate-threshold", "reconstruct-seed", "coeffs-seed", "coeffs-threshold",
+        "flag-threshold-nan", "samples-per-time-2**63", "csv-pr-nan-after-blank-lines",
+        "csv-time-off-at-node-3", "simulate-threshold", "reconstruct-seed", "coeffs-seed", "coeffs-threshold",
     ],
 )
 def test_cli_non_finite_or_negative_inputs_exit_two(

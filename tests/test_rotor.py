@@ -355,6 +355,41 @@ def test_phase_table_matches_the_complex_exponential(n_t, freqs):
     assert got.shape == (n_t, len(freqs))
     bound = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arg))
     assert (np.abs(got - np.exp(1j * arg)) <= bound).all()
+    # a warm call: the same bits in a fresh array of its own, free to write to
+    again = rotor.phase_table(freqs, dt, n_t)
+    assert again.tobytes() == got.tobytes() and again.flags.writeable
+    assert not np.shares_memory(again, got)
+    again[...] = 7.0
+    assert rotor.phase_table(freqs, dt, n_t).tobytes() == got.tobytes()
+
+
+def test_phase_table_memo_drops_its_oldest_factors_past_its_byte_bound():
+    # n_t = 4 keeps four factor rows, 64 bytes per frequency: an entry of
+    # `wide` frequencies is just over a third of the bound, so two fit
+    n_t, dt = 4, 0.1
+    wide = rotor._FACTOR_BYTES // (3 * 64) + 1
+
+    def memo():  # each entry by the first of its frequencies
+        return [np.frombuffer(key[0], count=1)[0] for key in rotor._factors]
+
+    rotor._factors.clear()
+    try:
+        for first in (1.0, 2.0, 3.0):
+            rotor.phase_table(np.full(wide, first), dt, n_t)
+        assert memo() == [2.0, 3.0]
+        rotor.phase_table(np.full(wide, 2.0), dt, n_t)  # used again, so newest
+        rotor.phase_table(np.full(wide, 4.0), dt, n_t)
+        assert memo() == [2.0, 4.0]
+        assert sum(table.nbytes for table in rotor._factors.values()) <= rotor._FACTOR_BYTES
+        # an entry over the bound on its own stays, as the one just made
+        rotor.phase_table(np.full(3 * wide, 5.0), dt, n_t)
+        assert memo() == [5.0]
+        # small entries: the last 16 stay
+        for first in range(20):
+            rotor.phase_table(np.full(3, float(first)), dt, n_t)
+        assert memo() == [float(first) for first in range(4, 20)]
+    finally:
+        rotor._factors.clear()
 
 
 @pytest.mark.parametrize(
@@ -566,6 +601,13 @@ def test_shot_noise_rejects_bad_sample_count():
     grid, _ = _noise_setup(10, 0)
     with pytest.raises(ValueError):
         add_shot_noise(grid, 0, seed=1)
+    with pytest.raises(ValueError, match="^samples_per_time must be an integer, got 1000000.0"):
+        add_shot_noise(grid, 1e6, seed=1)
+    # one past the int64 range that multinomial draws in
+    message = r"^samples_per_time = 9223372036854775808 outside supported range "
+    message += r"\[1, 9223372036854775807\]$"
+    with pytest.raises(ValueError, match=message):
+        add_shot_noise(grid, 2**63, seed=1)
 
 
 _RIGID = RotorSpec(kind=RotorKind.RIGID, omega=1.0)

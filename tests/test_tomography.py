@@ -912,10 +912,9 @@ def test_warm_simulate_and_reconstruct_keep_no_table_of_the_grid_shape():
 
 
 def test_a_warm_off_bin_simulate_stays_within_its_peak():
-    # centrifugal d_cd = 1e-4, j_max = 20 over 64 periods: the pair phases
-    # and the gather of the conjugate level phases, two (26,944 x 210)
-    # complex arrays of 86 MiB each, are live at once; the peak measured
-    # 190 MiB, bound +14%
+    # centrifugal d_cd = 1e-4, j_max = 20 over 64 periods: one (26,944 x 210)
+    # complex table of the pair phases, 86 MiB, is the only large array; the
+    # peak measured 96.3 MiB, bound +10%
     spec = _spec(RotorKind.CENTRIFUGAL, d_cd=1e-4)
     blk = make_test_state("random-mixed", 0, 0, 20, seed=1)
     _simulate(blk, spec, n_periods=64)
@@ -925,7 +924,21 @@ def test_a_warm_off_bin_simulate_stays_within_its_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 217 * 2**20
+    assert peak <= 106 * 2**20
+
+
+def test_a_warm_rigid_j60_simulate_stays_within_its_peak():
+    # rigid j_max = 60: one (3,661 x 1,830) complex table of the pair phases,
+    # 102 MiB, is the only large array; the peak measured 111.2 MiB, bound +10%
+    blk = make_test_state("random-mixed", 0, 0, 60, seed=1)
+    _simulate(blk, RIGID)
+    tracemalloc.start()
+    try:
+        _simulate(blk, RIGID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 122 * 2**20
 
 
 def test_a_warm_off_bin_reconstruct_holds_one_phase_table():
