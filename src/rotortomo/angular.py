@@ -115,7 +115,9 @@ def _legendre_rows(j_max: int, m: int, x: np.ndarray) -> np.ndarray:
     # log of (2am-1)!!/(2am)!! accumulated termwise
     log_ratio = sum(math.log((2 * i - 1) / (2.0 * i)) for i in range(1, am + 1))
     log_seed = 0.5 * (math.log((2 * am + 1) / 2.0) + log_ratio)
-    seed = ((-1) ** am) * np.exp(log_seed + 0.5 * am * np.log1p(-x * x))
+    with np.errstate(divide="ignore"):  # (1 - x^2)^(am / 2): 0 at x = +-1, but 1 for am = 0
+        reach = 0.5 * am * np.log1p(-x * x) if am else np.zeros_like(x)
+    seed = ((-1) ** am) * np.exp(log_seed + reach)
     rows = np.empty((j_max - am + 1, len(x)))
     rows[0] = seed
     prev = np.zeros_like(seed)
@@ -279,6 +281,8 @@ def coefficient_table(k: int, m: int, j_max: int) -> np.ndarray:
     exact closed form up to j_max = 100, the largest block a plan takes.
     Read-only; nothing is kept between calls.
     """
+    _check_j("k", k, low=None)
+    _check_j("m", m, low=None)
     m_min = max(abs(k), abs(m))
     _check_j("j_max", j_max, low=m_min)
     grid = gauss_legendre_grid(2 * j_max + 1)

@@ -121,8 +121,8 @@ def _render_report(result: ReconstructionResult, cfg: ExperimentConfig) -> str:
         f"method: {result.method}",
         f"operator: {result.diagnostics['n_unknowns']} unknowns, "
         f"{result.diagnostics['n_rows']} rows, cond {result.diagnostics['cond']:.6g}",
-        f"trace: {result.diagnostics['trace']:.12g}",
-        f"min eigenvalue: {result.diagnostics['min_eigenvalue']:.6g}",
+        f"trace: {block.trace():.12g}",
+        f"min eigenvalue: {block.min_eigenvalue():.6g}",
         f"residual sup norm: {result.residual_inf:.6g}",
         f"sampling: n_t={plan.n_t} n_x={plan.n_x} n_periods={plan.n_periods} "
         f"tau_max={plan.tau_max} alpha_max={plan.alpha_max}",
@@ -155,7 +155,7 @@ def cmd_reconstruct(args) -> int:
     report_path.write_text(_render_report(result, cfg))
     print(f"reconstructed j_max={cfg.j_max} block via {result.method}")
     print(
-        f"trace = {result.diagnostics['trace']:.12g}, "
+        f"trace = {result.block.trace():.12g}, "
         f"residual sup norm = {result.residual_inf:.6g}, "
         f"flagged elements = {len(result.flags)}"
     )

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import QuadratureGrid, _check_j, eigenfunction_rows, gauss_legendre_grid
+from .angular import J_CAP, QuadratureGrid, _check_j, eigenfunction_rows, gauss_legendre_grid
 
 
 class RotorKind(enum.Enum):
@@ -127,13 +127,25 @@ def check_distortion_range(spec: RotorSpec, j_cap: int) -> None:
         )
 
 
+def _block_floor(k: int, m: int, j_max: int) -> int:
+    """Require integer k, m and j_max with j_max in [m_min, J_CAP]; return m_min."""
+    for name, value in (("k", k), ("m", m), ("j_max", j_max)):
+        _check_j(name, value, low=None)
+    j_min = max(abs(k), abs(m))
+    if j_max < j_min:
+        raise ValueError(f"j_max = {j_max} below channel minimum {j_min}")
+    _check_j("j_max", j_max, high=J_CAP)
+    return j_min
+
+
 @dataclass
 class DensityBlock:
     """Hermitian density-matrix block for one (k, m) channel.
 
     ``elements[a, b]`` is rho(J1, J2) with J1 = j_min + a, J2 = j_min + b and
     j_min = max(|k|, |m|).  For a normalized state the trace is 1;
-    reconstructions of noisy data may deviate.
+    reconstructions of noisy data may deviate.  k, m and j_max are integers
+    with j_min <= j_max <= J_CAP; anything else raises ValueError naming it.
     """
 
     k: int
@@ -143,10 +155,8 @@ class DensityBlock:
     j_min: int = field(init=False)
 
     def __post_init__(self):
-        self.j_min = max(abs(self.k), abs(self.m))
+        self.j_min = _block_floor(self.k, self.m, self.j_max)
         n = self.j_max - self.j_min + 1
-        if n < 1:
-            raise ValueError(f"j_max = {self.j_max} below channel minimum {self.j_min}")
         self.elements = np.asarray(self.elements, dtype=complex)
         if self.elements.shape != (n, n):
             raise ValueError(
@@ -165,7 +175,7 @@ class DensityBlock:
 
     @classmethod
     def zeros(cls, k: int, m: int, j_max: int) -> "DensityBlock":
-        n = j_max - max(abs(k), abs(m)) + 1
+        n = j_max - _block_floor(k, m, j_max) + 1
         return cls(k=k, m=m, j_max=j_max, elements=np.zeros((n, n), dtype=complex))
 
     @property
@@ -428,10 +438,7 @@ def make_test_state(
     checkable by enlarging j_max.  Every block returned equals its conjugate
     transpose exactly.
     """
-    j_min = max(abs(k), abs(m))
-    if j_max < j_min:
-        raise ValueError(f"j_max = {j_max} below channel minimum {j_min}")
-    n = j_max - j_min + 1
+    n = j_max - _block_floor(k, m, j_max) + 1
     rng = np.random.default_rng(seed)
 
     def random_pure() -> np.ndarray:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .angular import (
     J_CAP,
     N_X_CAP,
     _check_j,
+    _cosines,
+    _legendre_rows,
     assoc_legendre_norm,
     coefficient_table,
     keeps_parity,
@@ -214,9 +217,11 @@ class PatternFunction:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        rows = _legendre_rows(max(self.coeffs, default=0), 0, _cosines(x).ravel())
+        rows = rows.reshape(-1, *x.shape)
         out = np.zeros_like(x)
         for alpha, c in self.coeffs.items():
-            out += c * assoc_legendre_norm(alpha, 0, x)
+            out += c * rows[alpha]
         return out
 
     def apply(self, grid: MeasurementGrid) -> float:
@@ -225,6 +230,7 @@ class PatternFunction:
 
 def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
     """Row j1 of the bin-0 least-squares map of a (k, m) block up to j_cap."""
+    _check_j("j1", j1, low=None)
     m_min = max(abs(k), abs(m))
     if not m_min <= j1 <= j_cap:
         raise ValueError(f"j1 = {j1} outside the reconstructible range {m_min}..{j_cap}")
@@ -241,14 +247,14 @@ def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
 
 
 def _window_kernel(delta_omega: np.ndarray, dt: float, n_t: int, phase: np.ndarray) -> np.ndarray:
-    """(1/N_t) sum_n exp(i (delta_omega * n * dt - phase)), the finite-window Fourier kernel.
+    """Re (1/N_t) sum_n exp(i (delta_omega * n * dt - phase)), the finite-window Fourier kernel.
 
-    With x = delta_omega dt / 2 pi it is exp(i (pi x (N_t - 1) - phase)) sinc(N_t x) /
+    With x = delta_omega dt / 2 pi it is cos(pi x (N_t - 1) - phase) sinc(N_t x) /
     sinc(x), exact at x = 0; a plan's n_t > n_periods * tau_max keeps |x| < 1 for
     every sum or difference of two lines of a block, so sinc(x) never vanishes.
     """
     x = delta_omega * dt / (2.0 * np.pi)
-    return np.exp(1j * (np.pi * x * (n_t - 1) - phase)) * np.sinc(n_t * x) / np.sinc(x)
+    return np.cos(np.pi * x * (n_t - 1) - phase) * np.sinc(n_t * x) / np.sinc(x)
 
 
 def _line_bins(spec: RotorSpec, omega: np.ndarray, n_periods: int) -> tuple[np.ndarray, bool]:
@@ -373,10 +379,10 @@ def _build_probe_operator(spec: RotorSpec, j_max: int, n_periods: int, n_t: int)
         at = order[start[size == w, None] + np.arange(w)]  # (groups, w)
         c, f = coeffs[pair[at]], omega[pair[at]][:, :, None]
         phi = np.pi / 2 * sin[at][:, :, None]  # s = exp(-i phi), 1 or -i
-        # s_i s_j K(w_i + w_j) + s_i conj(s_j) K(w_i - w_j), summed in place
+        # Re s_i s_j K(w_i + w_j) + Re s_i conj(s_j) K(w_i - w_j), summed in place
         kernel = _window_kernel(f + f.transpose(0, 2, 1), dt, n_t, phi + phi.transpose(0, 2, 1))
         kernel += _window_kernel(f - f.transpose(0, 2, 1), dt, n_t, phi - phi.transpose(0, 2, 1))
-        gram = c @ c.transpose(0, 2, 1) * (0.5 * kernel.real)
+        gram = c @ c.transpose(0, 2, 1) * (0.5 * kernel)
         lam, vec = np.linalg.eigh(gram)
         cond = max(cond, math.sqrt(float(np.max(lam[:, -1] / lam[:, 0]))))
         inverse = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1)
@@ -553,10 +559,13 @@ class SamplingPlan:
 
 @dataclass
 class ReconstructionResult:
-    """A fitted block; ``chains`` and ``flags`` copy the operator's on first read."""
+    """A fitted block; ``chains`` and ``flags`` copy the operator's on first read.
 
+    ``diagnostics`` holds what the fit knows; the block gives its own trace and eigenvalues.
+    """
+
+    method: ClassVar[str] = "probe-least-squares"
     block: DensityBlock
-    method: str
     residual_inf: float
     diagnostics: dict
     _lines: tuple = field(repr=False, compare=False)  # the operator's chains and flags
@@ -581,9 +590,9 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     is flagged with those pairs.  The residual is the fit residual, the
     sup-norm mismatch between the data and the block's model on the same
     grid (:func:`_fit_residual`), and the diagnostics give the operator's
-    unknown and row counts and its worst group's condition number.  A grid
-    whose kind or channel differs from the spec's raises ValueError here,
-    and one whose omega differs in :func:`moment_integral`.
+    unknown and row counts, its worst group's condition number and the
+    plan.  A grid whose kind or channel differs from the spec's raises
+    ValueError here, and one whose omega differs in :func:`moment_integral`.
     """
     if (grid.kind, grid.k, grid.m) != (spec.kind, spec.k, spec.m):
         raise ValueError(
@@ -604,20 +613,9 @@ def reconstruct_block(grid: MeasurementGrid, spec: RotorSpec, j_max: int) -> Rec
     elements.put(op.positions[1], x.view(complex).conj())
     elements.put(op.positions[0], x.view(complex))
 
-    block = DensityBlock(spec.k, spec.m, j_max, elements.reshape(n, n))
-    residual = _fit_residual(grid, op, x, probed.phases)
-    diagnostics = {
-        "n_unknowns": n * n,
-        "n_rows": op.n_rows,
-        "cond": op.cond,
-        "trace": block.trace(),
-        "min_eigenvalue": block.min_eigenvalue(),
-        "plan": plan,
-    }
     return ReconstructionResult(
-        block=block,
-        method="probe-least-squares",
-        residual_inf=residual,
-        diagnostics=diagnostics,
+        block=DensityBlock(spec.k, spec.m, j_max, elements.reshape(n, n)),
+        residual_inf=_fit_residual(grid, op, x, probed.phases),
+        diagnostics={"n_unknowns": n * n, "n_rows": op.n_rows, "cond": op.cond, "plan": plan},
         _lines=(op.chains, op.flags),
     )

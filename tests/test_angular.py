@@ -69,6 +69,17 @@ def test_legendre_low_order_literals():
     assert np.max(np.abs(assoc_legendre_norm(1, 0, X) - math.sqrt(1.5) * X)) < 1e-15
 
 
+def test_legendre_is_finite_at_the_poles():
+    # P~(J, 0, +-1) = sqrt((2J + 1) / 2) (+-1)^J, and every m != 0 function vanishes there
+    poles = np.array([-1.0, 1.0])
+    for J in (0, 1, 2, 7, 40):
+        want = math.sqrt((2 * J + 1) / 2) * poles**J
+        assert np.max(np.abs(assoc_legendre_norm(J, 0, poles) - want)) <= 1e-12 * abs(want[0])
+        for m in (1, -2, J):
+            if 0 < abs(m) <= J:
+                assert np.array_equal(np.abs(assoc_legendre_norm(J, m, poles)), [0.0, 0.0])
+
+
 def test_legendre_rejects_out_of_range_degree():
     with pytest.raises(ValueError):
         assoc_legendre_norm(-1, 0, X)

@@ -505,6 +505,11 @@ def test_cli_simulate_reconstruct_cycle(workdir, capsys):
     assert "method: probe-least-squares" in report
     assert re.search(r"operator: 25 unknowns, \d+ rows, cond \d", report)
     assert "(4, 4)" in report and "residual sup norm" in report
+    # the block's own trace and least eigenvalue, read from the block written
+    lines = report.splitlines()
+    assert f"trace: {rec.trace():.12g}" in lines
+    assert f"min eigenvalue: {rec.min_eigenvalue():.6g}" in lines
+    assert f"trace = {rec.trace():.12g}, residual sup norm = " in capsys.readouterr().out
 
 
 def test_cli_runs_simulate_then_reconstruct_through_one_parser(workdir, capsys):

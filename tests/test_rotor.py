@@ -10,6 +10,8 @@ import oracles
 import rotortomo
 from rotortomo import angular, rotor, tomography
 from rotortomo.angular import (
+    J_CAP,
+    coefficient_table,
     eigenfunction_rows,
     gauss_legendre_grid,
 )
@@ -643,15 +645,47 @@ def _simulate_j3(n_t, n_periods=1):
         (lambda: _grid_with(n_periods=2.0), "n_periods"),
         (lambda: _grid_with(k=0.0), "k"),
         (lambda: _grid_with(m=False), "m"),
+        (lambda: make_test_state("random-pure", 0, 0, 3.5), "j_max"),
+        (lambda: make_test_state("random-pure", 0, 0, True), "j_max"),
+        (lambda: DensityBlock(0, 0, 3.0, np.eye(4)), "j_max"),
+        (lambda: DensityBlock(0, 0, True, np.eye(2)), "j_max"),
+        (lambda: DensityBlock(0.5, 0, 3, np.eye(4)), "k"),
+        (lambda: DensityBlock.zeros(0, 0.5, 3), "m"),
+        (lambda: make_test_state("random-pure", 0, 0, 3).embedded(4.5), "j_max"),
+        (lambda: coefficient_table(0.5, 0, 3), "k"),
+        (lambda: tomography.pattern_function(2.0, 0, 0, 4), "j1"),
     ],
     ids=[
         "derive-j_max-float", "derive-j_max-bool", "derive-n_periods", "derive-n_t", "derive-n_x",
         "simulate-n_t", "simulate-n_periods-float", "simulate-n_periods-bool", "grid-n_periods",
-        "grid-k", "grid-m",
+        "grid-k", "grid-m", "state-j_max-float", "state-j_max-bool", "block-j_max-float",
+        "block-j_max-bool", "block-k", "zeros-m", "embedded-j_max", "coefficients-k", "pattern-j1",
     ],
 )
 def test_non_integer_sizes_raise_a_named_error(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_test_state("random-pure", 0, 0, J_CAP + 1),
+     lambda: DensityBlock.zeros(0, 0, J_CAP + 1)],
+    ids=["state", "zeros"],
+)
+def test_blocks_above_the_cap_raise_a_named_error(make):
+    with pytest.raises(ValueError, match=f"^j_max = {J_CAP + 1} outside supported range"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_test_state("random-pure", 0, 2, 1), lambda: DensityBlock.zeros(3, 1, 2),
+     lambda: DensityBlock(0, -2, 1, np.eye(1))],
+    ids=["state", "zeros", "block"],
+)
+def test_blocks_below_the_channel_keep_their_message(make):
+    with pytest.raises(ValueError, match=r"^j_max = \d below channel minimum \d$"):
         make()
 
 
