@@ -15,6 +15,10 @@ Conventions used throughout the package:
   d^J_{00}(x) = P_J(x) and d^1_{11}(x) = (1+x)/2.  Orthogonality:
   integral d^J_{km} d^J'_{km} dx = 2/(2J+1) delta(J, J').
 
+* Both are one family, P~(J, m) = sqrt((2J+1)/2) d^J_{m0}: every row the
+  package reads, of either, comes from one normalized three-term recurrence
+  on f_J = sqrt((2J+1)/2) d^J_{km}, and takes x of any shape.
+
 * ``clebsch_gordan(j1, j2, j3, m1, m2, m3)`` is <j1 m1 j2 m2 | j3 m3> for
   integer angular momenta, evaluated by Racah's single-sum formula in
   exact integers and rounded once, so it is accurate to an ulp or two at
@@ -55,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-# Hard cap on angular momentum quantum numbers.  The recurrences below are
+# Hard cap on angular momentum quantum numbers.  The recurrence below is
 # well-behaved up to here, and the factorial prefactors are exact integers at
 # any j; beyond it the moment chains would be astronomically long anyway.
 J_CAP = 200
@@ -77,7 +81,7 @@ def _check_j(name: str, value: int, low: int | None = 0, high: int = J_CAP) -> N
 
 def _cosines(x) -> np.ndarray:
     """x as a float array, clipped to [-1, 1]; a NaN or an x outside raises."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) <= 1.0 + 1e-12):  # also false for NaN
         raise ValueError("x must be finite and lie in [-1, 1]")
     return np.clip(arr, -1.0, 1.0)
@@ -92,9 +96,10 @@ class QuadratureGrid:
     order: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so True or 2.0 never reads the rule of 1 or 2
 def gauss_legendre_grid(order: int) -> QuadratureGrid:
     """Gauss-Legendre rule of the given order (exact for degree <= 2*order-1)."""
+    _check_j("order", order, low=None)
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = leggauss(order)
@@ -103,36 +108,48 @@ def gauss_legendre_grid(order: int) -> QuadratureGrid:
     return QuadratureGrid(nodes=nodes, weights=weights, order=order)
 
 
-def _legendre_rows(j_max: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Rows P~(J, m, x) for J = |m| .. j_max, shape (j_max - |m| + 1, len(x)).
+def _seed(j0: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
+    """f_{j0} = sqrt((2 j0 + 1) / 2) d^{j0}_{km}, j0 = max(|k|, |m|): one monomial in half-angles.
 
-    Upward recurrence in J at fixed m on the normalized functions; the seed
-    P~(|m|, |m|) is built in log space, so no raw factorial ratios appear.
+    Its factor is sqrt(num / (2 den^2)) of exact integers, den the product of
+    the monomial's four factorials: one correctly rounded division, one root.
     """
-    am = abs(m)
-    if j_max < am:
-        return np.zeros((0, len(x)))
-    # log of (2am-1)!!/(2am)!! accumulated termwise
-    log_ratio = sum(math.log((2 * i - 1) / (2.0 * i)) for i in range(1, am + 1))
-    log_seed = 0.5 * (math.log((2 * am + 1) / 2.0) + log_ratio)
-    with np.errstate(divide="ignore"):  # (1 - x^2)^(am / 2): 0 at x = +-1, but 1 for am = 0
-        reach = 0.5 * am * np.log1p(-x * x) if am else np.zeros_like(x)
-    seed = ((-1) ** am) * np.exp(log_seed + reach)
-    rows = np.empty((j_max - am + 1, len(x)))
-    rows[0] = seed
-    prev = np.zeros_like(seed)
-    cur = seed
-    for j in range(am, j_max):
-        a = math.sqrt((2 * j + 3) * (2 * j + 1) / ((j + 1.0 - am) * (j + 1.0 + am)))
-        b = math.sqrt(
-            (2 * j + 3) / (2 * j - 1.0) * (j - am) * (j + am) / ((j + 1.0 - am) * (j + 1.0 + am))
-        ) if j > am else 0.0
-        nxt = a * x * cur - b * prev
-        rows[j + 1 - am] = nxt
-        prev, cur = cur, nxt
-    if m < 0 and am % 2 == 1:
-        rows = -rows
-    return rows
+    s = max(0, m - k)
+    f = math.factorial
+    num = (2 * j0 + 1) * f(j0 + k) * f(j0 - k) * f(j0 + m) * f(j0 - m)
+    den = f(j0 + m - s) * f(s) * f(k - m + s) * f(j0 - k - s)
+    sign = -1.0 if (k - m + s) % 2 else 1.0
+    pc, ps = 2 * j0 - 2 * s + m - k, k - m + 2 * s
+    # powers of cos^2(beta/2) and sin^2(beta/2): each base is >= 0, so real powers are safe
+    norm = math.sqrt(num / (2 * den * den))
+    return sign * norm * ((1.0 + x) / 2.0) ** (pc / 2.0) * ((1.0 - x) / 2.0) ** (ps / 2.0)
+
+
+def _rows(j_max: int, k: int, m: int, x) -> np.ndarray:
+    """Rows f_J = sqrt((2J+1)/2) d^J_{km}(x), J = max(|k|,|m|) .. j_max, shape (rows, *x.shape).
+
+    From the exact seed, f_{j+1} = a_j (x - km / (j (j+1))) f_j - b_j f_{j-1}
+    with a_j^2 and b_j^2 ratios of exact integers, each rounded once.  P~(J, m)
+    = sqrt((2J+1)/2) d^J_{m0} are the rows of (k, m) = (m, 0): with k m = 0
+    the shift vanishes and the step is the normalized Legendre one.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    j0 = max(abs(k), abs(m))
+    rows = np.empty((max(j_max - j0 + 1, 0), flat.size))
+    rows[:1] = _seed(j0, k, m, flat)
+    kk, mm, km = k * k, m * m, k * m
+    for i, j in enumerate(range(j0, j_max)):
+        q = (j + 1) ** 2
+        p = (q - kk) * (q - mm)
+        a = math.sqrt((2 * j + 3) * (2 * j + 1) * q / p)
+        out = rows[i + 1]
+        np.multiply(a, flat - km / (j * (j + 1)) if km else flat, out=out)
+        out *= rows[i]
+        if i:  # b_j vanishes at j0
+            b2 = (2 * j + 3) * q * (j * j - kk) * (j * j - mm) / ((2 * j - 1) * j * j * p)
+            out -= math.sqrt(b2) * rows[i - 1]
+    return rows.reshape(len(rows), *x.shape)
 
 
 def assoc_legendre_norm(J: int, m: int, x):
@@ -141,52 +158,8 @@ def assoc_legendre_norm(J: int, m: int, x):
     _check_j("m", m, low=None)
     if abs(m) > J:
         raise ValueError(f"|m| = {abs(m)} exceeds J = {J}")
-    value = _legendre_rows(J, m, _cosines(x))[-1]
-    return float(value[0]) if np.isscalar(x) or np.ndim(x) == 0 else value
-
-
-def _wigner_seed(j0: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
-    """d^{j0}_{km} for j0 = max(|k|, |m|): a single monomial in half-angles.
-
-    Its norm sqrt((j0+k)! (j0-k)! (j0+m)! (j0-m)!) / den, with den the
-    product of the monomial's four factorials, is sqrt(num / den^2) of exact
-    integers: one correctly rounded division, then one square root.
-    """
-    s = max(0, m - k)
-    f = math.factorial
-    num = f(j0 + k) * f(j0 - k) * f(j0 + m) * f(j0 - m)
-    den = f(j0 + m - s) * f(s) * f(k - m + s) * f(j0 - k - s)
-    sign = -1.0 if (k - m + s) % 2 else 1.0
-    half_cos2 = (1.0 + x) / 2.0  # cos^2(beta/2)
-    half_sin2 = (1.0 - x) / 2.0  # sin^2(beta/2)
-    pc = 2 * j0 - 2 * s + m - k
-    ps = k - m + 2 * s
-    # exponents pc, ps are even or the base is >= 0, so real powers are safe
-    return sign * math.sqrt(num / (den * den)) * half_cos2 ** (pc / 2.0) * half_sin2 ** (ps / 2.0)
-
-
-def _wigner_rows(j_max: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Rows d^J_{km}(x) for J = max(|k|,|m|) .. j_max via three-term recurrence.
-
-    Uses x d^j = A_j d^{j+1} + B_j d^j + C_j d^{j-1} with the standard
-    coefficients; the seed at j0 = max(|k|,|m|) is exact, and the C_j term
-    vanishes automatically on the first step.
-    """
-    j0 = max(abs(k), abs(m))
-    if j_max < j0:
-        return np.zeros((0, len(x)))
-    rows = np.empty((j_max - j0 + 1, len(x)))
-    cur = _wigner_seed(j0, k, m, x)
-    rows[0] = cur
-    prev = np.zeros_like(cur)
-    for j in range(j0, j_max):
-        a = math.sqrt(((j + 1.0) ** 2 - k * k) * ((j + 1.0) ** 2 - m * m)) / ((j + 1.0) * (2 * j + 1))
-        b = k * m / (j * (j + 1.0)) if j > 0 else 0.0
-        c = math.sqrt((j * j - k * k) * (j * j - m * m)) / (j * (2.0 * j + 1)) if j > 0 else 0.0
-        nxt = ((x - b) * cur - c * prev) / a
-        rows[j + 1 - j0] = nxt
-        prev, cur = cur, nxt
-    return rows
+    value = _rows(J, m, 0, _cosines(x))[-1]
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def wigner_d(J: int, k: int, m: int, x):
@@ -196,8 +169,8 @@ def wigner_d(J: int, k: int, m: int, x):
     _check_j("m", m, low=None)
     if abs(k) > J or abs(m) > J:
         raise ValueError(f"|k| = {abs(k)} and |m| = {abs(m)} must not exceed J = {J}")
-    value = _wigner_rows(J, k, m, _cosines(x))[-1]
-    return float(value[0]) if np.isscalar(x) or np.ndim(x) == 0 else value
+    value = _rows(J, k, m, _cosines(x))[-1] / math.sqrt((2 * J + 1) / 2)
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def clebsch_gordan(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
@@ -243,18 +216,13 @@ def clebsch_gordan(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> floa
     return -value if total < 0 else value
 
 
-def eigenfunction_rows(j_max: int, k: int, m: int, x: np.ndarray) -> np.ndarray:
+def eigenfunction_rows(j_max: int, k: int, m: int, x) -> np.ndarray:
     """Rows f_J(x) for J = max(|k|,|m|) .. j_max of the normalized eigenfunctions.
 
     f_J = P~(J, m) when k = 0, else sqrt((2J+1)/2) d^J_{km}.  Either way
-    integral f_J f_J' dx = delta(J, J').
+    integral f_J f_J' dx = delta(J, J').  Shape (rows, *x.shape).
     """
-    if k == 0:
-        return _legendre_rows(j_max, m, x)
-    j0 = max(abs(k), abs(m))
-    rows = _wigner_rows(j_max, k, m, x)
-    norms = np.sqrt((2 * np.arange(j0, j_max + 1) + 1) / 2.0)
-    return norms[:, None] * rows
+    return _rows(j_max, m, 0, x) if k == 0 else _rows(j_max, k, m, x)
 
 
 def keeps_parity(k: int, m: int) -> bool:
@@ -288,7 +256,7 @@ def coefficient_table(k: int, m: int, j_max: int) -> np.ndarray:
     grid = gauss_legendre_grid(2 * j_max + 1)
     f = eigenfunction_rows(j_max, k, m, grid.nodes)
     i1, i2 = np.tril_indices(len(f))
-    half = (f[i1] * f[i2] * grid.weights) @ _legendre_rows(2 * j_max, 0, grid.nodes).T
+    half = (f[i1] * f[i2] * grid.weights) @ _rows(2 * j_max, 0, 0, grid.nodes).T
     L = np.arange(2 * j_max + 1)
     dj, s = (i1 - i2)[:, None], (i1 + i2 + 2 * m_min)[:, None]
     keep = (dj <= L) & (L <= s)

@@ -46,7 +46,7 @@ from .angular import (
     N_X_CAP,
     _check_j,
     _cosines,
-    _legendre_rows,
+    _rows,
     assoc_legendre_norm,
     coefficient_table,
     keeps_parity,
@@ -99,9 +99,17 @@ def probe_frequency(spec: RotorSpec, alpha, beta):
     A probe with beta = 0 sits at 0.  ``alpha`` and ``beta`` are integers,
     giving a float, or integer arrays of one shape, giving every probe's
     frequency in one step: the centrifugal levels come from one
-    :func:`energy` call.
+    :func:`energy` call.  It is the one check of probe labels: a non-integer,
+    alpha < 0, |beta| > alpha or a nonzero beta of the other parity raises.
     """
     a, b = np.asarray(alpha), np.asarray(beta)
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":  # signed or unsigned integers
+        raise ValueError("alpha and beta must be integers")
+    if (a < 0).any():
+        raise ValueError(f"alpha must be non-negative, got {a[a < 0][0]}")
+    bad = abs(b) > a
+    if bad.any():
+        raise ValueError(f"|beta| = {abs(b[bad][0])} exceeds alpha = {a[bad][0]}")
     live = b != 0
     odd = live & ((a - b) % 2 != 0)
     if odd.any():
@@ -160,18 +168,11 @@ def moment_integral(grid: MeasurementGrid, alpha, beta, spec: RotorSpec) -> Mome
     a, b = np.asarray(alpha), np.asarray(beta)
     if a.shape != b.shape:
         raise ValueError(f"alpha shape {a.shape} differs from beta shape {b.shape}")
-    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":  # signed or unsigned integers
-        raise ValueError("alpha and beta must be integers")
-    if (a < 0).any():
-        raise ValueError(f"alpha must be non-negative, got {a[a < 0][0]}")
-    bad = abs(b) > a
-    if bad.any():
-        raise ValueError(f"|beta| = {abs(b[bad][0])} exceeds alpha = {a[bad][0]}")
+    omega = probe_frequency(spec, a.ravel(), b.ravel()).reshape(a.shape)
     if not abs(grid.omega - spec.omega) <= 1e-12 * spec.omega:
         raise ValueError(
             f"grid omega={grid.omega!r} does not match spec omega={spec.omega!r}"
         )
-    omega = probe_frequency(spec, a.ravel(), b.ravel()).reshape(a.shape)
     alpha_max = int(a.max(initial=0))
     if 2 * grid.n_x - 1 < alpha_max:
         raise SamplingError(
@@ -217,8 +218,7 @@ class PatternFunction:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        rows = _legendre_rows(max(self.coeffs, default=0), 0, _cosines(x).ravel())
-        rows = rows.reshape(-1, *x.shape)
+        rows = _rows(max(self.coeffs, default=0), 0, 0, _cosines(x))
         out = np.zeros_like(x)
         for alpha, c in self.coeffs.items():
             out += c * rows[alpha]

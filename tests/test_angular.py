@@ -37,6 +37,22 @@ def test_quadrature_weights_sum_to_two():
         assert abs(gauss_legendre_grid(order).weights.sum() - 2.0) < 1e-13
 
 
+@pytest.mark.parametrize("order", [2.5, 2.0, True, np.float64(3.0), "3"])
+def test_quadrature_order_must_be_an_integer(order):
+    # typed memo: True and 2.0 equal 1 and 2, yet never read those rules
+    gauss_legendre_grid(1), gauss_legendre_grid(2)
+    with pytest.raises(ValueError, match="order must be an integer"):
+        gauss_legendre_grid(order)
+
+
+def test_quadrature_order_is_at_least_one_and_has_no_cap():
+    for order in (0, -3):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            gauss_legendre_grid(order)
+    # make_test_state("cos2-kicked", ..., j_max=200) builds a rule of order 406
+    assert gauss_legendre_grid(406).order == 406
+
+
 # -------------------------------------------------------------------- legendre
 
 
@@ -78,6 +94,38 @@ def test_legendre_is_finite_at_the_poles():
         for m in (1, -2, J):
             if 0 < abs(m) <= J:
                 assert np.array_equal(np.abs(assoc_legendre_norm(J, m, poles)), [0.0, 0.0])
+
+
+def test_sum_rules_hold_at_the_cap():
+    # sum_m P~(J, m)^2 = (2J + 1)/2 and sum_m d^J_km^2 = 1 at every x, poles included
+    x = np.concatenate(([-1.0, 1.0], np.linspace(-0.999, 0.999, 9)))
+    ms = range(-J_CAP, J_CAP + 1)
+    total = sum(assoc_legendre_norm(J_CAP, m, x) ** 2 for m in ms)
+    assert np.max(np.abs(total / ((2 * J_CAP + 1) / 2) - 1)) < 1e-12
+    for k in (0, 7, 150, J_CAP):
+        total = sum(wigner_d(J_CAP, k, m, x) ** 2 for m in ms)
+        assert np.max(np.abs(total - 1)) < 1e-12, k
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: assoc_legendre_norm(7, -3, x),
+        lambda x: wigner_d(7, 2, -5, x),
+        lambda x: eigenfunction_rows(7, 0, 3, x),
+        lambda x: eigenfunction_rows(7, 1, 2, x),
+    ],
+    ids=["legendre", "wigner", "rows-k0", "rows-k1"],
+)
+def test_rows_take_x_of_any_shape(call):
+    # the values are the 1-D evaluation's, reshaped to x's shape behind any rows axis
+    x = np.linspace(-1.0, 1.0, 12)
+    flat = call(x)
+    for shape in ((2, 6), (3, 2, 2), (12, 1)):
+        got = call(x.reshape(shape))
+        assert np.array_equal(got, flat.reshape(flat.shape[:-1] + shape))
+    assert call(np.zeros((2, 3))).shape == flat.shape[:-1] + (2, 3)
+    assert np.array_equal(call(np.float64(x[4])), flat[..., 4])
 
 
 def test_legendre_rejects_out_of_range_degree():

@@ -220,6 +220,22 @@ def test_probe_frequency_rigid_and_exact_cd():
     assert probe_frequency(spec, 5, 1) == pytest.approx(want, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,needle",
+    [(2.5, 0.5, "must be integers"), (np.array([2.0]), np.array([0]), "must be integers"),
+     ("2", 0, "must be integers"), (-2, 0, "non-negative"), (2, 4, "exceeds alpha"),
+     (4, 1, "parity")],
+    ids=["float", "float-array", "string", "negative", "beta-above-alpha", "parity"],
+)
+def test_probe_frequency_names_bad_labels(alpha, beta, needle):
+    # probe_frequency is the one check of probe labels; moment_integral reads it
+    grid = _simulate(make_test_state("random-mixed", 0, 0, 3, seed=0), RIGID)
+    with pytest.raises(ValueError, match=needle):
+        probe_frequency(RIGID, alpha, beta)
+    with pytest.raises(ValueError, match=needle):
+        moment_integral(grid, alpha, beta, RIGID)
+
+
 def test_zero_frequency_moment_is_scaled_trace():
     blk = make_test_state("random-mixed", 0, 0, 4, seed=1)
     grid = _simulate(blk, RIGID)
