@@ -220,8 +220,15 @@ def eigenfunction_rows(j_max: int, k: int, m: int, x) -> np.ndarray:
     """Rows f_J(x) for J = max(|k|,|m|) .. j_max of the normalized eigenfunctions.
 
     f_J = P~(J, m) when k = 0, else sqrt((2J+1)/2) d^J_{km}.  Either way
-    integral f_J f_J' dx = delta(J, J').  Shape (rows, *x.shape).
+    integral f_J f_J' dx = delta(J, J').  Shape (rows, *x.shape).  Non-integer
+    j_max, k or m, a j_max below max(|k|, |m|), and a NaN or an x outside
+    [-1, 1] raise ValueError naming it; j_max has no cap.
     """
+    for name, value in (("j_max", j_max), ("k", k), ("m", m)):
+        _check_j(name, value, low=None)
+    if j_max < max(abs(k), abs(m)):
+        raise ValueError(f"j_max = {j_max} below channel minimum {max(abs(k), abs(m))}")
+    x = _cosines(x)
     return _rows(j_max, m, 0, x) if k == 0 else _rows(j_max, k, m, x)
 
 

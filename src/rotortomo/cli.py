@@ -60,11 +60,7 @@ def _load_state(args, cfg: ExperimentConfig):
             f"channel (k={cfg.spec.k}, m={cfg.spec.m})"
         )
     if block.j_max > cfg.j_max:
-        raise FileFormatError(
-            f"state j_max={block.j_max} exceeds config j_max={cfg.j_max}"
-        )
-    if block.j_max < cfg.j_max:
-        block = block.embedded(cfg.j_max)
+        raise FileFormatError(f"state j_max={block.j_max} exceeds config j_max={cfg.j_max}")
     return block
 
 
@@ -87,7 +83,7 @@ def _write_alignment(grid, path: Path) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    # reject a block the grids cannot carry before the state is padded to it
+    # size the grids for the config's j_max, and reject one they cannot carry, before the read
     plan = SamplingPlan.derive(cfg.spec, cfg.j_max, cfg.n_periods, cfg.n_t, cfg.n_x)
     block = _load_state(args, cfg)
     grid = _simulate(cfg, plan, block, args.seed)

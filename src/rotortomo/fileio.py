@@ -88,6 +88,8 @@ def load_block(path: str | Path) -> DensityBlock:
         raise FileFormatError(f"{path}: j_max={j_max} below channel minimum J={j_min}")
     if j_max > J_CAP:
         raise FileFormatError(f"{path}: j_max={j_max} above the supported J={J_CAP}")
+    if not isinstance(payload["entries"], list):
+        raise FileFormatError(f"{path}: 'entries' must be a list, got {payload['entries']!r}")
     n = j_max - j_min + 1
     mat = np.zeros((n, n), dtype=complex)
     seen = set()

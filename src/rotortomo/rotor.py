@@ -329,21 +329,16 @@ def phase_table(freqs, dt: float, n_t: int) -> np.ndarray:
     return (table[:n_q, None, :] * table[n_q:]).reshape(n_q * K, len(freqs))[:n_t]
 
 
-@lru_cache(maxsize=16)
-def _basis_rows(j_max: int, k: int, m: int, nodes: bytes) -> np.ndarray:
-    """Read-only rows f_J(x) for J = max(|k|, |m|) .. j_max at the x nodes."""
-    rows = eigenfunction_rows(j_max, k, m, np.frombuffer(nodes))
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=16)
-def _level_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only level indices (a, b) of every pair a < b among n levels."""
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
+@lru_cache(maxsize=4)
+def _pair_tables(spec: RotorSpec, j_max: int, nodes: bytes) -> tuple[np.ndarray, ...]:
+    """Read-only rows f_J at the x nodes, level pairs a < b, and their lines E_b - E_a."""
+    f = eigenfunction_rows(j_max, spec.k, spec.m, np.frombuffer(nodes))
+    a, b = np.triu_indices(len(f), 1)
+    e = energy(spec, np.arange(spec.m_min, j_max + 1))
+    tables = f, a, b, e[b] - e[a]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def simulate_pr(
@@ -393,10 +388,8 @@ def simulate_pr(
 
     dt = n_periods * (np.pi / spec.omega) / n_t
     rho, n_x = block.elements, x_grid.order
-    f = _basis_rows(block.j_max, spec.k, spec.m, np.asarray(x_grid.nodes, dtype=float).tobytes())
-    a, b = _level_pairs(len(f))
-    e = energy(spec, block.j_values)
-    pairs = phase_table(e[b] - e[a], dt, n_t)  # exp(-i w_ab t), (n_t, pairs)
+    f, a, b, lines = _pair_tables(spec, block.j_max, np.asarray(x_grid.nodes, float).tobytes())
+    pairs = phase_table(lines, dt, n_t)  # exp(-i w_ab t), (n_t, pairs)
     upper, lower = rho[a, b], rho[b, a].conj()
     h, d = upper + lower, upper - lower  # twice the Hermitian and anti-Hermitian parts
     diagonal = np.diagonal(rho) @ (f * f)

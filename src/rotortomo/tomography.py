@@ -92,10 +92,10 @@ def probe_frequency(spec: RotorSpec, alpha, beta):
     """Frequency probed by the (alpha, beta) moment.
 
     For rigid and symmetric-top spectra this is omega * beta * (alpha + 1).
-    For the centrifugal kind it is the exact level difference
-    E(J1) - E(J2) of the target pair J1 = (alpha+beta)/2, J2 = (alpha-beta)/2
-    -- the quadratic distortion term depends on J1(J1+1) + J2(J2+1), not on
-    beta*(alpha+1) alone, so no formula in (alpha, beta) alone reproduces it.
+    For the centrifugal kind it is the exact level difference E(J1) - E(J2)
+    of the target pair J1 = (alpha+beta)/2, J2 = (alpha-beta)/2, taken from
+    the two levels' energies; in (alpha, beta) it reads
+    beta (alpha+1) (omega - d_cd (alpha + (alpha^2+beta^2)/2)).
     A probe with beta = 0 sits at 0.  ``alpha`` and ``beta`` are integers,
     giving a float, or integer arrays of one shape, giving every probe's
     frequency in one step: the centrifugal levels come from one

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rotortomo import angular
 from rotortomo.angular import (
     J_CAP,
     assoc_legendre_norm,
@@ -183,6 +184,15 @@ def test_wigner_rows_orthogonal():
         assert np.max(np.abs(gram - expect)) < 1e-13
 
 
+def test_eigenfunction_rows_are_the_recurrence_rows_with_no_cap():
+    # the checks leave the rows at valid x bit for bit, and take any j_max
+    x = np.concatenate(([-1.0, 1.0], X))
+    for k, m in [(0, 0), (0, -3), (2, 1)]:
+        want = angular._rows(9, m, 0, x) if k == 0 else angular._rows(9, k, m, x)
+        assert np.array_equal(eigenfunction_rows(9, k, m, x), want)
+    assert eigenfunction_rows(J_CAP + 8, 0, 0, X).shape == (J_CAP + 9, len(X))
+
+
 def test_eigenfunction_rows_orthonormal_both_kinds():
     grid = gauss_legendre_grid(30)
     for k, m in [(0, 0), (0, 2), (1, 1), (2, 1)]:
@@ -273,8 +283,19 @@ def test_cg_rejects_out_of_cap_arguments():
         (lambda: wigner_d(3, 0.5, 1, 0.2), "k must be an integer"),
         (lambda: assoc_legendre_norm(3, 1, math.nan), "x must be finite"),
         (lambda: wigner_d(3, 1, 1, np.array([0.2, math.nan])), "x must be finite"),
+        (lambda: assoc_legendre_norm(2, -3, 0.2), r"\|m\| = 3 exceeds J = 2"),
+        (lambda: wigner_d(2, 3, 0, 0.2), r"\|k\| = 3 and \|m\| = 0 must not exceed J = 2"),
+        (lambda: eigenfunction_rows(3, 0, 1, [0.5, math.nan]), "x must be finite"),
+        (lambda: eigenfunction_rows(3, 1, 1, [1.5]), "x must be finite and lie in"),
+        (lambda: eigenfunction_rows(3.5, 0, 0, [0.1]), "j_max must be an integer, got 3.5"),
+        (lambda: eigenfunction_rows(3, 1.0, 1, [0.1]), "k must be an integer, got 1.0"),
+        (lambda: eigenfunction_rows(3, 0, True, [0.1]), "m must be an integer, got True"),
     ],
-    ids=["cg-half-j", "cg-half-m", "legendre-half-m", "wigner-half-k", "legendre-nan", "wigner-nan"],
+    ids=[
+        "cg-half-j", "cg-half-m", "legendre-half-m", "wigner-half-k", "legendre-nan", "wigner-nan",
+        "legendre-m-above-j", "wigner-k-above-j", "rows-nan", "rows-x-outside", "rows-half-j_max",
+        "rows-float-k", "rows-bool-m",
+    ],
 )
 def test_non_integer_indices_and_nan_cosines_are_named_errors(call, needle):
     with pytest.raises(ValueError, match=needle):

@@ -77,6 +77,13 @@ def test_block_json_sparse_entries_default_to_zero(tmp_path):
         ('{"k": 0, "m": 2, "j_max": 1, "entries": []}', "channel minimum"),
         ('{"k": 0, "m": 0, "j_max": 1000000, "entries": []}', "j_max=1000000 above the supported J=200"),
         ("not json", "JSON"),
+        ('{"k": 0, "m": 0, "j_max": 2, "entries": null}', "'entries' must be a list, got None"),
+        ('{"k": 0, "m": 0, "j_max": 2, "entries": 3}', "'entries' must be a list, got 3"),
+        ('{"k": 0, "m": 0, "j_max": 2, "entries": true}', "'entries' must be a list, got True"),
+        ('{"k": 0, "m": 0, "j_max": 2, "entries": {"0": 1}}', "'entries' must be a list"),
+        ("[1, 2]", "top level must be an object"),
+        ('{"k": 0.5, "m": 0, "j_max": 2, "entries": []}', "'k' must be an integer, got 0.5"),
+        ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 1.0, 1.0, 0.0]]}', "J labels must be integers"),
     ],
 )
 def test_block_json_malformed_inputs(tmp_path, payload, needle):
@@ -272,6 +279,10 @@ def _append(lines, i, text):
     lines[i] += text
 
 
+def _set_header(lines, old, new):
+    lines[0] = lines[0].replace(old, new)
+
+
 # _grid() on 21 x 9 nodes: lines[5] is file line 6, data row 4 (slice 0, node 4)
 @pytest.mark.parametrize(
     "edit,newline,expected",
@@ -288,10 +299,18 @@ def _append(lines, i, text):
             "\n",
             "line 151: non-finite field",
         ),
+        (lambda lines: lines.clear(), "", "empty file"),
+        (lambda lines: _set_header(lines, "omega=2", "omega=fast"), "\n",
+         "line 1: omega='fast' is not a number"),
+        (lambda lines: _set_header(lines, "rigid-linear", "oblate-top"), "\n",
+         "line 1: unknown rotor kind 'oblate-top'"),
+        (lambda lines: _set_header(lines, "n_t=21", "n_t=0"), "\n",
+         "line 1: n_t, n_x, n_periods must be >= 1"),
     ],
     ids=[
         "pr-underscore", "trailing-spaces", "trailing-comment", "fifth-field", "pr-nan",
-        "crlf", "blank-line", "blank-line-then-inf",
+        "crlf", "blank-line", "blank-line-then-inf", "empty-file", "omega-text", "unknown-kind",
+        "n_t-0",
     ],
 )
 def test_grid_csv_edited_lines_read_as_the_line_scan_reads_them(tmp_path, edit, newline, expected):
@@ -440,6 +459,14 @@ def test_config_minimal_defaults(tmp_path):
     assert cfg.noise.samples_per_time == 0 and cfg.threshold is None
 
 
+def test_config_null_sections_read_as_empty(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("spec: {kind: rigid-linear}\nj_max: 3\n")
+    minimal = load_config(path)
+    path.write_text("spec: {kind: rigid-linear}\nj_max: 3\nsampling:\nnoise:\nstate:\npaths:\n")
+    assert load_config(path) == minimal
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [
@@ -459,6 +486,9 @@ def test_config_minimal_defaults(tmp_path):
             "noise.samples_per_time' must be <= 9223372036854775807",
         ),
         ("spec: {kind: rigid-linear}\nj_max: 3\npaths: {data: 7}\n", "paths.data"),
+        ("- spec\n- j_max\n", "top level must be a mapping"),
+        ("spec: {kind: rigid-linear}\nj_max: 3\nsampling: 5\n", "'sampling' must be a mapping"),
+        ("spec: {kind: rigid-linear, omega: fast}\nj_max: 3\n", "'spec.omega' must be a number"),
     ],
 )
 def test_config_named_validation_errors(tmp_path, text, needle):
@@ -584,6 +614,72 @@ def test_cli_simulate_embeds_smaller_state(workdir, capsys):
     assert rec.j_max == 5
     assert np.max(np.abs(rec.elements[:4, :4] - small.elements)) < 1e-11
     assert abs(rec.element(5, 5)) < 1e-11
+
+
+def test_cli_simulate_reads_a_smaller_state_as_its_padded_block(workdir, capsys):
+    cfg = _write_config(
+        workdir / "run.yaml",
+        "spec: {kind: centrifugal-linear, omega: 1.0, d_cd: 1.0e-4}\n"
+        "j_max: 5\n"
+        "sampling: {n_periods: 4}\n"
+        "paths: {state: state.json, data: data.csv}\n",
+    )
+    small = make_test_state("random-pure", 0, 0, 3, seed=4)
+    save_block(small, workdir / "state.json")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert "j_max=5: n_t=" in capsys.readouterr().out
+    grid = load_grid(workdir / "data.csv")
+    run = load_config(cfg)
+    padded = simulate_pr(small.embedded(5), run.spec, grid.x_grid, grid.n_t, grid.n_periods)
+    assert np.max(np.abs(grid.values - padded.values)) <= 1e-15
+
+
+def _noisy_run(workdir, samples):
+    noise = f"noise: {{samples_per_time: {samples}, seed: 3}}\n" if samples else ""
+    cfg = _write_config(
+        workdir / f"run{samples}.yaml",
+        "spec: {kind: rigid-linear, omega: 1.0, m: 1}\n"
+        "j_max: 3\n" + noise + "paths: {state: state.json, data: data.csv, out: rec.json}\n",
+    )
+    save_block(make_test_state("random-mixed", 0, 1, 3, seed=8), workdir / "state.json")
+    return cfg
+
+
+def test_cli_simulate_adds_shot_noise_that_keeps_the_trace(workdir, capsys):
+    exact = _noisy_run(workdir, 0)
+    assert main(["simulate", "--config", exact, "--data", "exact.csv"]) == 0
+    assert "shot noise" not in capsys.readouterr().out
+    noisy = _noisy_run(workdir, 500)
+    assert main(["simulate", "--config", noisy]) == 0
+    assert "shot noise: 500 samples per time slice\n" in capsys.readouterr().out
+    a, b = load_grid(workdir / "exact.csv"), load_grid(workdir / "data.csv")
+    assert not np.allclose(a.values, b.values)
+    assert np.allclose(b.values @ b.x_grid.weights, a.trace_estimate(), rtol=0, atol=1e-12)
+
+
+def test_cli_simulate_seed_sets_the_noise(workdir, capsys):
+    cfg = _noisy_run(workdir, 500)
+    texts = []
+    for seed in ("1", "1", "2"):
+        assert main(["simulate", "--config", cfg, "--seed", seed]) == 0
+        texts.append((workdir / "data.csv").read_bytes())
+    capsys.readouterr()
+    assert texts[0] == texts[1] != texts[2]
+    assert main(["simulate", "--config", cfg]) == 0  # the config's seed, 3
+    assert (workdir / "data.csv").read_bytes() not in texts
+
+
+def test_cli_reconstruct_gate_fails_after_writing_its_outputs(workdir, capsys):
+    cfg = _noisy_run(workdir, 500)
+    assert main(["simulate", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--threshold", "1e-6"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL: residual \S+ exceeds threshold 1e-06$", out, re.MULTILINE)
+    assert load_block(workdir / "rec.json").j_max == 3
+    assert (workdir / "rec.json.report.txt").read_text().startswith("reconstruction report\n")
+    assert main(["reconstruct", "--config", cfg, "--threshold", "10"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_roundtrip_writes_metrics_and_gates(workdir, capsys):
@@ -762,6 +858,23 @@ def test_cli_validation_failures_exit_two(workdir, capsys):
     assert main(["simulate", "--config", big]) == 2
     assert "exceeds" in capsys.readouterr().err
 
+    # state of another channel than the config's
+    tilted = _write_config(
+        workdir / "tilted.yaml",
+        "spec: {kind: rigid-linear, omega: 1.0, m: 1}\n"
+        "j_max: 4\n"
+        "paths: {state: state.json, data: data.csv}\n",
+    )
+    assert main(["simulate", "--config", tilted]) == 2
+    assert "state channel (k=0, m=0) does not match config channel (k=0, m=1)" in (
+        capsys.readouterr().err
+    )
+
+    # entries that are not a list
+    (workdir / "state.json").write_text('{"k": 0, "m": 0, "j_max": 4, "entries": null}')
+    assert main(["simulate", "--config", good]) == 2
+    assert "'entries' must be a list, got None" in capsys.readouterr().err
+
 
 _RIGID_RUN = (
     "spec: {kind: rigid-linear, omega: 1.0}\nj_max: 3\n"
@@ -827,12 +940,15 @@ def _shifted_time(lines):
         ("reconstruct", _RIGID_RUN, None, ["--seed", "1"], "unrecognized arguments"),
         ("coeffs", _RIGID_RUN, None, ["--seed", "1"], "unrecognized arguments"),
         ("coeffs", _RIGID_RUN, None, ["--threshold", "1"], "unrecognized arguments"),
+        ("reconstruct", _RIGID_RUN, None, ["--threshold", "abc"], "got 'abc'"),
+        ("reconstruct", _spec_run("omega: 1.0"), None, [], "no data file: pass --data or set"),
     ],
     ids=[
         "csv-omega-nan", "csv-pr-nan", "flag-threshold-negative", "omega-nan", "omega-inf",
         "omega2-nan", "d_cd-nan", "kick-nan", "threshold-nan", "threshold-negative",
         "flag-threshold-nan", "samples-per-time-2**63", "csv-pr-nan-after-blank-lines",
         "csv-time-off-at-node-3", "simulate-threshold", "reconstruct-seed", "coeffs-seed", "coeffs-threshold",
+        "flag-threshold-text", "data-path-missing",
     ],
 )
 def test_cli_non_finite_or_negative_inputs_exit_two(

@@ -277,13 +277,11 @@ def test_simulate_matches_the_einsum_contraction():
     spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0, m=1)
     blk = make_test_state("random-mixed", 0, 1, 4, seed=2)
     x_grid = gauss_legendre_grid(9)
-    rotor._basis_rows.cache_clear()
-    rotor._level_pairs.cache_clear()
+    rotor._pair_tables.cache_clear()
     grids = [simulate_pr(blk, spec, x_grid, n_t=21) for _ in range(2)]
-    # the basis rows and the level-pair indices are built once per shape
-    for memo in (rotor._basis_rows, rotor._level_pairs):
-        info = memo.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+    # the basis rows, level pairs and their lines are built once per shape
+    info = rotor._pair_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
     times = grids[0].times
     phases = np.exp(-1j * np.outer(times, [energy(spec, J) for J in blk.j_values]))
@@ -292,6 +290,29 @@ def test_simulate_matches_the_einsum_contraction():
     want = np.einsum("tab,ax,bx->tx", evolved, f, f, optimize=True).real
     for grid in grids:
         assert np.max(np.abs(grid.values - want)) <= 1e-13
+
+
+def test_warm_simulate_reads_its_lines_and_rows_from_the_memo(monkeypatch):
+    spec = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=1e-3, m=1)
+    blk = make_test_state("random-mixed", 0, 1, 4, seed=6)
+    x_grid = gauss_legendre_grid(9)
+    want = simulate_pr(blk, spec, x_grid, n_t=15).values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm simulate evaluated the spectrum or the eigenfunctions")
+
+    monkeypatch.setattr(rotor, "energy", refuse)
+    monkeypatch.setattr(rotor, "eigenfunction_rows", refuse)
+    assert np.array_equal(simulate_pr(blk, spec, x_grid, n_t=15).values, want)
+    for table in rotor._pair_tables(spec, 4, x_grid.nodes.tobytes()):
+        assert not table.flags.writeable
+    monkeypatch.undo()
+
+    # the lines are the spec's own: the same shape under another d_cd is its own entry
+    other = replace(spec, d_cd=2e-3)
+    grid = simulate_pr(blk, other, x_grid, n_t=15)
+    assert not np.array_equal(grid.values, want)
+    assert np.max(np.abs(grid.values - _direct_pr(blk, other, x_grid.nodes, grid.times))) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -681,11 +702,32 @@ def test_blocks_above_the_cap_raise_a_named_error(make):
 @pytest.mark.parametrize(
     "make",
     [lambda: make_test_state("random-pure", 0, 2, 1), lambda: DensityBlock.zeros(3, 1, 2),
-     lambda: DensityBlock(0, -2, 1, np.eye(1))],
-    ids=["state", "zeros", "block"],
+     lambda: DensityBlock(0, -2, 1, np.eye(1)),
+     lambda: tomography.SamplingPlan.derive(RotorSpec(kind=RotorKind.RIGID, omega=1.0, m=2), 1),
+     lambda: eigenfunction_rows(2, -1, 3, np.zeros(3))],
+    ids=["state", "zeros", "block", "derive", "eigenfunction-rows"],
 )
 def test_blocks_below_the_channel_keep_their_message(make):
     with pytest.raises(ValueError, match=r"^j_max = \d below channel minimum \d$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make,needle",
+    [
+        (lambda: tomography.SamplingPlan.derive(_RIGID, 3, n_periods=0),
+         "n_periods must be >= 1, got 0"),
+        (lambda: _grid_with(n_periods=0), "n_periods must be >= 1, got 0"),
+        (lambda: _simulate_j3(0), "n_t must be >= 1, got 0"),
+        (
+            lambda: DensityBlock(0, 1, 3, np.eye(4)),
+            r"elements shape \(4, 4\) does not match J range 1..3 \(expected \(3, 3\)\)",
+        ),
+    ],
+    ids=["derive-n_periods-0", "grid-n_periods-0", "simulate-n_t-0", "block-shape"],
+)
+def test_sizes_out_of_range_raise_a_named_error(make, needle):
+    with pytest.raises(ValueError, match=f"^{needle}"):
         make()
 
 
