@@ -71,12 +71,27 @@ J_CAP = 200
 # larger rule.
 N_X_CAP = 2 * J_CAP + 1
 
+# Largest level and quadrature order built: make_test_state's kick of a J_CAP block.
+ROWS_CAP, ORDER_CAP = 2 * J_CAP + 4, 2 * J_CAP + 6
+
 def _check_j(name: str, value: int, low: int | None = 0, high: int = J_CAP) -> None:
     """Require an integer in [low, high]; ``low=None`` checks integrality only."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    # an exact int passes at once: the isinstance checks cost more than the range test
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and not low <= value <= high:
         raise ValueError(f"{name} = {value} outside supported range [{low}, {high}]")
+
+
+def _channel_floor(k: int, m: int, j: int, high: float = J_CAP, name: str = "j_max") -> int:
+    """Require integer k, m, j with max(|k|, |m|) <= j <= high, naming a bad one; return max(|k|, |m|)."""
+    for label, value in (("k", k), ("m", m), (name, j)):
+        _check_j(label, value, low=None)
+    floor = max(abs(k), abs(m))
+    if j < floor:
+        raise ValueError(f"{name} = {j} below channel minimum {floor}")
+    _check_j(name, j, low=floor, high=high)
+    return floor
 
 
 def _cosines(x) -> np.ndarray:
@@ -98,10 +113,8 @@ class QuadratureGrid:
 
 @lru_cache(maxsize=None, typed=True)  # typed, so True or 2.0 never reads the rule of 1 or 2
 def gauss_legendre_grid(order: int) -> QuadratureGrid:
-    """Gauss-Legendre rule of the given order (exact for degree <= 2*order-1)."""
-    _check_j("order", order, low=None)
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    """Gauss-Legendre rule of the given order (exact for degree <= 2*order-1), 1 <= order <= ORDER_CAP."""
+    _check_j("order", order, low=1, high=ORDER_CAP)
     nodes, weights = leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -154,21 +167,14 @@ def _rows(j_max: int, k: int, m: int, x) -> np.ndarray:
 
 def assoc_legendre_norm(J: int, m: int, x):
     """Normalized associated Legendre function P~(J, m) at x = cos(theta)."""
-    _check_j("J", J)
-    _check_j("m", m, low=None)
-    if abs(m) > J:
-        raise ValueError(f"|m| = {abs(m)} exceeds J = {J}")
+    _channel_floor(0, m, J, name="J")
     value = _rows(J, m, 0, _cosines(x))[-1]
     return float(value) if np.ndim(x) == 0 else value
 
 
 def wigner_d(J: int, k: int, m: int, x):
     """Reduced rotation matrix element d^J_{km} at x = cos(beta)."""
-    _check_j("J", J)
-    _check_j("k", k, low=None)
-    _check_j("m", m, low=None)
-    if abs(k) > J or abs(m) > J:
-        raise ValueError(f"|k| = {abs(k)} and |m| = {abs(m)} must not exceed J = {J}")
+    _channel_floor(k, m, J, name="J")
     value = _rows(J, k, m, _cosines(x))[-1] / math.sqrt((2 * J + 1) / 2)
     return float(value) if np.ndim(x) == 0 else value
 
@@ -221,13 +227,10 @@ def eigenfunction_rows(j_max: int, k: int, m: int, x) -> np.ndarray:
 
     f_J = P~(J, m) when k = 0, else sqrt((2J+1)/2) d^J_{km}.  Either way
     integral f_J f_J' dx = delta(J, J').  Shape (rows, *x.shape).  Non-integer
-    j_max, k or m, a j_max below max(|k|, |m|), and a NaN or an x outside
-    [-1, 1] raise ValueError naming it; j_max has no cap.
+    j_max, k or m, a j_max outside [max(|k|, |m|), ROWS_CAP], and a NaN or an
+    x outside [-1, 1] raise ValueError naming it.
     """
-    for name, value in (("j_max", j_max), ("k", k), ("m", m)):
-        _check_j(name, value, low=None)
-    if j_max < max(abs(k), abs(m)):
-        raise ValueError(f"j_max = {j_max} below channel minimum {max(abs(k), abs(m))}")
+    _channel_floor(k, m, j_max, high=ROWS_CAP)
     x = _cosines(x)
     return _rows(j_max, m, 0, x) if k == 0 else _rows(j_max, k, m, x)
 
@@ -256,10 +259,7 @@ def coefficient_table(k: int, m: int, j_max: int) -> np.ndarray:
     exact closed form up to j_max = 100, the largest block a plan takes.
     Read-only; nothing is kept between calls.
     """
-    _check_j("k", k, low=None)
-    _check_j("m", m, low=None)
-    m_min = max(abs(k), abs(m))
-    _check_j("j_max", j_max, low=m_min)
+    m_min = _channel_floor(k, m, j_max)
     grid = gauss_legendre_grid(2 * j_max + 1)
     f = eigenfunction_rows(j_max, k, m, grid.nodes)
     i1, i2 = np.tril_indices(len(f))

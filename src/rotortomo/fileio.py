@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import J_CAP, N_X_CAP, QuadratureGrid, gauss_legendre_grid
+from .angular import N_X_CAP, QuadratureGrid, _channel_floor, gauss_legendre_grid
 from .rotor import DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
 
 
@@ -80,14 +80,10 @@ def load_block(path: str | Path) -> DensityBlock:
     if extra:
         raise FileFormatError(f"{path}: unknown key '{sorted(extra)[0]}'")
     k, m, j_max = payload["k"], payload["m"], payload["j_max"]
-    for name, val in (("k", k), ("m", m), ("j_max", j_max)):
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise FileFormatError(f"{path}: '{name}' must be an integer, got {val!r}")
-    j_min = max(abs(k), abs(m))
-    if j_max < j_min:
-        raise FileFormatError(f"{path}: j_max={j_max} below channel minimum J={j_min}")
-    if j_max > J_CAP:
-        raise FileFormatError(f"{path}: j_max={j_max} above the supported J={J_CAP}")
+    try:
+        j_min = _channel_floor(k, m, j_max)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(payload["entries"], list):
         raise FileFormatError(f"{path}: 'entries' must be a list, got {payload['entries']!r}")
     n = j_max - j_min + 1
@@ -411,12 +407,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     if "j_max" not in cfg:
         raise FileFormatError("config: 'j_max' is required")
-    j_max = _get_int(cfg, "config", "j_max", 0, minimum=0)
-    if j_max < max(abs(spec.k), abs(spec.m)):
-        raise FileFormatError(
-            f"config: j_max={j_max} below channel minimum "
-            f"J={max(abs(spec.k), abs(spec.m))}"
-        )
+    j_max = cfg["j_max"]
+    try:
+        _channel_floor(spec.k, spec.m, j_max, high=math.inf)
+    except ValueError as exc:
+        raise FileFormatError(f"config: {exc}") from exc
 
     sampling = _section(cfg, "sampling", _SAMPLING_KEYS)
     noise_cfg = _section(cfg, "noise", _NOISE_KEYS)

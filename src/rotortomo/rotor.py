@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import J_CAP, QuadratureGrid, _check_j, eigenfunction_rows, gauss_legendre_grid
+from .angular import QuadratureGrid, _channel_floor, _check_j, eigenfunction_rows, gauss_legendre_grid
 
 
 class RotorKind(enum.Enum):
@@ -127,17 +127,6 @@ def check_distortion_range(spec: RotorSpec, j_cap: int) -> None:
         )
 
 
-def _block_floor(k: int, m: int, j_max: int) -> int:
-    """Require integer k, m and j_max with j_max in [m_min, J_CAP]; return m_min."""
-    for name, value in (("k", k), ("m", m), ("j_max", j_max)):
-        _check_j(name, value, low=None)
-    j_min = max(abs(k), abs(m))
-    if j_max < j_min:
-        raise ValueError(f"j_max = {j_max} below channel minimum {j_min}")
-    _check_j("j_max", j_max, high=J_CAP)
-    return j_min
-
-
 @dataclass
 class DensityBlock:
     """Hermitian density-matrix block for one (k, m) channel.
@@ -155,7 +144,7 @@ class DensityBlock:
     j_min: int = field(init=False)
 
     def __post_init__(self):
-        self.j_min = _block_floor(self.k, self.m, self.j_max)
+        self.j_min = _channel_floor(self.k, self.m, self.j_max)
         n = self.j_max - self.j_min + 1
         self.elements = np.asarray(self.elements, dtype=complex)
         if self.elements.shape != (n, n):
@@ -175,7 +164,7 @@ class DensityBlock:
 
     @classmethod
     def zeros(cls, k: int, m: int, j_max: int) -> "DensityBlock":
-        n = j_max - _block_floor(k, m, j_max) + 1
+        n = j_max - _channel_floor(k, m, j_max) + 1
         return cls(k=k, m=m, j_max=j_max, elements=np.zeros((n, n), dtype=complex))
 
     @property
@@ -248,8 +237,9 @@ class MeasurementGrid:
             raise ValueError(
                 f"values shape {self.values.shape} does not match x grid order {self.x_grid.order}"
             )
-        if self.n_periods < 1:
-            raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
+        for name in ("n_t", "n_periods"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if not np.isfinite(self.values).all():
@@ -431,7 +421,7 @@ def make_test_state(
     checkable by enlarging j_max.  Every block returned equals its conjugate
     transpose exactly.
     """
-    n = j_max - _block_floor(k, m, j_max) + 1
+    n = j_max - _channel_floor(k, m, j_max) + 1
     rng = np.random.default_rng(seed)
 
     def random_pure() -> np.ndarray:

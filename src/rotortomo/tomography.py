@@ -44,6 +44,7 @@ import numpy as np
 from .angular import (
     J_CAP,
     N_X_CAP,
+    _channel_floor,
     _check_j,
     _cosines,
     _rows,
@@ -230,12 +231,9 @@ class PatternFunction:
 
 def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
     """Row j1 of the bin-0 least-squares map of a (k, m) block up to j_cap."""
-    _check_j("j1", j1, low=None)
-    m_min = max(abs(k), abs(m))
-    if not m_min <= j1 <= j_cap:
-        raise ValueError(f"j1 = {j1} outside the reconstructible range {m_min}..{j_cap}")
     spec = RotorSpec(kind=RotorKind.SYMTOP if k else RotorKind.RIGID, omega=1.0, k=k, m=m)
     plan = SamplingPlan.derive(spec, j_cap)
+    m_min = _channel_floor(k, m, j1, high=j_cap, name="j1")
     op = _probe_operator(spec, j_cap, plan.n_periods, plan.n_t)
     p = (j1 - m_min) * (j1 - m_min + 3)  # the cos parameter of (j1, j1), at twice its pair's index
     # its group is bin 0's, every diagonal pair, whose moments are the first probe's
@@ -516,12 +514,9 @@ class SamplingPlan:
         Raises :class:`SamplingError` naming the violated requirement, and
         ValueError for a size that is not an integer.
         """
-        sizes = {"j_max": j_max, "n_periods": n_periods, "n_t": n_t, "n_x": n_x}
-        for name, value in sizes.items():
+        m_min = _channel_floor(spec.k, spec.m, j_max, high=math.inf)
+        for name, value in (("n_periods", n_periods), ("n_t", n_t), ("n_x", n_x)):
             _check_j(name, value, low=None)
-        m_min = spec.m_min
-        if j_max < m_min:
-            raise ValueError(f"j_max = {j_max} below channel minimum {m_min}")
         if n_periods < 1:
             raise ValueError(f"n_periods must be >= 1, got {n_periods}")
         alpha_max = 2 * j_max

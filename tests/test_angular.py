@@ -11,6 +11,8 @@ import oracles
 from rotortomo import angular
 from rotortomo.angular import (
     J_CAP,
+    ORDER_CAP,
+    ROWS_CAP,
     assoc_legendre_norm,
     clebsch_gordan,
     coefficient_table,
@@ -46,11 +48,12 @@ def test_quadrature_order_must_be_an_integer(order):
         gauss_legendre_grid(order)
 
 
-def test_quadrature_order_is_at_least_one_and_has_no_cap():
-    for order in (0, -3):
-        with pytest.raises(ValueError, match="order must be >= 1"):
+def test_quadrature_order_is_at_least_one_and_at_most_the_cap():
+    for order in (0, -3, ORDER_CAP + 1, 10**6):
+        with pytest.raises(ValueError, match=rf"^order = {order} outside supported range \[1, {ORDER_CAP}\]$"):
             gauss_legendre_grid(order)
     # make_test_state("cos2-kicked", ..., j_max=200) builds a rule of order 406
+    assert ORDER_CAP == 406
     assert gauss_legendre_grid(406).order == 406
 
 
@@ -184,13 +187,18 @@ def test_wigner_rows_orthogonal():
         assert np.max(np.abs(gram - expect)) < 1e-13
 
 
-def test_eigenfunction_rows_are_the_recurrence_rows_with_no_cap():
-    # the checks leave the rows at valid x bit for bit, and take any j_max
+def test_eigenfunction_rows_are_the_recurrence_rows_up_to_the_cap():
+    # the checks leave the rows at valid x bit for bit, and take j_max up to ROWS_CAP
     x = np.concatenate(([-1.0, 1.0], X))
     for k, m in [(0, 0), (0, -3), (2, 1)]:
         want = angular._rows(9, m, 0, x) if k == 0 else angular._rows(9, k, m, x)
         assert np.array_equal(eigenfunction_rows(9, k, m, x), want)
-    assert eigenfunction_rows(J_CAP + 8, 0, 0, X).shape == (J_CAP + 9, len(X))
+    # make_test_state("cos2-kicked", ..., j_max=200) reads rows up to J = 404
+    assert ROWS_CAP == 404
+    assert eigenfunction_rows(404, 0, 0, X).shape == (405, len(X))
+    for j_max in (405, 10**6):
+        with pytest.raises(ValueError, match=rf"^j_max = {j_max} outside supported range \[0, 404\]$"):
+            eigenfunction_rows(j_max, 0, 0, X)
 
 
 def test_eigenfunction_rows_orthonormal_both_kinds():
@@ -283,8 +291,8 @@ def test_cg_rejects_out_of_cap_arguments():
         (lambda: wigner_d(3, 0.5, 1, 0.2), "k must be an integer"),
         (lambda: assoc_legendre_norm(3, 1, math.nan), "x must be finite"),
         (lambda: wigner_d(3, 1, 1, np.array([0.2, math.nan])), "x must be finite"),
-        (lambda: assoc_legendre_norm(2, -3, 0.2), r"\|m\| = 3 exceeds J = 2"),
-        (lambda: wigner_d(2, 3, 0, 0.2), r"\|k\| = 3 and \|m\| = 0 must not exceed J = 2"),
+        (lambda: assoc_legendre_norm(2, -3, 0.2), "J = 2 below channel minimum 3"),
+        (lambda: wigner_d(2, 3, 0, 0.2), "J = 2 below channel minimum 3"),
         (lambda: eigenfunction_rows(3, 0, 1, [0.5, math.nan]), "x must be finite"),
         (lambda: eigenfunction_rows(3, 1, 1, [1.5]), "x must be finite and lie in"),
         (lambda: eigenfunction_rows(3.5, 0, 0, [0.1]), "j_max must be an integer, got 3.5"),
@@ -414,7 +422,11 @@ def test_tensor_zeros_are_the_selection_rules(k, m):
         assert np.array_equal(tensor != 0, allowed), j_max
 
 
-@pytest.mark.parametrize("j_max", [J_CAP + 1, 1], ids=["above-cap", "below-floor"])
-def test_coefficient_levels_outside_the_range_are_named_errors(j_max):
-    with pytest.raises(ValueError, match=r"outside supported range \[2, 200\]"):
+@pytest.mark.parametrize(
+    "j_max,needle",
+    [(J_CAP + 1, r"outside supported range \[2, 200\]"), (1, "j_max = 1 below channel minimum 2")],
+    ids=["above-cap", "below-floor"],
+)
+def test_coefficient_levels_outside_the_range_are_named_errors(j_max, needle):
+    with pytest.raises(ValueError, match=needle):
         coefficient_table(0, 2, j_max)

@@ -75,14 +75,14 @@ def test_block_json_sparse_entries_default_to_zero(tmp_path):
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0]]}', "duplicate"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 0, 1.0]]}', "entries"),
         ('{"k": 0, "m": 2, "j_max": 1, "entries": []}', "channel minimum"),
-        ('{"k": 0, "m": 0, "j_max": 1000000, "entries": []}', "j_max=1000000 above the supported J=200"),
+        ('{"k": 0, "m": 0, "j_max": 1000000, "entries": []}', r"j_max = 1000000 outside supported range \[0, 200\]"),
         ("not json", "JSON"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": null}', "'entries' must be a list, got None"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": 3}', "'entries' must be a list, got 3"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": true}', "'entries' must be a list, got True"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": {"0": 1}}', "'entries' must be a list"),
         ("[1, 2]", "top level must be an object"),
-        ('{"k": 0.5, "m": 0, "j_max": 2, "entries": []}', "'k' must be an integer, got 0.5"),
+        ('{"k": 0.5, "m": 0, "j_max": 2, "entries": []}', "k must be an integer, got 0.5"),
         ('{"k": 0, "m": 0, "j_max": 2, "entries": [[0, 1.0, 1.0, 0.0]]}', "J labels must be integers"),
     ],
 )
@@ -785,7 +785,7 @@ def test_cli_simulate_rejects_an_oversized_state_file_by_name(workdir, capsys):
     )
     (workdir / "state.json").write_text('{"k": 0, "m": 0, "j_max": 1000000, "entries": []}')
     assert main(["simulate", "--config", cfg]) == 2
-    assert "j_max=1000000 above the supported J=200" in capsys.readouterr().err
+    assert "j_max = 1000000 outside supported range [0, 200]" in capsys.readouterr().err
 
 
 def test_cli_coeffs_names_the_supported_range(workdir, capsys):

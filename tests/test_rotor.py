@@ -719,12 +719,13 @@ def test_blocks_below_the_channel_keep_their_message(make):
          "n_periods must be >= 1, got 0"),
         (lambda: _grid_with(n_periods=0), "n_periods must be >= 1, got 0"),
         (lambda: _simulate_j3(0), "n_t must be >= 1, got 0"),
+        (lambda: replace(_grid_with(), values=np.zeros((0, 5))), "n_t must be >= 1, got 0"),
         (
             lambda: DensityBlock(0, 1, 3, np.eye(4)),
             r"elements shape \(4, 4\) does not match J range 1..3 \(expected \(3, 3\)\)",
         ),
     ],
-    ids=["derive-n_periods-0", "grid-n_periods-0", "simulate-n_t-0", "block-shape"],
+    ids=["derive-n_periods-0", "grid-n_periods-0", "simulate-n_t-0", "grid-n_t-0", "block-shape"],
 )
 def test_sizes_out_of_range_raise_a_named_error(make, needle):
     with pytest.raises(ValueError, match=f"^{needle}"):
