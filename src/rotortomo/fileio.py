@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .angular import N_X_CAP, QuadratureGrid, _channel_floor, gauss_legendre_grid
-from .rotor import DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
+from .rotor import MAX_PERIODS, DensityBlock, MeasurementGrid, RotorSpec, rotor_kind
 
 
 class FileFormatError(ValueError):
@@ -243,8 +243,8 @@ def load_grid(path: str | Path) -> MeasurementGrid:
     n_t, n_x, n_periods = int(header["n_t"]), int(header["n_x"]), int(header["n_periods"])
     if not 0 < omega < math.inf:
         raise FileFormatError(f"{path}: line 1: omega must be finite and positive, got {omega}")
-    if n_t < 1 or n_x < 1 or n_periods < 1:
-        raise FileFormatError(f"{path}: line 1: n_t, n_x, n_periods must be >= 1")
+    if n_t < 1 or n_x < 1 or not 1 <= n_periods <= MAX_PERIODS:
+        raise FileFormatError(f"{path}: line 1: n_t, n_x, n_periods must be >= 1, n_periods <= 2**53")
     if n_x > N_X_CAP:
         raise FileFormatError(f"{path}: line 1: n_x = {n_x} exceeds the supported {N_X_CAP}")
 
@@ -432,7 +432,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(
         spec=spec,
         j_max=j_max,
-        n_periods=_get_int(sampling, "sampling", "n_periods", 1, minimum=1),
+        n_periods=_get_int(sampling, "sampling", "n_periods", 1, minimum=1, maximum=MAX_PERIODS),
         n_t=_get_int(sampling, "sampling", "n_t", 0),
         n_x=_get_int(sampling, "sampling", "n_x", 0),
         noise=NoiseConfig(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -240,6 +239,7 @@ class MeasurementGrid:
         for name in ("n_t", "n_periods"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_j("n_periods", self.n_periods, low=1, high=MAX_PERIODS)
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if not np.isfinite(self.values).all():
@@ -285,47 +285,61 @@ class MeasurementGrid:
         return self.x_integrals(self.x_grid.nodes**2)
 
 
-_FACTOR_BYTES = 32 * 2**20
+MAX_PERIODS = 2**53  # every period count up to it is exact as a float
+_FACTOR_BYTES, _SHAPE_BYTES = 32 * 2**20, 64 * 2**20
 _factors: dict[tuple, np.ndarray] = {}  # by (freqs, dt, n_t), least recently used first
+_shapes: dict[tuple, tuple] = {}  # by (spec, j_max, nodes, n_t, n_periods), least recently used first
 
 
 def _keep_recent(memo: dict, entries: int, limit: int) -> None:
     """Drop the oldest values past ``entries`` or ``limit`` bytes; the one just used stays."""
-    while len(memo) > entries or len(memo) > 1 and limit < sum(v.nbytes for v in memo.values()):
+    size = lambda v: sum(t.nbytes for t in v) if isinstance(v, tuple) else v.nbytes  # noqa: E731
+    while len(memo) > entries or len(memo) > 1 and limit < sum(map(size, memo.values())):
         del memo[next(iter(memo))]
 
 
-def phase_table(freqs, dt: float, n_t: int) -> np.ndarray:
+def phase_table(freqs, dt: float, n_t: int, start: int | None = None) -> np.ndarray:
     """exp(i f k dt) for k = 0 .. n_t - 1 (rows) and each f in ``freqs`` (columns).
 
     With K = ceil(sqrt(n_t)) and k = q K + r, the table is the product of
-    exp(i f q K dt) and exp(i f r dt): two small exponential tables of
-    ceil(n_t / K) and K rows, memoized read-only for the last 16 (freqs, dt,
-    n_t) within 32 MiB, and one complex multiply per entry into a fresh array,
-    where exponentiating every entry would cost one complex exp each.  Entries
-    agree with ``np.exp(1j * f * (k * dt))`` to a few ulp of max(1, |f k dt|).
+    exp(i f q K dt) and exp(i f r dt), tables of ceil(n_t / K) and K rows: a
+    complex multiply per entry, not a complex exp.  Entries agree with
+    ``np.exp(1j * f * (k * dt))`` to a few ulp of max(1, |f k dt|).  A table of
+    one time block (ceil(512 / K) steps q) at most is kept read-only, else its
+    factors, for the last 16 (freqs, dt, n_t) within 32 MiB; a longer table is
+    a fresh product, or only the block from row ``start`` (a multiple of K).
     """
     freqs = np.asarray(freqs, dtype=float)
     K = math.isqrt(max(n_t - 1, 0)) + 1
-    n_q = -(-n_t // K)
+    n_q, steps = -(-n_t // K), -(-512 // K)
     key = (freqs.tobytes(), dt, n_t)
     table = _factors.pop(key, None)
     if table is None:
-        steps = np.concatenate((np.arange(n_q) * K, np.arange(K))) * dt  # q K dt, then r dt
-        table = np.exp(1j * np.multiply.outer(steps, freqs))
+        times = np.concatenate((np.arange(n_q) * K, np.arange(K))) * dt  # q K dt, then r dt
+        table = np.exp(1j * np.multiply.outer(times, freqs))
+        if n_q <= steps:  # one time block: the table itself is kept
+            table = (table[:n_q, None, :] * table[n_q:]).reshape(n_q * K, len(freqs))[:n_t]
         table.setflags(write=False)
     _factors[key] = table
     _keep_recent(_factors, 16, _FACTOR_BYTES)
-    return (table[:n_q, None, :] * table[n_q:]).reshape(n_q * K, len(freqs))[:n_t]
+    if n_q <= steps:
+        return table
+    coarse = table[:n_q, None, :] if start is None else table[start // K:n_q, None, :][:steps]
+    return (coarse * table[n_q:]).reshape(len(coarse) * K, len(freqs))[:n_t]
 
 
-@lru_cache(maxsize=4)
-def _pair_tables(spec: RotorSpec, j_max: int, nodes: bytes) -> tuple[np.ndarray, ...]:
-    """Read-only rows f_J at the x nodes, level pairs a < b, and their lines E_b - E_a."""
+def _shape_tables(spec: RotorSpec, j_max: int, nodes: bytes, n_t: int, n_periods: int) -> tuple:
+    """Read-only f_J(x)^2, rho's flat pair indices ab and ba, f_a f_b, rank ends, lines, first block."""
     f = eigenfunction_rows(j_max, spec.k, spec.m, np.frombuffer(nodes))
-    a, b = np.triu_indices(len(f), 1)
     e = energy(spec, np.arange(spec.m_min, j_max + 1))
-    tables = f, a, b, e[b] - e[a]
+    a, b = np.triu_indices(len(f), 1)
+    _, line, width = np.unique(e[b] - e[a], return_inverse=True, return_counts=True)
+    rank = np.argsort(np.argsort(line, kind="stable")) - (np.cumsum(width) - width)[line]
+    order = np.lexsort((line, -width[line], rank))  # rank r: each longer line's r-th pair, widest first
+    a, b, ends = a[order], b[order], np.cumsum(np.bincount(rank, minlength=1))
+    lines = e[b[:ends[0]]] - e[a[:ends[0]]]
+    first = phase_table(lines, n_periods * (np.pi / spec.omega) / n_t, n_t, start=0)
+    tables = f * f, a * len(f) + b, b * len(f) + a, f[a] * f[b], ends, lines, first
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -344,17 +358,16 @@ def simulate_pr(
     against the simulated data (normalization, basis projections up to the
     block bandwidth) is quadrature-exact.
 
-    The level pairs a < b carry the time dependence: e = exp(-i w_ab t), one
-    :func:`phase_table` over their own lines E_b - E_a with no level table,
-    gives rho_ab e + rho_ba conj(e) = 2 Re(h e) + 2i Im(d e), where h and d
-    are the (a, b) elements of the block's Hermitian and anti-Hermitian
-    parts.  So one real matrix product of the pair phases' (Re e, Im e)
-    against a table of h, d and f_a(x) f_b(x) gives Re Pr and Im Pr
-    together, and the diagonal adds a constant term.  Im Pr comes from the
-    anti-Hermitian part alone (d and Im rho_aa), so its columns are computed
-    only for a block that has one; there the imaginary residue is checked
-    against 1e-12 and discarded.  A Hermitian-to-the-bit block, such as a
-    reconstruction's, filled on J1 >= J2 and mirrored, gets Re Pr alone.
+    The level pairs a < b carry the time dependence: over their lines
+    E_b - E_a, e = exp(-i w_ab t) gives rho_ab e + rho_ba conj(e) = 2 Re(h e) +
+    2i Im(d e), h and d being the (a, b) elements of the block's Hermitian and
+    anti-Hermitian parts.  Pairs on one line (equal as floats) share its e, so
+    their h, d and f_a f_b terms are summed per line: one real product of the
+    lines' (Re e, Im e) against them, per :func:`phase_table` time block, gives
+    Re Pr and Im Pr, and the diagonal adds a constant.  Im Pr, from the
+    anti-Hermitian part alone (d, Im rho_aa), is computed only for a block that
+    has one, checked against 1e-12 and discarded; a Hermitian-to-the-bit block,
+    such as a reconstruction's, gets Re Pr alone.
 
     The simulator evaluates f_J(x) directly and never reads the coefficient
     tables of the inverse, so simulating a recovered block checks those
@@ -371,18 +384,19 @@ def simulate_pr(
             f"need order >= {2 * block.j_max + 1}"
         )
     _check_j("n_t", n_t, low=None)
-    _check_j("n_periods", n_periods, low=None)
+    _check_j("n_periods", n_periods, low=1, high=MAX_PERIODS)
     if n_t < 1:
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     check_distortion_range(spec, block.j_max)
 
     dt = n_periods * (np.pi / spec.omega) / n_t
     rho, n_x = block.elements, x_grid.order
-    f, a, b, lines = _pair_tables(spec, block.j_max, np.asarray(x_grid.nodes, float).tobytes())
-    pairs = phase_table(lines, dt, n_t)  # exp(-i w_ab t), (n_t, pairs)
-    upper, lower = rho[a, b], rho[b, a].conj()
+    key = (spec, block.j_max, np.asarray(x_grid.nodes, float).tobytes(), n_t, n_periods)
+    f2, ab, ba, fab, ends, lines, first = _shapes[key] = _shapes.pop(key, None) or _shape_tables(*key)
+    _keep_recent(_shapes, 4, _SHAPE_BYTES)
+    upper, lower = rho.take(ab), rho.take(ba).conj()
     h, d = upper + lower, upper - lower  # twice the Hermitian and anti-Hermitian parts
-    diagonal = np.diagonal(rho) @ (f * f)
+    diagonal = np.diagonal(rho) @ f2
     # (pair, Re e or Im e, Re Pr or Im Pr): Re(h e) and Im(d e) in (Re e, Im e);
     # Im Pr is left out when it is exactly zero
     if d.any() or diagonal.imag.any():
@@ -390,8 +404,14 @@ def simulate_pr(
     else:
         weights = np.array([[h.real], [-h.imag]]).transpose(2, 0, 1)
     n_out = weights.shape[2] * n_x
-    coef = (weights[..., None] * (f[a] * f[b])[:, None, None, :]).reshape(2 * len(a), n_out)
-    values = pairs.view(float) @ coef  # (n_t, n_out): Re Pr, then Im Pr if computed
+    coef = (weights[..., None] * fab[:, None, None, :]).reshape(2 * len(fab), n_out)
+    rows = (2 * ends).tolist()  # each rank's rows summed onto its lines' first ones
+    for lo, hi in zip(rows, rows[1:]):
+        coef[:hi - lo] += coef[lo:hi]
+    values = np.empty((n_t, n_out))  # Re Pr, then Im Pr if computed
+    for row in range(0, n_t, len(first)):  # time blocks, one at a time: the first from the memo
+        np.matmul((phase_table(lines, dt, n_t, start=row) if row else first)[:n_t - row].view(float),
+                  coef[:rows[0]], out=values[row:row + len(first)])
     values[:, :n_x] += diagonal.real
     if n_out > n_x:
         values[:, n_x:] += diagonal.imag
@@ -470,6 +490,7 @@ def add_shot_noise(grid: MeasurementGrid, samples_per_time: int, seed: int) -> M
     grid.  Deterministic for a fixed seed.
     """
     _check_j("samples_per_time", samples_per_time, low=1, high=2**63 - 1)  # multinomial's int64
+    _check_j("seed", seed, low=0, high=math.inf)
     rng = np.random.default_rng(seed)
     weights = grid.x_grid.weights
     masses = np.clip(weights * grid.values, 0.0, None)

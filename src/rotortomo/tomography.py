@@ -53,6 +53,7 @@ from .angular import (
     keeps_parity,
 )
 from .rotor import (
+    MAX_PERIODS,
     DensityBlock,
     MeasurementGrid,
     RotorKind,
@@ -231,6 +232,7 @@ class PatternFunction:
 
 def pattern_function(j1: int, k: int, m: int, j_cap: int) -> PatternFunction:
     """Row j1 of the bin-0 least-squares map of a (k, m) block up to j_cap."""
+    _channel_floor(k, m, j_cap, high=J_CAP // 2, name="j_cap")
     spec = RotorSpec(kind=RotorKind.SYMTOP if k else RotorKind.RIGID, omega=1.0, k=k, m=m)
     plan = SamplingPlan.derive(spec, j_cap)
     m_min = _channel_floor(k, m, j1, high=j_cap, name="j1")
@@ -519,6 +521,7 @@ class SamplingPlan:
             _check_j(name, value, low=None)
         if n_periods < 1:
             raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+        _check_j("n_periods", n_periods, low=1, high=MAX_PERIODS)
         alpha_max = 2 * j_max
         if alpha_max > J_CAP:
             raise SamplingError(

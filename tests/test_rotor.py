@@ -277,11 +277,10 @@ def test_simulate_matches_the_einsum_contraction():
     spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0, m=1)
     blk = make_test_state("random-mixed", 0, 1, 4, seed=2)
     x_grid = gauss_legendre_grid(9)
-    rotor._pair_tables.cache_clear()
+    rotor._shapes.clear()
     grids = [simulate_pr(blk, spec, x_grid, n_t=21) for _ in range(2)]
-    # the basis rows, level pairs and their lines are built once per shape
-    info = rotor._pair_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    # the basis rows, level pairs, their lines and phases are built once per shape
+    assert list(rotor._shapes) == [(spec, 4, x_grid.nodes.tobytes(), 21, 1)]
 
     times = grids[0].times
     phases = np.exp(-1j * np.outer(times, [energy(spec, J) for J in blk.j_values]))
@@ -304,7 +303,7 @@ def test_warm_simulate_reads_its_lines_and_rows_from_the_memo(monkeypatch):
     monkeypatch.setattr(rotor, "energy", refuse)
     monkeypatch.setattr(rotor, "eigenfunction_rows", refuse)
     assert np.array_equal(simulate_pr(blk, spec, x_grid, n_t=15).values, want)
-    for table in rotor._pair_tables(spec, 4, x_grid.nodes.tobytes()):
+    for table in rotor._shapes[(spec, 4, x_grid.nodes.tobytes(), 15, 1)]:
         assert not table.flags.writeable
     monkeypatch.undo()
 
@@ -378,16 +377,22 @@ def test_phase_table_matches_the_complex_exponential(n_t, freqs):
     assert got.shape == (n_t, len(freqs))
     bound = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arg))
     assert (np.abs(got - np.exp(1j * arg)) <= bound).all()
-    # a warm call: the same bits in a fresh array of its own, free to write to
+    # a warm call, the same bits: a table of one time block (ceil(512 / K) coarse
+    # steps of K rows) is the kept one itself, read-only; a longer one (n_t 1984
+    # here) is a fresh array of its own, free to write to
     again = rotor.phase_table(freqs, dt, n_t)
-    assert again.tobytes() == got.tobytes() and again.flags.writeable
-    assert not np.shares_memory(again, got)
+    assert again.tobytes() == got.tobytes()
+    K = math.isqrt(n_t - 1) + 1
+    if -(-n_t // K) <= -(-512 // K):
+        assert again is got and not again.flags.writeable
+        return
+    assert again.flags.writeable and not np.shares_memory(again, got)
     again[...] = 7.0
     assert rotor.phase_table(freqs, dt, n_t).tobytes() == got.tobytes()
 
 
 def test_phase_table_memo_drops_its_oldest_factors_past_its_byte_bound():
-    # n_t = 4 keeps four factor rows, 64 bytes per frequency: an entry of
+    # n_t = 4 keeps its four-row table, 64 bytes per frequency: an entry of
     # `wide` frequencies is just over a third of the bound, so two fit
     n_t, dt = 4, 0.1
     wide = rotor._FACTOR_BYTES // (3 * 64) + 1
@@ -745,3 +750,157 @@ def test_grid_shape_validation():
         )
     # the period is pi/omega of the grid's own omega, whatever omega becomes
     assert replace(_grid_with(), omega=2.0).period == math.pi / 2
+
+
+# ------------------------------------------------------------ time blocks and the shape memo
+
+
+@pytest.mark.parametrize("n_t", [511, 512, 528, 529, 530, 1037, 1600])
+@pytest.mark.parametrize(
+    "spec",
+    [RotorSpec(kind=RotorKind.RIGID, omega=1.3, m=1),
+     RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=3e-4)],
+    ids=["rigid", "centrifugal-off-bin"],
+)
+def test_simulate_over_time_blocks_matches_direct_summation(spec, n_t):
+    # a block is ceil(512 / K) coarse steps of K = ceil(sqrt(n_t)) rows: 529 for
+    # n_t 485..529 (K = 23), 528 for n_t 530 (K = 24), so 530 takes two blocks;
+    # 1037 and 1600 take several, and 1037 is no multiple of K = 33
+    blk = make_test_state("random-mixed", 0, spec.m, 6, seed=4)
+    x_grid = gauss_legendre_grid(13)
+    grid = simulate_pr(blk, spec, x_grid, n_t=n_t, n_periods=3)
+    ref = _direct_pr(blk, spec, x_grid.nodes, grid.times)
+    assert np.max(np.abs(grid.values - ref)) < 1e-12 * np.max(np.abs(ref))
+    # the memo's first block: ceil(512 / K) coarse steps of K rows, or the whole grid
+    first = rotor._shapes[(spec, 6, x_grid.nodes.tobytes(), n_t, 3)][-1]
+    K = math.isqrt(n_t - 1) + 1
+    assert len(first) == min(K * -(-512 // K), n_t)
+    assert (len(first) == n_t) == (n_t <= 529)
+
+
+def test_phase_table_blocks_are_the_rows_of_the_whole_table():
+    # each block is whole coarse steps, so it is the same product of the same
+    # two factor tables: the blocks put together are the table, bit for bit
+    freqs, dt = np.array([-210.0, -3.5, 0.0, 2.0, 4.4e3]), 0.3 * np.pi / 211
+    for n_t in (530, 1037, 1984):
+        whole = rotor.phase_table(freqs, dt, n_t)
+        K = math.isqrt(n_t - 1) + 1
+        rows = K * -(-512 // K)
+        blocks = [rotor.phase_table(freqs, dt, n_t, start=row) for row in range(0, n_t, rows)]
+        assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks)[:n_t].tobytes() == whole.tobytes()
+
+
+def test_a_non_hermitian_block_over_several_time_blocks():
+    spec = RotorSpec(kind=RotorKind.CENTRIFUGAL, omega=1.0, d_cd=3e-4)
+    good = make_test_state("random-mixed", 0, 0, 5, seed=8)
+    x_grid = gauss_legendre_grid(11)
+    ref = simulate_pr(good, spec, x_grid, n_t=1200, n_periods=4)
+    skewed, nearly = good.elements.copy(), good.elements.copy()
+    skewed[1, 4] += 1e-10  # a residue above 1e-12, in some block past the first
+    nearly[1, 4] += 1e-15  # under it: the full product runs and keeps its values
+    with pytest.raises(ValueError, match="imaginary residue"):
+        simulate_pr(DensityBlock(0, 0, 5, skewed), spec, x_grid, n_t=1200, n_periods=4)
+    grid = simulate_pr(DensityBlock(0, 0, 5, nearly), spec, x_grid, n_t=1200, n_periods=4)
+    assert np.max(np.abs(grid.values - ref.values)) < 1e-13
+    assert np.max(np.abs(grid.values - _direct_pr(good, spec, x_grid.nodes, grid.times))) < 1e-12
+
+
+def test_a_warm_simulate_evaluates_no_exponential(monkeypatch):
+    spec = RotorSpec(kind=RotorKind.SYMTOP, omega=1.0, omega2=0.4, k=1, m=1)
+    blk = make_test_state("random-mixed", 1, 1, 6, seed=3)
+    x_grid = gauss_legendre_grid(13)
+    want = [simulate_pr(blk, spec, x_grid, n_t=n_t).values for n_t in (43, 1500)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm simulate evaluated an exponential or a phase product")
+
+    # n_t 1500 takes three time blocks: the later two are products of memoized factors
+    monkeypatch.setattr(np, "exp", refuse)
+    for n_t, values in zip((43, 1500), want):
+        assert np.array_equal(simulate_pr(blk, spec, x_grid, n_t=n_t).values, values)
+    monkeypatch.setattr(rotor, "phase_table", refuse)  # one block: no phase product either
+    assert np.array_equal(simulate_pr(blk, spec, x_grid, n_t=43).values, want[0])
+
+
+def test_the_shape_memo_is_keyed_on_the_nodes_and_bounded_by_count_and_bytes(monkeypatch):
+    spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0)
+    blk = make_test_state("random-mixed", 0, 0, 3, seed=1)
+    rotor._shapes.clear()
+    for order in (7, 8, 9):  # one shape but for its nodes: three entries
+        simulate_pr(blk, spec, gauss_legendre_grid(order), n_t=13)
+    assert [key[2] for key in rotor._shapes] == [gauss_legendre_grid(o).nodes.tobytes() for o in (7, 8, 9)]
+    for n_t in (14, 15, 16):
+        simulate_pr(blk, spec, gauss_legendre_grid(7), n_t=n_t)
+    assert [key[3] for key in rotor._shapes] == [13, 14, 15, 16][-4:]  # the last four
+    # over the byte bound only the entry just used stays
+    monkeypatch.setattr(rotor, "_SHAPE_BYTES", 1)
+    simulate_pr(blk, spec, gauss_legendre_grid(7), n_t=17)
+    assert [key[3] for key in rotor._shapes] == [17]
+
+
+def test_a_warm_j_max_100_simulate_stays_in_bounded_memory():
+    # measured: a 63.5 MiB tracemalloc peak (values and the per-pair terms
+    # 15.5 MiB each, one phase block of 505 rows 20 MiB, the per-line table
+    # 8 MiB); the budget allows 10% over that.  One (n_t x lines) complex
+    # table alone would take 10,101 x 2,598 x 16 B = 400 MiB.
+    import tracemalloc
+
+    spec = RotorSpec(kind=RotorKind.RIGID, omega=1.0)
+    blk = make_test_state("random-mixed", 0, 0, 100, seed=2)
+    x_grid = gauss_legendre_grid(201)
+    simulate_pr(blk, spec, x_grid, n_t=10101)
+    tracemalloc.start()
+    try:
+        simulate_pr(blk, spec, x_grid, n_t=10101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rotor._shapes.clear()
+    assert peak < 1.1 * 63.5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _simulate_j3(13, n_periods=10**400),
+     lambda: _simulate_j3(13, n_periods=2**53 + 1),
+     lambda: _grid_with(n_periods=10**400),
+     lambda: tomography.SamplingPlan.derive(_RIGID, 3, n_periods=10**400)],
+    ids=["simulate", "simulate-2**53+1", "grid", "derive"],
+)
+def test_a_period_count_above_2_53_raises_a_named_error(make):
+    with pytest.raises(ValueError, match=r"^n_periods = \d+ outside supported range"):
+        make()
+
+
+def test_simulate_checks_its_counts_before_it_builds_a_table(monkeypatch):
+    monkeypatch.setattr(rotor, "_shape_tables", None)  # any table build would fail by TypeError
+    for n_t, n_periods, needle in ((0, 1, "n_t must be >= 1, got 0"),
+                                   (13, 0, "n_periods = 0 outside supported range")):
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            _simulate_j3(n_t, n_periods)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, None, "3"])
+def test_add_shot_noise_names_a_bad_seed(seed):
+    grid = _simulate_j3(13)
+    with pytest.raises(ValueError, match="^seed "):
+        add_shot_noise(grid, 100, seed)
+
+
+@pytest.mark.parametrize("j_cap", ["4", 4.0, -1, 101])
+def test_pattern_function_names_a_bad_j_cap(j_cap):
+    with pytest.raises(ValueError, match="^j_cap "):
+        tomography.pattern_function(0, 0, 0, j_cap)
+
+
+def test_the_readers_name_a_period_count_above_2_53(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("spec: {kind: rigid-linear}\nj_max: 3\nsampling: {n_periods: 9007199254740993}\n")
+    with pytest.raises(rotortomo.FileFormatError, match="n_periods"):
+        rotortomo.load_config(config)
+    rotortomo.save_grid(_simulate_j3(13), tmp_path / "grid.csv")
+    text = (tmp_path / "grid.csv").read_text().replace("n_periods=1", "n_periods=" + "9" * 400, 1)
+    (tmp_path / "huge.csv").write_text(text)
+    with pytest.raises(rotortomo.FileFormatError, match=r"line 1: .*, n_periods <= 2\*\*53$"):
+        rotortomo.load_grid(tmp_path / "huge.csv")
